@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
+import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -52,11 +55,13 @@ class ColumnType(enum.Enum):
 
 @dataclass
 class TableData:
-    """Column-oriented table; data[i] holds column i for all n rows."""
+    """Column-oriented table; data[i] is a numpy array holding column i for
+    all n rows: int64 for integers (object, holding Python ints, when a
+    value does not fit in int64), float64 for reals, object for text."""
 
     columns: list[str]
     types: list[ColumnType]
-    data: list[list]
+    data: list[np.ndarray]
 
     @property
     def n(self) -> int:
@@ -74,18 +79,43 @@ class LoadOptions:
     type_hints: Optional[dict[str, ColumnType]] = None
 
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+def _infer_column(cells: list[str]) -> tuple[ColumnType, np.ndarray]:
+    """Integer if every stripped cell is `[+-]?\\d+`, else real if every
+    cell is a number, else text. numpy parses a cell as int() or float()
+    does; of their grammar only the `_` separator goes beyond this rule,
+    and ids such as `1_0` stay text."""
+    if "_" not in "".join(cells):
+        try:
+            return ColumnType.INTEGER, _integer_array(cells)
+        except ValueError:
+            pass
+        try:
+            return ColumnType.REAL, _real_array(cells)
+        except ValueError:
+            pass
+    return ColumnType.TEXT, np.array(cells, dtype=object)
 
 
-def _parse_cell(text: str) -> tuple[ColumnType, Union[int, float, str]]:
-    if _INT_RE.match(text):
-        return ColumnType.INTEGER, int(text)
-    if "_" in text:
-        return ColumnType.TEXT, text  # float() would accept 1_0; ids stay text
+def _integer_array(cells: list[str]) -> np.ndarray:
     try:
-        return ColumnType.REAL, float(text)
-    except ValueError:
-        return ColumnType.TEXT, text
+        return np.array(cells, dtype=np.int64)
+    except OverflowError:  # beyond int64: keep exact Python ints
+        return np.array([int(cell) for cell in cells], dtype=object)
+
+
+def _real_array(cells: list[str]) -> np.ndarray:
+    values = np.array(cells, dtype=np.float64)
+    for j in np.flatnonzero((values == 0.0) & np.signbit(values)):
+        if cells[j].lstrip("+-").isdecimal():
+            values[j] = 0.0  # an integer cell such as -0 is the integer 0
+    return values
+
+
+def _line_no(records: list[list[str]], index: int) -> int:
+    """Line number of the index-th non-blank record; lines count csv
+    records, blank ones included."""
+    nonblank = (line_no for line_no, row in enumerate(records, start=1) if row)
+    return next(itertools.islice(nonblank, index, None))
 
 
 def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
@@ -93,62 +123,53 @@ def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
 
     Integer promotes to real when mixed; any non-numeric cell (including a
     blank) degrades the column to text, unless a numeric type hint turns
-    that into a parse error instead.
+    that into a parse error instead. Duplicate header names are an error.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=options.delimiter)
-        raw_rows = []
-        header: Optional[list[str]] = None
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
-                continue  # blank line, not a data row
-            if header is None and options.header:
-                header = [cell.strip() for cell in row]
-                continue
-            raw_rows.append((line_no, row))
-
-    if options.header and header is None:
-        raise TableParseError(f"{path}: empty file")
-    if not raw_rows:
-        raise TableParseError(f"{path}: no data rows")
-
-    m = len(header) if header is not None else len(raw_rows[0][1])
-    columns = header if header is not None else [f"col{i}" for i in range(m)]
-    for line_no, row in raw_rows:
-        if len(row) != m:
+        records = list(csv.reader(handle, delimiter=options.delimiter))
+    rows = [row for row in records if row]  # a blank line is not a data row
+    first = int(options.header)  # non-blank records before the first data row
+    if options.header:
+        if not rows:
+            raise TableParseError(f"{path}: empty file")
+        columns = [cell.strip() for cell in rows.pop(0)]
+        duplicates = [name for i, name in enumerate(columns) if name in columns[:i]]
+        if duplicates:
             raise TableParseError(
-                f"{path}: line {line_no}: expected {m} fields, got {len(row)}"
+                f"{path}: line {_line_no(records, 0)}: duplicate column name {duplicates[0]!r}"
             )
+    if not rows:
+        raise TableParseError(f"{path}: no data rows")
+    if not options.header:
+        columns = [f"col{i}" for i in range(len(rows[0]))]
+
+    m = len(columns)
+    for j, row in enumerate(rows):
+        if len(row) != m:
+            raise TableParseError(f"{path}: line {_line_no(records, first + j)}: "
+                                  f"expected {m} fields, got {len(row)}")
 
     hints = options.type_hints or {}
     types: list[ColumnType] = []
-    data: list[list] = []
+    data: list[np.ndarray] = []
     for i, name in enumerate(columns):
-        cells = [row[i].strip() for _, row in raw_rows]
-        parsed = [_parse_cell(cell) for cell in cells]
-        kinds = {kind for kind, _ in parsed}
+        cells = [row[i].strip() for row in rows]
         hint = hints.get(name)
-        if ColumnType.TEXT in kinds:
-            if hint in (ColumnType.INTEGER, ColumnType.REAL):
-                bad_line = next(
-                    line_no
-                    for (line_no, _), (kind, _v) in zip(raw_rows, parsed)
-                    if kind is ColumnType.TEXT
-                )
-                raise TableParseError(
-                    f"{path}: line {bad_line}: column {name!r} is hinted "
-                    f"{hint.value} but holds a non-numeric cell"
-                )
-            col_type = ColumnType.TEXT
-            values: list = cells
-        elif ColumnType.REAL in kinds or hint is ColumnType.REAL:
-            col_type = ColumnType.REAL
-            values = [float(v) for _, v in parsed]
-        else:
-            col_type = ColumnType.INTEGER
-            values = [v for _, v in parsed]
         if hint is ColumnType.TEXT:
-            col_type, values = ColumnType.TEXT, cells
+            col_type, values = ColumnType.TEXT, np.array(cells, dtype=object)
+        else:
+            col_type, values = _infer_column(cells)
+        if col_type is ColumnType.TEXT and hint in (ColumnType.INTEGER, ColumnType.REAL):
+            bad = next(
+                j for j, cell in enumerate(cells)
+                if _infer_column([cell])[0] is ColumnType.TEXT
+            )
+            raise TableParseError(
+                f"{path}: line {_line_no(records, first + bad)}: column {name!r} "
+                f"is hinted {hint.value} but holds a non-numeric cell"
+            )
+        if col_type is ColumnType.INTEGER and hint is ColumnType.REAL:
+            col_type, values = ColumnType.REAL, _real_array(cells)
         types.append(col_type)
         data.append(values)
     return TableData(columns=columns, types=types, data=data)
@@ -157,12 +178,12 @@ def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
 # Predicate language ---------------------------------------------------------
 
 _OPS: dict[str, Callable] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 _TEXT_OPS = frozenset({"=", "!="})
 
@@ -234,7 +255,7 @@ def parse_predicate(text: str) -> Predicate:
         kind, raw, pos = tokens[i]
         i += 1
         if kind == "number":
-            literal = int(raw) if _INT_RE.match(raw) else float(raw)
+            literal = int(raw) if raw.lstrip("+-").isdecimal() else float(raw)
         elif kind == "string":
             literal = raw[1:-1].replace("''", "'")
         else:
@@ -252,7 +273,9 @@ def parse_predicate(text: str) -> Predicate:
 def bind_predicate(
     table: TableData, predicate: Predicate
 ) -> list[tuple[int, Callable, Union[int, float, str]]]:
-    """Resolve column names and check literal/column type compatibility."""
+    """Resolve column names and check literal/column type compatibility.
+    Each atom becomes (column index, operator function, literal), which
+    applies to the whole column array at once."""
     compiled = []
     for atom in predicate.atoms:
         try:
@@ -269,23 +292,58 @@ def bind_predicate(
                 raise BindingError(
                     f"text column {atom.column!r} supports only = and !=, got {atom.op!r}"
                 )
+            op, literal = atom.op, atom.literal
         else:
             if isinstance(atom.literal, str):
                 raise BindingError(
                     f"column {atom.column!r} is numeric but literal {atom.literal!r} is text"
                 )
-        compiled.append((index, _OPS[atom.op], atom.literal))
+            op, literal = _exact_operand(col_type, atom.op, atom.literal)
+        compiled.append((index, _OPS[op], literal))
     return compiled
 
 
-def _row_matches(table: TableData, compiled, row: int) -> bool:
-    return all(op(table.data[ci][row], lit) for ci, op, lit in compiled)
+def _exact_operand(
+    col_type: ColumnType, op: str, literal: Union[int, float]
+) -> tuple[str, Union[int, float]]:
+    """An (op, literal) that numpy evaluates on a whole column exactly as
+    Python compares each value with the literal.
+
+    numpy compares int64 with a float, and float64 with an int, in float64,
+    which rounds integers beyond 2**53. So a literal the column type cannot
+    hold is replaced by its neighbours lo < literal < hi in that type.
+    """
+    if col_type is ColumnType.INTEGER and isinstance(literal, float) and math.isfinite(literal):
+        lo, hi = math.floor(literal), math.ceil(literal)
+    elif col_type is ColumnType.REAL and isinstance(literal, int):
+        try:
+            near = float(literal)
+        except OverflowError:
+            near = math.inf if literal > 0 else -math.inf
+        lo = near if near <= literal else math.nextafter(near, -math.inf)
+        hi = near if near >= literal else math.nextafter(near, math.inf)
+    else:
+        return op, literal  # numpy compares these exactly, inf and nan included
+    if lo == hi:
+        return op, lo
+    if op in ("<", "<="):
+        return "<=", lo
+    if op in (">", ">="):
+        return ">=", hi
+    return op, math.nan  # no value equals the literal, as no value equals nan
+
+
+def _predicate_mask(table: TableData, compiled) -> np.ndarray:
+    """Boolean mask of the rows that satisfy every bound atom."""
+    mask = np.ones(table.n, dtype=bool)
+    for index, op, literal in compiled:
+        mask &= op(table.data[index], literal)
+    return mask
 
 
 def true_cardinality(table: TableData, predicate: Predicate) -> int:
     """Exact predicate cardinality by full scan."""
-    compiled = bind_predicate(table, predicate)
-    return sum(1 for row in range(table.n) if _row_matches(table, compiled, row))
+    return int(np.count_nonzero(_predicate_mask(table, bind_predicate(table, predicate))))
 
 
 def sample_indices(n: int, design: SampleDesign, rng: np.random.Generator) -> np.ndarray:
@@ -354,21 +412,20 @@ def estimate_with_bounds(
     validate_design(pop_check, design)
     if not qs and target_confidence is None:
         raise ValueError("need at least one q value or a target confidence")
+    if assume_p is not None and not 0.0 <= assume_p <= 1.0:
+        raise ValueError(f"assumed selectivity must be in [0, 1], got {assume_p}")
 
-    compiled = bind_predicate(table, predicate)
+    mask = _predicate_mask(table, bind_predicate(table, predicate))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    indices = sample_indices(n, design, rng)
-    hits = sum(1 for row in indices if _row_matches(table, compiled, int(row)))
+    hits = int(np.count_nonzero(mask[sample_indices(n, design, rng)]))
     est = estimate_from_hits(n, design.k, hits)
 
     if assume_p is None:
-        truth = true_cardinality(table, predicate)
+        truth = int(np.count_nonzero(mask))
         p_used = truth / n
         p_source = "true"
         realized = q_error(est, truth)
     else:
-        if not 0.0 <= assume_p <= 1.0:
-            raise ValueError(f"assumed selectivity must be in [0, 1], got {assume_p}")
         truth = None
         p_used = assume_p
         p_source = "assumed"

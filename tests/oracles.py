@@ -4,8 +4,11 @@ Everything here recomputes the closed forms with mpmath (50 digits) or by
 brute-force enumeration, deliberately avoiding the library's own code
 paths: the direct power forms instead of log-space assembly, the raw
 minus-square-root expression instead of the rationalized one, plain
-combinatorial sums instead of the outward-walk summation.
+combinatorial sums instead of the outward-walk summation. The CSV loader
+is pinned by its original per-cell parser.
 """
+
+import re
 
 import mpmath as mp
 
@@ -110,3 +113,36 @@ def brute_q_error(est, truth):
 def brute_admissible_set(n, c, k, q):
     """Every hit count whose scaled estimate passes the clamped metric."""
     return {x for x in range(k + 1) if brute_q_error(n * x / k, c) <= q}
+
+
+# The loader's original cell-by-cell type inference -------------------------
+
+_INT_RE = re.compile(r"[+-]?\d+\Z")
+
+
+def parse_cell(text):
+    if _INT_RE.match(text):
+        return "integer", int(text)
+    if "_" in text:
+        return "text", text  # float() would accept 1_0; ids stay text
+    try:
+        return "real", float(text)
+    except ValueError:
+        return "text", text
+
+
+def reference_column(cells, hint=None):
+    """(type, values) of one column of stripped cells, or a ValueError whose
+    argument is the index of the first non-numeric cell of a column hinted
+    "integer" or "real"."""
+    parsed = [parse_cell(cell) for cell in cells]
+    kinds = {kind for kind, _ in parsed}
+    if hint == "text":
+        return "text", list(cells)
+    if "text" in kinds:
+        if hint in ("integer", "real"):
+            raise ValueError(next(i for i, (kind, _) in enumerate(parsed) if kind == "text"))
+        return "text", list(cells)
+    if "real" in kinds or hint == "real":
+        return "real", [float(value) for _, value in parsed]
+    return "integer", [value for _, value in parsed]

@@ -196,6 +196,8 @@ def test_estimate_end_to_end(capsys, tmp_path):
     assert result["p_used"] == 0.25
     assert result["estimate"] == result["hits"] * 10.0
     assert result["realized_q_error"] >= 1.0
+    # counts are plain ints: no numpy scalar (or float) reaches the output
+    assert type(result["hits"]) is int and type(result["true_cardinality"]) is int
     assert "confidence_q2" in result and "confidence_q4" in result
 
     # determinism under the same seed
@@ -212,6 +214,7 @@ def test_estimate_assume_p(capsys, tmp_path):
                 "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"]["p_source"] == "assumed"
+    assert type(payload["result"]["hits"]) is int
     assert payload["result"]["true_cardinality"] is None
     assert payload["result"]["realized_q_error"] is None
 

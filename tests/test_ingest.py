@@ -1,4 +1,11 @@
+import csv
+import math
+import operator
+import os
+import tempfile
+
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +22,15 @@ from qbounds import (
     true_cardinality,
 )
 from qbounds.ingest import (
+    Atom,
     BindingError,
+    Predicate,
     PredicateSyntaxError,
     TableParseError,
     bind_predicate,
     sample_indices,
 )
+from qbounds import ingest
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -40,7 +50,7 @@ def test_load_table_basic(tmp_path):
     assert table.n == 3 and table.m == 2
     assert table.columns == ["a", "b"]
     assert table.types == [ColumnType.INTEGER, ColumnType.TEXT]
-    assert table.data[0] == [1, 2, 3]
+    assert table.data[0].tolist() == [1, 2, 3]
 
 
 def test_load_table_ragged_row_names_line(tmp_path):
@@ -63,15 +73,15 @@ def test_load_table_type_inference(tmp_path):
     table = load_table(path)
     assert table.types == [ColumnType.INTEGER, ColumnType.REAL, ColumnType.REAL,
                            ColumnType.TEXT]
-    assert table.data[2] == [2.0, 3.5]
-    assert table.data[3] == ["x", "7"]
+    assert table.data[2].tolist() == [2.0, 3.5]
+    assert table.data[3].tolist() == ["x", "7"]
 
 
 def test_load_table_blank_cell_degrades_to_text(tmp_path):
     path = _write(tmp_path, "a,b\n1,x\n,y\n3,z\n")
     table = load_table(path)
     assert table.types == [ColumnType.TEXT, ColumnType.TEXT]
-    assert table.data[0] == ["1", "", "3"]
+    assert table.data[0].tolist() == ["1", "", "3"]
 
 
 def test_load_table_numeric_hint_rejects_blank(tmp_path):
@@ -87,6 +97,101 @@ def test_load_table_no_header_and_delimiter(tmp_path):
     assert table.columns == ["col0", "col1"]
     assert table.n == 2
     assert table.types == [ColumnType.INTEGER, ColumnType.INTEGER]
+
+
+def test_load_table_rejects_duplicate_header(tmp_path):
+    path = _write(tmp_path, "\na,b, a\n1,2,3\n")
+    with pytest.raises(TableParseError, match="line 2: duplicate column name 'a'"):
+        load_table(path)
+    # without a header the generated names never clash
+    assert load_table(path, LoadOptions(header=False)).columns == ["col0", "col1", "col2"]
+
+
+def test_load_table_integer_beyond_int64(tmp_path):
+    path = _write(tmp_path, f"a,b\n{2**63},1\n{-2**70},2\n5,9223372036854775807\n")
+    table = load_table(path)
+    assert table.types == [ColumnType.INTEGER, ColumnType.INTEGER]
+    assert table.data[0].dtype == object and table.data[1].dtype == np.int64
+    assert table.data[0].tolist() == [2**63, -2**70, 5]
+    assert table.data[1].tolist() == [1, 2, 2**63 - 1]
+
+
+def test_load_table_integer_cells_of_a_real_column(tmp_path):
+    # an integer cell is converted as the integer it is: -0 is +0.0
+    path = _write(tmp_path, f"a,b\n-0,-0\n-0.0,1\n{2**53 + 1},2\n")
+    table = load_table(path, LoadOptions(type_hints={"b": ColumnType.REAL}))
+    assert table.types == [ColumnType.REAL, ColumnType.REAL]
+    assert list(map(repr, table.data[0].tolist())) == ["0.0", "-0.0", repr(float(2**53 + 1))]
+    assert list(map(repr, table.data[1].tolist())) == ["0.0", "1.0", "2.0"]
+
+
+_INT_CELLS = st.one_of(
+    st.integers(-10**25, 10**25).map(str),
+    st.integers(0, 10**25).map(lambda v: f"+{v}"),
+    st.sampled_from(["-0", "+0", "007", "\u0661\u0662", "-\u0663", "\uff11\uff12"]),
+)
+_REAL_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "NaN", "Infinity", "1e500", "-1e500", "1.",
+                     ".5", "1e5", "\u0661.\u0665", "+1.5e-3"]),
+)
+_OTHER_CELLS = st.one_of(
+    st.sampled_from(["", " ", "1_0", "1_000.5", "0x10", "+-1", "--1", "1 2", "it's",
+                     "''", "'quoted'", "a,b", 'say "hi"', "tag_0001", "x\ny"]),
+    st.text(alphabet="0123456789+-._eE '", max_size=6),
+)
+
+
+@st.composite
+def _columns(draw):
+    n = draw(st.integers(1, 12))
+    flavours = [
+        _INT_CELLS,
+        st.one_of(_INT_CELLS, _REAL_CELLS),
+        st.one_of(_INT_CELLS, _REAL_CELLS, _OTHER_CELLS),
+    ]
+    m = draw(st.integers(1, 3))
+    columns = [draw(st.lists(draw(st.sampled_from(flavours)), min_size=n, max_size=n))
+               for _ in range(m)]
+    hints = [draw(st.sampled_from([None, "integer", "real", "text"])) for _ in range(m)]
+    padding = draw(st.sampled_from(["", " ", "\t"]))
+    return [[padding + cell + padding for cell in column] for column in columns], hints
+
+
+@given(_columns())
+@settings(max_examples=300, deadline=None)
+def test_load_table_matches_cell_by_cell_reference(spec):
+    """The vectorized loader gives the types, values (sign of zero and nan
+    included) and hint errors of the original per-cell parser on columns of
+    signed, `_`-separated, Unicode-digit, non-finite, blank, quoted and mixed
+    cells, under every type hint."""
+    columns, hints = spec
+    names = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(names)
+            writer.writerows(zip(*columns))
+        options = LoadOptions(type_hints={
+            name: ColumnType(hint) for name, hint in zip(names, hints) if hint})
+        expected = []
+        for column, hint in zip(columns, hints):
+            try:
+                expected.append(oracles.reference_column([c.strip() for c in column], hint))
+            except ValueError as exc:
+                with pytest.raises(TableParseError, match=f"line {exc.args[0] + 2}:"):
+                    load_table(path, options)
+                return
+        table = load_table(path, options)
+    for (kind, values), col_type, array in zip(expected, table.types, table.data):
+        assert col_type.value == kind
+        assert list(map(repr, array.tolist())) == list(map(repr, values))
+        if kind == "integer":
+            fits = all(-2**63 <= v < 2**63 for v in values)
+            assert array.dtype == (np.int64 if fits else object)
+        else:
+            assert array.dtype == (np.float64 if kind == "real" else object)
 
 
 # Predicate language ----------------------------------------------------------
@@ -186,6 +291,42 @@ def test_true_cardinality_matches_row_by_row_reference(rows, atoms):
     assert true_cardinality(table, parse_predicate(text)) == expected
 
 
+_PY_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+@pytest.mark.parametrize("cells, literals", [
+    # int64 column, float literals: numpy alone says 2**53 + 1 > 2.0**53 is false
+    ([2**53 + 1, 2**53, -(2**53 + 1), 3, 2**63 - 1, -2**63],
+     [2.0**53, -2.0**53, 2.5, -2.5, 3.0, 2.0**63, -2.0**63, 1e300, math.inf, -math.inf,
+      math.nan]),
+    # float64 column, int literals that float64 cannot hold
+    ([2.0**53, 2.0**53 + 2, 1.5, 1.7976931348623157e308, math.inf, -math.inf, math.nan],
+     [2**53 + 1, -(2**53 + 1), 2**53, 3, 10**400, -10**400, 2**1024 - 1]),
+    # integers beyond int64, held as Python ints
+    ([2**64 + 1, -2**70, 0],
+     [2**64 + 1, 2.0**64, 2.5, -2.0**70, 2**64]),
+])
+def test_numeric_comparisons_are_exact(tmp_path, cells, literals):
+    path = _write(tmp_path, "v\n" + "\n".join(map(repr, cells)) + "\n")
+    table = load_table(path)
+    assert list(map(repr, table.data[0].tolist())) == list(map(repr, cells))
+    for literal in literals:
+        for op, compare in _PY_OPS.items():
+            predicate = Predicate(atoms=(Atom(column="v", op=op, literal=literal),))
+            want = sum(1 for value in cells if compare(value, literal))
+            assert true_cardinality(table, predicate) == want, (op, literal)
+
+
+def test_float_literal_on_integer_column_at_2_53_plus_1(tmp_path):
+    path = _write(tmp_path, f"v\n{2**53 + 1}\n{2**53}\n")
+    table = load_table(path)
+    assert table.data[0].dtype == np.int64
+    assert true_cardinality(table, parse_predicate("v > 9007199254740992.0")) == 1
+    assert true_cardinality(table, parse_predicate("v = 9007199254740992.0")) == 1
+    assert true_cardinality(table, parse_predicate("v <= 9007199254740992.5")) == 1
+
+
 # Sampling --------------------------------------------------------------------
 
 def test_sample_indices_without_replacement_distinct():
@@ -242,6 +383,7 @@ def test_estimate_with_bounds_report_fields(small_table):
     report = estimate_with_bounds(small_table, pred, design, qs=(2.0, 4.0), seed=3)
     assert report.n == 1000
     assert report.true_cardinality == 200
+    assert type(report.hits) is int and type(report.true_cardinality) is int
     assert report.p_used == 0.2
     assert report.p_source == "true"
     assert report.estimate == report.hits * 10.0
@@ -305,6 +447,20 @@ def test_estimate_with_bounds_design_edges(small_table):
     with pytest.raises(ValueError):
         estimate_with_bounds(small_table, pred, SampleDesign(method=WR, k=10),
                              seed=0, assume_p=1.5)
+
+
+@pytest.mark.parametrize("assume_p", [1.5, -0.1, math.nan])
+def test_estimate_with_bounds_checks_assume_p_first(small_table, monkeypatch, assume_p):
+    def fail(*args):
+        raise AssertionError("sampled or scanned before assume_p was checked")
+
+    monkeypatch.setattr(ingest, "sample_indices", fail)
+    monkeypatch.setattr(ingest, "_predicate_mask", fail)
+    # an unknown column would otherwise fail binding first
+    for text in ("grp = 0", "missing = 1"):
+        with pytest.raises(ValueError, match="assumed selectivity"):
+            estimate_with_bounds(small_table, parse_predicate(text),
+                                 SampleDesign(method=WR, k=10), seed=0, assume_p=assume_p)
 
 
 def test_estimate_hits_count_matches_manual_replay(small_table):
