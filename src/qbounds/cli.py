@@ -9,6 +9,7 @@ values for the same invocation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -308,7 +309,10 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building all subcommands costs more than a short command."""
     parser = _Parser(prog="qbounds", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

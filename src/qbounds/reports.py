@@ -11,16 +11,23 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .confidence import default_inequalities, evaluate_confidence
+from .confidence import default_inequalities, evaluate_confidence, evaluate_grid
 from .exact import exact_confidence
 from .model import PopulationSpec, SampleDesign, SamplingMethod
 from .simulate import SimulationConfig, run_simulation
-from .terms import BoundResult, InequalityKind, Side, combine_terms
+from .terms import (
+    DEFAULT_WOR_KINDS,
+    DEFAULT_WR_KINDS,
+    WITHOUT_REPLACEMENT_KINDS,
+    InequalityKind,
+    Side,
+)
 
 TABLE1_CARDINALITIES = (
     166, 333, 500, 666, 833, 1000, 1666, 3333, 5000, 6666, 8333, 10000,
@@ -47,17 +54,24 @@ def table1(n: int = 1_000_000, q: float = 2.0) -> list[dict]:
     """Confidence that the Q-error is at most q, for the 18 standard
     cardinalities at sample sizes 100 / 1000 / 10000, with (R) and without
     (NR) replacement."""
-    rows = []
     for c in TABLE1_CARDINALITIES:
         if c > n:
             raise ValueError(f"cardinality {c} exceeds table size {n}")
-        p = c / n
+    ps = [c / n for c in TABLE1_CARDINALITIES]
+    bounds = evaluate_grid(
+        np.reshape(ps, (-1, 1, 1)),
+        np.reshape(TABLE1_SAMPLE_SIZES, (1, -1, 1)),
+        n,
+        q,
+        [False, True],
+        DEFAULT_WR_KINDS | DEFAULT_WOR_KINDS,
+    )
+    rows = []
+    for c, p, by_k in zip(TABLE1_CARDINALITIES, ps, bounds.confidence.tolist()):
         row: dict = {"c": c, "p": p}
-        for k in TABLE1_SAMPLE_SIZES:
-            r = evaluate_confidence(SamplingMethod.WITH_REPLACEMENT, p, k, q)
-            nr = evaluate_confidence(SamplingMethod.WITHOUT_REPLACEMENT, p, k, q, n=n)
-            row[f"r{k}"] = r.confidence
-            row[f"nr{k}"] = nr.confidence
+        for k, (r, nr) in zip(TABLE1_SAMPLE_SIZES, by_k):
+            row[f"r{k}"] = r
+            row[f"nr{k}"] = nr
         rows.append(row)
     return rows
 
@@ -72,18 +86,6 @@ def write_table1_csv(rows: Sequence[dict], out: IO[str]) -> None:
         cells += [rounded_cell(row[col]) for col in value_cols]
         out.write(",".join(cells) + "\n")
 
-
-_METHOD_KINDS = {
-    SamplingMethod.WITH_REPLACEMENT: (
-        InequalityKind.CHERNOFF,
-        InequalityKind.BERNSTEIN,
-        InequalityKind.HOEFFDING,
-    ),
-    SamplingMethod.WITHOUT_REPLACEMENT: (
-        InequalityKind.HOEFFDING_SERFLING,
-        InequalityKind.BERNSTEIN_SERFLING,
-    ),
-}
 
 _TERM_COLUMNS = [
     f"{kind.value}_{side.value}"
@@ -123,8 +125,18 @@ class GridSpec:
                 raise ValueError(f"axis {name} must not be empty")
         if self.p is not None and any(not 0.0 <= v <= 1.0 for v in self.p):
             raise ValueError("p axis values must lie in [0, 1]")
-        if self.c is not None and any(v < 0 for v in self.c):
-            raise ValueError("c axis values must be non-negative")
+        if any(not (math.isfinite(v) and v >= 1.0) for v in self.q):
+            raise ValueError("q axis values must be finite and >= 1")
+        for name in ("k", "n"):
+            if any(not 1 <= v < 2**63 for v in getattr(self, name)):
+                raise ValueError(f"{name} axis values must lie in [1, 2**63)")
+        if self.c is not None:
+            if any(v < 0 for v in self.c):
+                raise ValueError("c axis values must be non-negative")
+            if max(self.c) > min(self.n):
+                raise ValueError(
+                    f"cardinality {max(self.c)} exceeds table size {min(self.n)}"
+                )
 
 
 def _parse_axis_values(text: str) -> list[float]:
@@ -141,15 +153,15 @@ def _parse_axis_values(text: str) -> list[float]:
         if kind == "log":
             if lo <= 0 or hi <= 0:
                 raise ValueError("log axis endpoints must be positive")
-            return list(np.geomspace(lo, hi, count))
-        return list(np.linspace(lo, hi, count))
+            return np.geomspace(lo, hi, count).tolist()
+        return np.linspace(lo, hi, count).tolist()
     return [float(part) for part in text.split(",") if part.strip()]
 
 
 def _as_ints(values: Iterable[float], key: str) -> tuple[int, ...]:
     out = []
     for v in values:
-        if abs(v - round(v)) > 1e-9:
+        if not math.isfinite(v) or abs(v - round(v)) > 1e-9:
             raise ValueError(f"axis {key} needs integers, got {v}")
         out.append(int(round(v)))
     return tuple(out)
@@ -191,14 +203,6 @@ def parse_grid_file(text: str) -> GridSpec:
     return GridSpec(**fields)
 
 
-def _term_map(result: BoundResult) -> dict[str, float]:
-    cells = {}
-    for term in result.terms:
-        key = f"{term.inequality.value}_{term.side.value}"
-        cells[key] = term.probability if term.applicable else math.nan
-    return cells
-
-
 def figure_series(
     spec: GridSpec,
     with_exact: bool = False,
@@ -210,83 +214,100 @@ def figure_series(
     combined confidence, and optional exact / simulation columns.
 
     Points that violate preconditions are emitted with a degenerate or
-    invalid status instead of being dropped.
+    invalid status instead of being dropped. The bound columns come from
+    one `evaluate_grid` call over the whole grid.
     """
-    sel_axis = spec.p if spec.p is not None else spec.c
-    records = []
-    point_index = 0
-    for n, sel, k, q, method in itertools.product(
-        spec.n, sel_axis, spec.k, spec.q, spec.methods
-    ):
-        if spec.p is not None:
-            p = float(sel)
-            c = int(round(p * n))
-        else:
-            c = int(sel)
-            if c > n:
-                raise ValueError(f"cardinality {c} exceeds table size {n}")
-            p = c / n
-        record: dict = {
-            "method": method.value, "n": n, "c": c, "p": p, "k": k, "q": q,
-        }
-        for col in _TERM_COLUMNS:
-            record[col] = None
-        record.update({"omega": None, "psi": None, "confidence": None,
-                       "exact": None, "empirical_rate": None, "standard_error": None})
+    if spec.p is not None:
+        sel = [(n, int(round(float(v) * n)), float(v)) for n in spec.n for v in spec.p]
+    else:
+        sel = [(n, int(c), c / n) for n in spec.n for c in spec.c]
+    n_axis, c_axis, p_axis = zip(*sel)
+    # rows in itertools.product(n, p or c, k, q, methods) order
+    shape = (len(sel), len(spec.k), len(spec.q), len(spec.methods))
+    size = math.prod(shape)
 
-        wor = method is SamplingMethod.WITHOUT_REPLACEMENT
-        if wor and k >= n:
-            record["status"] = "invalid"
-            records.append(record)
-            continue
-        if p == 0.0:
-            record["status"] = "degenerate"
-            record["confidence"] = 0.0
-        else:
-            full = evaluate_confidence(
-                method, p, k, q, n=n, inequalities=_METHOD_KINDS[method]
-            )
-            record.update(_term_map(full))
-            chosen = default_inequalities(method, spec.include_hoeffding)
-            combined = combine_terms(
-                t for t in full.terms if t.inequality in chosen
-            )
-            record["omega"] = combined.omega
-            record["psi"] = combined.psi
-            record["confidence"] = combined.confidence
-            record["status"] = "ok"
+    def spread(values, axis: int, dtype=object) -> np.ndarray:
+        """One axis's values at every grid point, in product order."""
+        column = np.empty(len(values), dtype=dtype)
+        column[:] = values
+        dims = [1] * len(shape)
+        dims[axis] = -1
+        return np.broadcast_to(column.reshape(dims), shape).ravel()
 
-        if with_exact or with_simulation:
-            pop = PopulationSpec(n=n, cardinality=c)
-            design = SampleDesign(method=method, k=k)
-            if not (wor and k >= n):
-                if with_exact:
-                    record["exact"] = exact_confidence(pop, design, q)
-                if with_simulation:
-                    summary = run_simulation(SimulationConfig(
-                        pop=pop, design=design, q=q, trials=trials,
-                        seed=(seed + 1_000_003 * point_index) % 2**64,
-                    ))
-                    record["empirical_rate"] = summary.empirical_rate
-                    record["standard_error"] = summary.standard_error
-        records.append(record)
-        point_index += 1
+    p, n = spread(p_axis, 0, np.float64), spread(n_axis, 0, np.int64)
+    k, q = spread(spec.k, 1, np.int64), spread(spec.q, 2, np.float64)
+    wor = spread([m is SamplingMethod.WITHOUT_REPLACEMENT for m in spec.methods], 3, bool)
+    invalid = wor & (k >= n)
+    degenerate = ~invalid & (p == 0.0)
+    ok = ~invalid & ~degenerate
+    chosen = default_inequalities(SamplingMethod.WITH_REPLACEMENT, spec.include_hoeffding)
+    bounds = evaluate_grid(p[ok], k[ok], n[ok], q[ok], wor[ok], chosen | DEFAULT_WOR_KINDS)
+
+    records = [dict.fromkeys(SERIES_COLUMNS) for _ in range(size)]
+
+    def fill(col: str, values, rows=None) -> None:
+        """Set one column on every record, or on the rows marked."""
+        targets = records if rows is None else [records[i] for i in np.flatnonzero(rows).tolist()]
+        for record, value in zip(targets, values):
+            record[col] = value
+
+    fill("method", spread([m.value for m in spec.methods], 3).tolist())
+    fill("n", spread(n_axis, 0).tolist())
+    fill("c", spread(c_axis, 0).tolist())
+    fill("p", spread(p_axis, 0).tolist())
+    fill("k", spread(spec.k, 1).tolist())
+    fill("q", spread(spec.q, 2).tolist())
+    for status, rows in (("ok", ok), ("degenerate", degenerate), ("invalid", invalid)):
+        fill("status", itertools.repeat(status), rows)
+    for (kind, side), values in bounds.terms.items():
+        applies = ok & (wor == (kind in WITHOUT_REPLACEMENT_KINDS))
+        fill(f"{kind.value}_{side.value}", values[applies[ok]].tolist(), applies)
+    fill("omega", bounds.omega.tolist(), ok)
+    fill("psi", bounds.psi.tolist(), ok)
+    fill("confidence", bounds.confidence.tolist(), ok)
+    fill("confidence", itertools.repeat(0.0), degenerate)
+
+    if with_exact or with_simulation:
+        valid = (record for record in records if record["status"] != "invalid")
+        for index, record in enumerate(valid):
+            pop = PopulationSpec(n=record["n"], cardinality=record["c"])
+            design = SampleDesign(method=SamplingMethod(record["method"]), k=record["k"])
+            if with_exact:
+                record["exact"] = exact_confidence(pop, design, record["q"])
+            if with_simulation:
+                summary = run_simulation(SimulationConfig(
+                    pop=pop, design=design, q=record["q"], trials=trials,
+                    seed=(seed + 1_000_003 * index) % 2**64,
+                ))
+                record["empirical_rate"] = summary.empirical_rate
+                record["standard_error"] = summary.standard_error
     return records
 
 
+_TEXT_COLUMNS = ("method", "status")
+_INT_COLUMNS = ("n", "c", "k")
+_FLOAT_INDEXES = [
+    i for i, col in enumerate(SERIES_COLUMNS) if col not in _TEXT_COLUMNS + _INT_COLUMNS
+]
+# One %-format per row: "%.9g" prints what fmt9 prints, and NaN as "nan",
+# which no text or number cell can contain, so one replace turns it into NA.
+_SERIES_ROW = ",".join(
+    "%s" if col in _TEXT_COLUMNS else "%d" if col in _INT_COLUMNS else "%.9g"
+    for col in SERIES_COLUMNS
+) + "\n"
+_SERIES_CHUNK = 64  # rows formatted per write: bounds the text held at once
+
+
 def write_series_csv(records: Sequence[dict], out: IO[str]) -> None:
+    """Series records as CSV: fmt9 cells, with None and NaN as NA."""
     out.write(",".join(SERIES_COLUMNS) + "\n")
-    for record in records:
-        cells = []
-        for col in SERIES_COLUMNS:
-            value = record.get(col)
-            if col in ("method", "status"):
-                cells.append(str(value))
-            elif col in ("n", "c", "k"):
-                cells.append(str(int(value)))
-            else:
-                cells.append(fmt9(value))
-        out.write(",".join(cells) + "\n")
+    row_of = operator.itemgetter(*SERIES_COLUMNS)
+    for start in range(0, len(records), _SERIES_CHUNK):
+        columns = list(zip(*map(row_of, records[start:start + _SERIES_CHUNK])))
+        for i in _FLOAT_INDEXES:  # None becomes NaN
+            columns[i] = np.array(columns[i], dtype=np.float64).tolist()
+        text = "".join(_SERIES_ROW % row for row in zip(*columns))
+        out.write(text.replace("nan", "NA"))
 
 
 @dataclass(frozen=True)

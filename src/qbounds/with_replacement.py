@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .model import population_variance
 from .terms import (
     DEFAULT_WR_KINDS,
@@ -115,3 +117,29 @@ def confidence_wr(
         for side in Side:
             terms.append(hoeffding_term(p, k, q, side))
     return combine_terms(terms)
+
+
+def grid_terms(p: np.ndarray, k: np.ndarray, q: np.ndarray) -> dict:
+    """Every with-replacement term over 1-d arrays of in-domain points
+    (0 < p <= 1, k >= 1, q >= 1), keyed by (InequalityKind, Side), with
+    the scalar terms' arithmetic in the same order. The Hoeffding under
+    term is NaN where pq <= 1."""
+    lnq = np.log(q)
+    var = p * (1.0 - p)
+    exponents = {
+        (InequalityKind.CHERNOFF, Side.OVER): p * k * ((q - 1.0) - q * lnq),
+        (InequalityKind.CHERNOFF, Side.UNDER): p * k * ((1.0 / q - 1.0) + lnq / q),
+        (InequalityKind.HOEFFDING, Side.OVER): -2.0 * p * p * (q - 1.0) ** 2 * k,
+        (InequalityKind.HOEFFDING, Side.UNDER): -2.0 * k * (p * q - 1.0) ** 2 / (q * q),
+    }
+    for side in Side:
+        eps = p * (q - 1.0) if side is Side.OVER else p * (1.0 - 1.0 / q)
+        positive = eps > 0.0
+        denom = np.where(positive, 2.0 * var + 2.0 * eps / 3.0, 1.0)
+        exponents[InequalityKind.BERNSTEIN, side] = np.where(
+            positive, -k * eps * eps / denom, 0.0
+        )
+    out = {key: np.minimum(1.0, np.exp(x)) for key, x in exponents.items()}
+    hoeffding_under = (InequalityKind.HOEFFDING, Side.UNDER)
+    out[hoeffding_under] = np.where(p * q > 1.0, out[hoeffding_under], np.nan)
+    return out

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .model import population_variance
 from .terms import (
     DEFAULT_WOR_KINDS,
@@ -36,13 +38,20 @@ def serfling_coefficients(k: int, n: int) -> SerflingCoefficients:
         raise ValueError(f"population must have at least 2 rows, got n={n}")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    rho, zeta = _coefficients(k, n)
+    return SerflingCoefficients(rho=rho, zeta=zeta)
+
+
+def _coefficients(k: int, n: int) -> tuple[float, float]:
+    """(rho, zeta) for 1 <= k < n, in exact integer arithmetic up to the
+    final divisions."""
     if 2 * k <= n:
         rho = 1.0 - (k - 1) / n
         zeta = 4.0 / 3.0 + math.sqrt(k * (k - 1) / (n * (n - k + 1)))
     else:
         rho = (1.0 - k / n) * (1.0 + 1.0 / k)
         zeta = 4.0 / 3.0 + math.sqrt((n - k - 1) * (n - k) / ((k + 1) * n))
-    return SerflingCoefficients(rho=rho, zeta=zeta)
+    return rho, zeta
 
 
 def _validate(p: float, q: float) -> None:
@@ -59,9 +68,12 @@ def _epsilon(p: float, q: float, side: Side) -> float:
 def hoeffding_serfling_term(p: float, k: int, n: int, q: float, side: Side) -> float:
     """exp(-2 k eps^2 / rho), clamped to [0, 1]."""
     _validate(p, q)
-    coeffs = serfling_coefficients(k, n)
+    return _hoeffding_serfling(p, k, q, side, serfling_coefficients(k, n).rho)
+
+
+def _hoeffding_serfling(p: float, k: int, q: float, side: Side, rho: float) -> float:
     eps = _epsilon(p, q, side)
-    return min(1.0, math.exp(-2.0 * k * eps * eps / coeffs.rho))
+    return min(1.0, math.exp(-2.0 * k * eps * eps / rho))
 
 
 def bernstein_serfling_term(p: float, k: int, n: int, q: float, side: Side) -> float:
@@ -76,7 +88,12 @@ def bernstein_serfling_term(p: float, k: int, n: int, q: float, side: Side) -> f
     """
     _validate(p, q)
     coeffs = serfling_coefficients(k, n)
-    rho, zeta = coeffs.rho, coeffs.zeta
+    return _bernstein_serfling(p, k, q, side, coeffs.rho, coeffs.zeta)
+
+
+def _bernstein_serfling(
+    p: float, k: int, q: float, side: Side, rho: float, zeta: float
+) -> float:
     var = population_variance(p)
     eps = _epsilon(p, q, side)
     root = math.sqrt(2.0 * zeta * rho * var * eps + (rho * var) ** 2)
@@ -105,6 +122,7 @@ def confidence_wor(
         names = ", ".join(sorted(kind.value for kind in invalid))
         raise ValueError(f"not valid for sampling without replacement: {names}")
     _validate(p, q)
+    coeffs = serfling_coefficients(k, n)
 
     terms: list[BoundTerm] = []
     if InequalityKind.HOEFFDING_SERFLING in kinds:
@@ -113,7 +131,7 @@ def confidence_wor(
                 BoundTerm(
                     InequalityKind.HOEFFDING_SERFLING,
                     side,
-                    hoeffding_serfling_term(p, k, n, q, side),
+                    _hoeffding_serfling(p, k, q, side, coeffs.rho),
                 )
             )
     if InequalityKind.BERNSTEIN_SERFLING in kinds:
@@ -122,7 +140,35 @@ def confidence_wor(
                 BoundTerm(
                     InequalityKind.BERNSTEIN_SERFLING,
                     side,
-                    bernstein_serfling_term(p, k, n, q, side),
+                    _bernstein_serfling(p, k, q, side, coeffs.rho, coeffs.zeta),
                 )
             )
     return combine_terms(terms)
+
+
+def grid_terms(p: np.ndarray, k: np.ndarray, n: np.ndarray, q: np.ndarray) -> dict:
+    """Every Serfling-type term over 1-d arrays of in-domain points
+    (0 < p <= 1, 1 <= k < n, q >= 1), keyed by (InequalityKind, Side).
+
+    The arithmetic is the scalar terms' own, in the same order; rho and
+    zeta come from the scalar helper once per distinct (k, n) pair, which
+    a grid has few of, so they are bit-identical to the scalar path.
+    """
+    pairs, inverse = np.unique(np.stack([k, n], axis=1), axis=0, return_inverse=True)
+    table = np.array([_coefficients(a, b) for a, b in pairs.tolist()]).reshape(-1, 2)
+    rho, zeta = table[inverse.reshape(-1)].T
+    var = p * (1.0 - p)
+    out = {}
+    for side in Side:
+        eps = p * (q - 1.0) if side is Side.OVER else p * (1.0 - 1.0 / q)
+        out[InequalityKind.HOEFFDING_SERFLING, side] = np.minimum(
+            1.0, np.exp(-2.0 * k * eps * eps / rho)
+        )
+        root = np.sqrt(2.0 * zeta * rho * var * eps + (rho * var) ** 2)
+        denom = eps * zeta + var * rho + root
+        nonzero = denom != 0.0
+        inner = np.where(nonzero, (eps * zeta) ** 2 / np.where(nonzero, denom, 1.0), 0.0)
+        out[InequalityKind.BERNSTEIN_SERFLING, side] = np.minimum(
+            1.0, 2.0 * np.exp(-(k / (zeta * zeta)) * inner)
+        )
+    return out

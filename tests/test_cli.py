@@ -174,6 +174,20 @@ def test_figures_end_to_end(capsys, tmp_path):
         assert needed in header
 
 
+def test_figures_bad_axis_is_domain_error(capsys, tmp_path):
+    for axes in ("p = 0.1\nk = 10\nq = nan", "c = 0,5\nn = 0\nk = 10\nq = 2",
+                 "p = 0.1\nk = 10\nq = 0.5", "p = 0.1\nk = 0\nq = 2",
+                 "p = 0.1\nk = inf\nq = 2"):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(axes + "\n", encoding="utf-8")
+        assert run(["figures", "--grid", str(grid), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert not (tmp_path / "o").exists()
+    assert run(["table1", "--q", "nan"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_figures_missing_grid_file_is_io_error(capsys, tmp_path):
     code = run(["figures", "--grid", str(tmp_path / "absent.txt"),
                 "--out", str(tmp_path / "o")])

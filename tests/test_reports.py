@@ -2,10 +2,23 @@ import io
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qbounds import GridSpec, SamplingMethod, figure_series, parse_grid_file, table1
+from qbounds import (
+    GridSpec,
+    SamplingMethod,
+    default_inequalities,
+    evaluate_confidence,
+    figure_series,
+    parse_grid_file,
+    table1,
+)
+from qbounds.confidence import evaluate_grid
 from qbounds.reports import (
+    SERIES_COLUMNS,
     TABLE1_CARDINALITIES,
+    TABLE1_SAMPLE_SIZES,
     default_comparison_points,
     fmt9,
     rounded_cell,
@@ -14,6 +27,7 @@ from qbounds.reports import (
     write_series_csv,
     write_table1_csv,
 )
+from qbounds.terms import WITH_REPLACEMENT_KINDS, WITHOUT_REPLACEMENT_KINDS
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -73,6 +87,24 @@ def test_grid_spec_validation():
         GridSpec(k=(), q=(2.0,), p=(0.1,))
     with pytest.raises(ValueError):
         GridSpec(k=(10,), q=(2.0,), p=(1.5,))
+    # every axis value outside its domain is rejected at construction
+    for bad in (
+        dict(p=(math.nan,)),
+        dict(p=(math.inf,)),
+        dict(q=(math.nan,)),
+        dict(q=(math.inf,)),
+        dict(q=(2.0, 0.5)),
+        dict(k=(0,)),
+        dict(k=(-3,)),
+        dict(k=(2**63,)),
+        dict(n=(0,)),
+        dict(n=(2**63,)),
+        dict(p=None, c=(0, 5), n=(0,)),
+        dict(p=None, c=(0, 5), n=(100, 4)),
+    ):
+        axes = {"k": (10,), "q": (2.0,), "p": (0.1,), **bad}
+        with pytest.raises(ValueError):
+            GridSpec(**axes)
 
 
 def test_parse_grid_file():
@@ -92,6 +124,7 @@ def test_parse_grid_file():
     assert spec.p[-1] == pytest.approx(1.0)
     assert spec.k == (100, 1000)
     assert spec.q == (1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in spec.p + spec.q)
     assert spec.n == (1_000_000,)
     assert spec.methods == (WR,)
     assert spec.include_hoeffding
@@ -108,6 +141,10 @@ def test_parse_grid_file_errors():
         parse_grid_file("k 100")
     with pytest.raises(ValueError):
         parse_grid_file("p = log:0:1:5\nk = 10\nq = 2")
+    with pytest.raises(ValueError):
+        parse_grid_file("k = inf\nq = 2\np = 0.1")
+    with pytest.raises(ValueError):
+        parse_grid_file("k = 10\nq = nan\np = 0.1")
 
 
 def test_figure_series_q_sweep_covers_published_claim():
@@ -191,3 +228,142 @@ def test_default_comparison_points_interior():
     for record in records:
         assert 0.0 <= record["empirical_rate"] <= 1.0
         assert record["exact"] >= record["confidence"] - 1e-12
+
+
+def test_table1_matches_scalar_path():
+    for n, q in ((1_000_000, 2.0), (10**9, 1.5), (1_000_000, 1.0)):
+        for row in table1(n=n, q=q):
+            assert type(row["p"]) is float and row["p"] == row["c"] / n
+            for k in TABLE1_SAMPLE_SIZES:
+                for key, method in ((f"r{k}", WR), (f"nr{k}", WOR)):
+                    want = evaluate_confidence(method, row["p"], k, q, n=n).confidence
+                    assert type(row[key]) is float
+                    assert row[key] == pytest.approx(want, rel=0, abs=1e-13)
+    with pytest.raises(ValueError):
+        table1(q=math.nan)
+    with pytest.raises(ValueError):
+        table1(q=0.5)
+
+
+def test_evaluate_grid_rejects_out_of_domain_points():
+    kinds = WITH_REPLACEMENT_KINDS | WITHOUT_REPLACEMENT_KINDS
+    good = dict(p=0.5, k=50, n=1000, q=2.0, wor=True, inequalities=kinds)
+    assert 0.0 < evaluate_grid(**good).confidence <= 1.0
+    for bad in (dict(p=0.0), dict(p=1.5), dict(p=math.nan), dict(k=0),
+                dict(q=0.99), dict(q=math.nan), dict(q=math.inf),
+                dict(k=[10, 1000]), dict(n=2**63)):
+        with pytest.raises(ValueError):
+            evaluate_grid(**{**good, **bad})
+
+
+_BOUND_COLUMNS = SERIES_COLUMNS[SERIES_COLUMNS.index("status") + 1 : SERIES_COLUMNS.index("exact")]
+
+
+def _reference_record(record: dict, include_hoeffding: bool) -> dict:
+    """The record `figure_series` must produce for one point, from the
+    scalar path: every kind of the point's method for the term columns,
+    the chosen set for omega, psi and confidence."""
+    method = SamplingMethod(record["method"])
+    n, p, k, q = record["n"], record["p"], record["k"], record["q"]
+    want = {col: None for col in _BOUND_COLUMNS}
+    if method is WOR and k >= n:
+        want["status"] = "invalid"
+        return want
+    if p == 0.0:
+        want.update(status="degenerate", confidence=0.0)
+        return want
+    kinds = WITH_REPLACEMENT_KINDS if method is WR else WITHOUT_REPLACEMENT_KINDS
+    full = evaluate_confidence(method, p, k, q, n=n, inequalities=kinds)
+    for term in full.terms:
+        value = term.probability if term.applicable else math.nan
+        want[f"{term.inequality.value}_{term.side.value}"] = value
+    chosen = evaluate_confidence(
+        method, p, k, q, n=n, inequalities=default_inequalities(method, include_hoeffding)
+    )
+    want.update(status="ok", omega=chosen.omega, psi=chosen.psi, confidence=chosen.confidence)
+    return want
+
+
+def _write_series_per_cell(records, out) -> None:
+    """The per-cell writer that write_series_csv must match byte for byte."""
+    out.write(",".join(SERIES_COLUMNS) + "\n")
+    for record in records:
+        cells = []
+        for col in SERIES_COLUMNS:
+            value = record.get(col)
+            if col in ("method", "status"):
+                cells.append(str(value))
+            elif col in ("n", "c", "k"):
+                cells.append(str(int(value)))
+            else:
+                cells.append(fmt9(value))
+        out.write(",".join(cells) + "\n")
+
+
+@st.composite
+def _grids(draw):
+    n = draw(st.lists(
+        st.sampled_from([1, 2, 3, 100, 101, 10**6, 10**9]) | st.integers(1, 10**9),
+        min_size=1, max_size=3, unique=True,
+    ))
+    near = draw(st.sampled_from(n))
+    k = draw(st.lists(
+        st.sampled_from([1, max(1, near // 2), near // 2 + 1, max(1, near - 1), near, near + 1])
+        | st.integers(1, 10**7),
+        min_size=1, max_size=4, unique=True,
+    ))
+    q = draw(st.lists(
+        st.sampled_from([1.0, 1.0 + 1e-12, 1.5, 2.0, 10.0]) | st.floats(1.0, 1e6),
+        min_size=1, max_size=4,
+    ))
+    methods = draw(st.sampled_from([(WR,), (WOR,), (WR, WOR), (WOR, WR)]))
+    hoeffding = draw(st.booleans())
+    if draw(st.booleans()):
+        p = draw(st.lists(
+            st.sampled_from([0.0, 1e-9, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0),
+            min_size=1, max_size=3,
+        ))
+        return GridSpec(p=tuple(p), k=tuple(k), q=tuple(q), n=tuple(n),
+                        methods=methods, include_hoeffding=hoeffding)
+    c = draw(st.lists(st.integers(0, min(n)), min_size=1, max_size=3))
+    return GridSpec(c=tuple(c), k=tuple(k), q=tuple(q), n=tuple(n),
+                    methods=methods, include_hoeffding=hoeffding)
+
+
+@given(_grids())
+@settings(max_examples=200, deadline=None)
+@example(GridSpec(  # p = 0 and 1, q = 1, 2k = n, k = n - 1, k >= n, pq > 1, n = 1e9
+    p=(0.0, 1e-6, 0.5, 1.0), n=(2, 100, 10**9), k=(1, 50, 99, 100, 101, 5 * 10**8),
+    q=(1.0, 2.0, 3.0), include_hoeffding=True,
+))
+def test_figure_series_matches_scalar_path(spec):
+    records = figure_series(spec)
+    axes = (spec.n, spec.p or spec.c, spec.k, spec.q, spec.methods)
+    assert len(records) == math.prod(len(axis) for axis in axes)
+    for record in records:
+        assert list(record) == SERIES_COLUMNS
+        want = _reference_record(record, spec.include_hoeffding)
+        assert all(type(record[col]) is int for col in ("n", "c", "k"))
+        assert all(type(record[col]) is float for col in ("p", "q"))
+        if spec.p is None:
+            assert record["p"] == record["c"] / record["n"]
+        else:
+            assert record["c"] == round(record["p"] * record["n"])
+        assert record["status"] == want["status"]
+        for col in _BOUND_COLUMNS:
+            got, expected = record[col], want[col]
+            if expected is None:
+                assert got is None, col
+                continue
+            assert type(got) is float, col
+            if math.isnan(expected):
+                assert math.isnan(got), col
+            elif col == "confidence":
+                assert got == pytest.approx(expected, rel=0, abs=1e-13), col
+            else:
+                assert math.isclose(got, expected, rel_tol=1e-10, abs_tol=1e-300), col
+        assert record["exact"] is None and record["empirical_rate"] is None
+    fast, per_cell = io.StringIO(), io.StringIO()
+    write_series_csv(records, fast)
+    _write_series_per_cell(records, per_cell)
+    assert fast.getvalue() == per_cell.getvalue()
