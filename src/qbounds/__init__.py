@@ -23,7 +23,6 @@ from .model import (
     SamplingMethod,
     population_variance,
     q_error,
-    selectivity,
     validate_design,
 )
 from .reports import GridSpec, figure_series, parse_grid_file, table1
@@ -86,7 +85,6 @@ __all__ = [
     "q_at_confidence",
     "q_error",
     "run_simulation",
-    "selectivity",
     "serfling_coefficients",
     "table1",
     "true_cardinality",

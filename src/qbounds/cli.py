@@ -68,8 +68,6 @@ def _resolve_population(args) -> tuple[float, Optional[int]]:
         return pop.p, n_given
     if p_given is None:
         raise UsageError("population missing: give --p or --cardinality with --rows")
-    if not 0.0 <= p_given <= 1.0:
-        raise UsageError(f"--p must be in [0, 1], got {p_given}")
     return p_given, n_given
 
 
@@ -106,7 +104,7 @@ def _emit(args, query: dict, result: dict, terms: Optional[list[dict]] = None) -
             ],
             "meta": {"version": __version__, "rng": RNG_SCHEME},
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     elif fmt == "csv":
         header = list(query) + list(result) + [
             f"{t['inequality']}_{t['side']}" for t in terms

@@ -11,13 +11,14 @@ a single point costs several times more through the array kernel.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
 from . import with_replacement, without_replacement
-from .model import SamplingMethod
+from .model import SamplingMethod, _check_point
 from .terms import (
     DEFAULT_WOR_KINDS,
     DEFAULT_WR_KINDS,
@@ -47,15 +48,16 @@ def evaluate_confidence(
     n: Optional[int] = None,
     inequalities: Optional[Iterable[InequalityKind]] = None,
 ) -> BoundResult:
-    """Lower bound on P(Q-error <= q) for the given sampling method."""
+    """Lower bound on P(Q-error <= q) for the given sampling method.
+
+    The point is checked once: here when p = 0, by `confidence_wr` or
+    `confidence_wor` otherwise.
+    """
     if p == 0.0:
+        _check_point(method, None, k, q, n)
         return degenerate_result()
     if method is SamplingMethod.WITH_REPLACEMENT:
         return confidence_wr(p, k, q, inequalities)
-    if n is None:
-        raise ValueError("sampling without replacement needs the table size n")
-    if k >= n:
-        raise ValueError(f"sampling without replacement needs k < n, got k={k}, n={n}")
     return confidence_wor(p, k, n, q, inequalities)
 
 
@@ -80,11 +82,13 @@ def evaluate_grid(p, k, n, q, wor, inequalities: Iterable[InequalityKind]) -> Gr
     """Every term and the combined bound over broadcast arrays of points.
 
     `wor` marks the points sampled without replacement; `n` only matters
-    there. Each point must lie in the scalar path's domain: 0 < p <= 1,
-    k >= 1, finite q >= 1, and k < n without replacement. `inequalities`
-    is the chosen set for both methods at once: a kind of the other
-    method never applies to a point. Terms are the scalar formulas in the
-    same order, but numpy's exp and log may differ from libm's by an ulp.
+    there. Each point must lie in the domain `model._check_point` states
+    for one point: 0 < p <= 1, k >= 1, finite q >= 1, and k < n without
+    replacement. p = 0 is rejected too: a caller gives those points their
+    degenerate result itself, as `evaluate_confidence` does. `inequalities`
+    is the chosen set for both methods at once: a kind of the other method
+    never applies to a point. Terms come from the scalar path's kernels,
+    but numpy's exp and log may differ from libm's by an ulp.
     """
     chosen = frozenset(inequalities)
     p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
@@ -93,35 +97,31 @@ def evaluate_grid(p, k, n, q, wor, inequalities: Iterable[InequalityKind]) -> Gr
     except OverflowError:
         raise ValueError("k and n must be below 2**63") from None
     p, k, n, q, wor = np.broadcast_arrays(p, k, n, q, np.asarray(wor, dtype=bool))
-    _reject(~((p > 0.0) & (p <= 1.0)), p, "selectivity must be in (0, 1]")
-    _reject(k < 1, k, "sample size must be >= 1")
-    _reject(~(np.isfinite(q) & (q >= 1.0)), q, "q must be finite and >= 1")
-    too_big = wor & (k >= n)
-    if too_big.any():
-        raise ValueError(
-            "sampling without replacement needs k < n, "
-            f"got k={k[too_big][0]}, n={n[too_big][0]}"
-        )
+    inside = (p > 0.0) & (p <= 1.0) & (k >= 1) & (q >= 1.0) & (q < np.inf)
+    inside &= ~(wor & (k >= n))
+    for i in np.flatnonzero(~inside)[:1]:  # the rule's error for the first point outside
+        method = SamplingMethod.WITHOUT_REPLACEMENT if wor.flat[i] else SamplingMethod.WITH_REPLACEMENT
+        _check_point(method, p.flat[i], k.flat[i], q.flat[i], n.flat[i])
+        raise AssertionError(f"the array rule and model._check_point disagree at {i}")
 
     terms = {(kind, side): np.full(p.shape, np.nan) for kind in InequalityKind for side in Side}
     wr = ~wor
-    if wr.any():
-        for key, values in with_replacement.grid_terms(p[wr], k[wr], q[wr]).items():
-            terms[key][wr] = values
-    if wor.any():
-        wor_terms = without_replacement.grid_terms(p[wor], k[wor], n[wor], q[wor])
-        for key, values in wor_terms.items():
-            terms[key][wor] = values
+    rho, zeta = without_replacement._coefficient_arrays(k[wor], n[wor])
+    # Past q ~ 1e154 products overflow to inf; the kernels are formed so
+    # that this only drives exponents to -inf, whose terms are 0.
+    with np.errstate(over="ignore"):
+        for rows, order, values in (
+            (wr, with_replacement._ORDER, with_replacement._terms(np, p[wr], k[wr], q[wr])),
+            (wor, without_replacement._ORDER,
+             without_replacement._terms(np, p[wor], k[wor], q[wor], rho, zeta)),
+        ):
+            for key, value in zip(itertools.product(order, Side), values):
+                terms[key][rows] = value
     omega, psi = (
         _side_min([terms[kind, side] for kind in chosen], p.shape) for side in Side
     )
     confidence = np.maximum(0.0, 1.0 - omega - psi)
     return GridBounds(terms=terms, omega=omega, psi=psi, confidence=confidence)
-
-
-def _reject(bad: np.ndarray, values: np.ndarray, message: str) -> None:
-    if bad.any():
-        raise ValueError(f"{message}, got {values[bad][0]}")
 
 
 def _side_min(values: list[np.ndarray], shape: tuple) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from .model import PopulationSpec, SampleDesign, SamplingMethod, q_error, validate_design
+from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_point, q_error
 
 _REL_CUTOFF_LOG = math.log(1e-30)
 _CHUNK = 4096
@@ -57,15 +57,15 @@ _EMPTY_RANGE = AdmissibleRange(0, -1)
 def admissible_range(n: int, c: int, k: int, q: float) -> AdmissibleRange:
     """Bracket the admissible hit counts in closed form, then verify the
     boundaries against the clamped metric (which handles x = 0 and c = 0)."""
-    if q < 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
+    _check_point(None, None, k, q)
     truth = max(c, 1)
 
     def ok(x: int) -> bool:
         return q_error(estimate_from_hits(n, k, x), c) <= q
 
+    upper = math.floor(min(k, k * truth * q / n))  # capped first: a huge q overflows to inf
     # nothing above the closed-form upper bracket (plus float fuzz) can pass
-    limit = min(k, math.floor(k * truth * q / n) + 4)
+    limit = min(k, upper + 4)
     if truth <= q:
         # The clamped estimate 1 already qualifies, so x = 0 is admissible.
         lo = 0
@@ -78,7 +78,7 @@ def admissible_range(n: int, c: int, k: int, q: float) -> AdmissibleRange:
     if lo > limit:
         return _EMPTY_RANGE
 
-    hi = min(k, math.floor(k * truth * q / n))
+    hi = upper
     if hi < lo:
         hi = lo - 1
     while hi + 1 <= k and ok(hi + 1):
@@ -119,9 +119,7 @@ def hypergeom_logpmf(xs: np.ndarray, n: int, c: int, k: int) -> np.ndarray:
 
 def exact_confidence(pop: PopulationSpec, design: SampleDesign, q: float) -> float:
     """P(Q-error <= q) summed exactly over the hit-count distribution."""
-    validate_design(pop, design)
-    if q < 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
+    _check_point(design.method, None, design.k, q, pop.n)
     n, c, k = pop.n, pop.cardinality, design.k
     rng = admissible_range(n, c, k, q)
     if rng.empty:

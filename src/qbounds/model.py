@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 
 class SamplingMethod(enum.Enum):
@@ -50,19 +52,40 @@ class SampleDesign:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"sample size must be >= 1, got {self.k}")
+        _check_point(None, None, self.k, None)
+
+
+def _check_point(
+    method: Optional[SamplingMethod],
+    p: Optional[float],
+    k: Optional[int],
+    q: Optional[float],
+    n: Optional[int] = None,
+) -> None:
+    """The input domain of every query, in one place: 0 < p <= 1, k >= 1,
+    finite q >= 1, and without replacement a table size n with k < n (so
+    n >= 2). None skips a value the caller does not take; p = 0 is the
+    caller's degenerate case and never reaches this check. NaN fails
+    every comparison here, so it is rejected like any out-of-domain value.
+
+    `confidence.evaluate_grid` applies the same rule to arrays.
+    """
+    if p is not None and not 0.0 < p <= 1.0:
+        raise ValueError(f"selectivity must be in (0, 1], got {p}")
+    if k is not None and k < 1:
+        raise ValueError(f"sample size must be >= 1, got {k}")
+    if q is not None and not 1.0 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 1, got {q}")
+    if method is SamplingMethod.WITHOUT_REPLACEMENT:
+        if n is None:
+            raise ValueError("sampling without replacement needs the table size n")
+        if k >= n:
+            raise ValueError(f"sampling without replacement needs k < n, got k={k}, n={n}")
 
 
 def validate_design(pop: PopulationSpec, design: SampleDesign) -> None:
     """Check the cross constraints between a population and a sample design."""
-    if design.method is SamplingMethod.WITHOUT_REPLACEMENT:
-        if pop.n < 2:
-            raise ValueError("sampling without replacement needs at least 2 rows")
-        if design.k >= pop.n:
-            raise ValueError(
-                f"sampling without replacement needs k < n, got k={design.k}, n={pop.n}"
-            )
+    _check_point(design.method, None, design.k, None, pop.n)
 
 
 def q_error(est: float, truth: float) -> float:
@@ -77,11 +100,6 @@ def q_error(est: float, truth: float) -> float:
     e = max(float(est), 1.0)
     t = max(float(truth), 1.0)
     return max(t / e, e / t)
-
-
-def selectivity(pop: PopulationSpec) -> float:
-    """Fraction of rows satisfying the predicate, as full-precision division."""
-    return pop.cardinality / pop.n
 
 
 def population_variance(p: float) -> float:

@@ -37,7 +37,13 @@ TABLE1_SAMPLE_SIZES = (100, 1000, 10000)
 
 
 def fmt9(value: Optional[float]) -> str:
-    """Full-precision cell: 9 significant digits, NA for missing."""
+    """Full-precision cell: 9 significant digits, NA for missing.
+
+    Nine digits are more than a cancelled value holds: a confidence
+    1 - omega - psi of about 1e-10 carries an absolute error of about
+    1e-16, so its last printed digits are rounding noise and may differ
+    between the scalar and the grid path.
+    """
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return "NA"
     return format(value, ".9g")

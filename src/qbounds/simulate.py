@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .exact import admissible_range
-from .model import PopulationSpec, SampleDesign, SamplingMethod, validate_design
+from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_point
 
 RNG_SCHEME = "philox4x64-block4096-v1"
 _BLOCK = 4096
@@ -31,9 +31,7 @@ class SimulationConfig:
     keep_q_errors: bool = False
 
     def __post_init__(self) -> None:
-        validate_design(self.pop, self.design)
-        if self.q < 1.0:
-            raise ValueError(f"q must be >= 1, got {self.q}")
+        _check_point(self.design.method, None, self.design.k, self.q, self.pop.n)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .confidence import evaluate_confidence
-from .model import SamplingMethod
+from .model import SamplingMethod, _check_point
 from .terms import InequalityKind
 
 DEFAULT_K_MAX = 10**9
@@ -59,13 +59,8 @@ def min_sample_size(
     _validate_target(target_confidence)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    cap = k_max
-    if method is SamplingMethod.WITHOUT_REPLACEMENT:
-        if n is None:
-            raise ValueError("sampling without replacement needs the table size n")
-        cap = min(cap, n - 1)
-        if cap < 1:
-            raise ValueError(f"no admissible sample size for n={n}")
+    _check_point(method, None, 1, q, n)  # k = 1, the least, must be admissible
+    cap = k_max if method is SamplingMethod.WITH_REPLACEMENT else min(k_max, n - 1)
 
     def conf(k: int) -> float:
         return evaluate_confidence(method, p, k, q, n=n, inequalities=inequalities).confidence
@@ -119,8 +114,7 @@ def q_at_confidence(
     """Least q in [1, q_max] (relative tolerance 1e-9) with
     confidence(p, k, q) >= target, by bisection on the q-monotone bound."""
     _validate_target(target_confidence)
-    if q_max < 1.0:
-        raise ValueError(f"q_max must be >= 1, got {q_max}")
+    _check_point(method, None, k, q_max, n)
 
     def conf(q: float) -> float:
         return evaluate_confidence(method, p, k, q, n=n, inequalities=inequalities).confidence

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 
@@ -37,6 +38,18 @@ DEFAULT_WOR_KINDS = WITHOUT_REPLACEMENT_KINDS
 class Side(enum.Enum):
     OVER = "over"
     UNDER = "under"
+
+
+# The term kernels take their math from a backend: this one for a single
+# point of Python floats, the numpy module itself for arrays. `where`
+# evaluates both branches in either backend, so neither may fail.
+_SCALAR = SimpleNamespace(
+    where=lambda condition, a, b: a if condition else b,
+    exp=math.exp,
+    log=math.log,
+    sqrt=math.sqrt,
+    minimum=min,
+)
 
 
 @dataclass(frozen=True)
@@ -102,3 +115,35 @@ def _side_min(
     if source is None:
         return 1.0, None
     return best, source
+
+
+def _check_kinds(
+    inequalities: Optional[Iterable[InequalityKind]],
+    default: frozenset,
+    allowed: frozenset,
+    regime: str,
+) -> frozenset:
+    """The chosen inequality set (`default` for None); it must be a
+    non-empty subset of the kinds valid for sampling `regime`."""
+    kinds = default if inequalities is None else frozenset(inequalities)
+    if not kinds:
+        raise ValueError("inequality set must not be empty")
+    invalid = kinds - allowed
+    if invalid:
+        names = ", ".join(sorted(kind.value for kind in invalid))
+        raise ValueError(f"not valid for sampling {regime}: {names}")
+    return kinds
+
+
+def _select_terms(
+    order: tuple[InequalityKind, ...], values: list, kinds: frozenset
+) -> list[BoundTerm]:
+    """BoundTerms of the chosen kinds from a term kernel's values, which
+    hold the over then the under term of each kind in `order`. A NaN
+    value is an inapplicable term."""
+    terms = []
+    for kind, over, under in zip(order, values[::2], values[1::2]):
+        if kind in kinds:
+            terms.append(BoundTerm(kind, Side.OVER, over, over == over))
+            terms.append(BoundTerm(kind, Side.UNDER, under, under == under))
+    return terms

@@ -11,27 +11,78 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
-import numpy as np
-
-from .model import population_variance
+from .model import SamplingMethod, _check_point
 from .terms import (
+    _SCALAR,
     DEFAULT_WR_KINDS,
     WITH_REPLACEMENT_KINDS,
     BoundResult,
     BoundTerm,
     InequalityKind,
     Side,
+    _check_kinds,
+    _select_terms,
     combine_terms,
 )
 
+# The kinds of `_terms`' output, each as its over then its under term.
+_ORDER = (InequalityKind.CHERNOFF, InequalityKind.BERNSTEIN, InequalityKind.HOEFFDING)
 
-def _validate(p: float, k: int, q: float) -> None:
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"selectivity must be in (0, 1], got {p}")
-    if k < 1:
-        raise ValueError(f"sample size must be >= 1, got {k}")
-    if q < 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
+
+def _terms(xp, p, k, q) -> list:
+    """Every with-replacement term at in-domain points, in `_ORDER`: one
+    point of Python floats with `xp = _SCALAR`, 1-d arrays with numpy.
+    The formulas are in the docstrings of the public term functions; the
+    Hoeffding under term is NaN (not applicable) unless pq > 1.
+
+    Squares are products, which overflow to inf where `** 2` raises on a
+    Python float. No finite q reaches 0/0, 0 * inf or inf/inf, and an
+    overflow only drives an exponent to -inf where the exact one is huge:
+    a Bernstein denominator that is 0 (then eps = 0) or inf (then eps^2
+    is) is replaced by 1; where (q-1)^2 or q^2 overflows (q > 1.3e154)
+    the Hoeffding exponents are formed from p(q-1) and (pq-1)/q, and where
+    q ln q does (q > 2.5e305) the Chernoff over exponent from pkq.
+    """
+    lnq = xp.log(q)
+    var = p * (1.0 - p)
+    eps_over = p * (q - 1.0)
+    eps_under = p * (1.0 - 1.0 / q)
+    q_lnq = q * lnq
+    exponents = [
+        xp.where(
+            q_lnq < math.inf,
+            p * k * ((q - 1.0) - q_lnq),
+            p * k * q * ((1.0 - 1.0 / q) - lnq),
+        ),
+        p * k * ((1.0 / q - 1.0) + lnq / q),
+    ]
+    for eps in (eps_over, eps_under):
+        denom = 2.0 * var + 2.0 * eps / 3.0
+        fits = (denom > 0.0) & (denom < math.inf)
+        exponents.append(-k * eps * eps / xp.where(fits, denom, 1.0))
+    square = (q - 1.0) * (q - 1.0)
+    fits = square < math.inf
+    exponents.append(xp.where(
+        fits,
+        -2.0 * p * p * xp.where(fits, square, 1.0) * k,
+        -2.0 * (eps_over * eps_over) * k,
+    ))
+    d = p * q - 1.0
+    square = q * q
+    fits = square < math.inf
+    exponents.append(xp.where(
+        fits,
+        -2.0 * k * (d * d) / xp.where(fits, square, 1.0),
+        -2.0 * k * ((d / q) * (d / q)),
+    ))
+    out = [xp.minimum(1.0, xp.exp(x)) for x in exponents]
+    out[-1] = xp.where(p * q > 1.0, out[-1], math.nan)
+    return out
+
+
+def _term(kind: InequalityKind, p: float, k: int, q: float, side: Side) -> float:
+    _check_point(SamplingMethod.WITH_REPLACEMENT, p, k, q)
+    return _terms(_SCALAR, p, k, q)[2 * _ORDER.index(kind) + (side is Side.UNDER)]
 
 
 def chernoff_term(p: float, k: int, q: float, side: Side) -> float:
@@ -40,13 +91,7 @@ def chernoff_term(p: float, k: int, q: float, side: Side) -> float:
     Over:  (e^(q-1) / q^q)^(pk)
     Under: (e^(1/q - 1) * q^(1/q))^(pk)
     """
-    _validate(p, k, q)
-    lnq = math.log(q)
-    if side is Side.OVER:
-        exponent = p * k * ((q - 1.0) - q * lnq)
-    else:
-        exponent = p * k * ((1.0 / q - 1.0) + lnq / q)
-    return min(1.0, math.exp(exponent))
+    return _term(InequalityKind.CHERNOFF, p, k, q, side)
 
 
 def bernstein_term(p: float, k: int, q: float, side: Side) -> float:
@@ -55,12 +100,7 @@ def bernstein_term(p: float, k: int, q: float, side: Side) -> float:
     eps is p(q-1) for over-estimation and p(1 - 1/q) for under-estimation;
     q = 1 gives eps = 0 and the vacuous value 1.
     """
-    _validate(p, k, q)
-    eps = p * (q - 1.0) if side is Side.OVER else p * (1.0 - 1.0 / q)
-    if eps <= 0.0:
-        return 1.0
-    var = population_variance(p)
-    return min(1.0, math.exp(-k * eps * eps / (2.0 * var + 2.0 * eps / 3.0)))
+    return _term(InequalityKind.BERNSTEIN, p, k, q, side)
 
 
 def hoeffding_term(p: float, k: int, q: float, side: Side) -> BoundTerm:
@@ -70,16 +110,8 @@ def hoeffding_term(p: float, k: int, q: float, side: Side) -> BoundTerm:
     Under: exp(-2 k (pq-1)^2 / q^2), derived from the loosened event
            "hit count <= k/q", hence the pq > 1 applicability gate.
     """
-    _validate(p, k, q)
-    if side is Side.OVER:
-        value = min(1.0, math.exp(-2.0 * p * p * (q - 1.0) ** 2 * k))
-        return BoundTerm(InequalityKind.HOEFFDING, Side.OVER, value)
-    if p * q <= 1.0:
-        return BoundTerm(
-            InequalityKind.HOEFFDING, Side.UNDER, math.nan, applicable=False
-        )
-    value = min(1.0, math.exp(-2.0 * k * (p * q - 1.0) ** 2 / (q * q)))
-    return BoundTerm(InequalityKind.HOEFFDING, Side.UNDER, value)
+    value = _term(InequalityKind.HOEFFDING, p, k, q, side)
+    return BoundTerm(InequalityKind.HOEFFDING, side, value, value == value)
 
 
 def confidence_wr(
@@ -93,53 +125,8 @@ def confidence_wr(
     The default inequality set is {Chernoff, Bernstein}; adding Hoeffding
     can only tighten the result.
     """
-    kinds = DEFAULT_WR_KINDS if inequalities is None else frozenset(inequalities)
-    if not kinds:
-        raise ValueError("inequality set must not be empty")
-    invalid = kinds - WITH_REPLACEMENT_KINDS
-    if invalid:
-        names = ", ".join(sorted(kind.value for kind in invalid))
-        raise ValueError(f"not valid for sampling with replacement: {names}")
-    _validate(p, k, q)
-
-    terms: list[BoundTerm] = []
-    if InequalityKind.CHERNOFF in kinds:
-        for side in Side:
-            terms.append(
-                BoundTerm(InequalityKind.CHERNOFF, side, chernoff_term(p, k, q, side))
-            )
-    if InequalityKind.BERNSTEIN in kinds:
-        for side in Side:
-            terms.append(
-                BoundTerm(InequalityKind.BERNSTEIN, side, bernstein_term(p, k, q, side))
-            )
-    if InequalityKind.HOEFFDING in kinds:
-        for side in Side:
-            terms.append(hoeffding_term(p, k, q, side))
-    return combine_terms(terms)
-
-
-def grid_terms(p: np.ndarray, k: np.ndarray, q: np.ndarray) -> dict:
-    """Every with-replacement term over 1-d arrays of in-domain points
-    (0 < p <= 1, k >= 1, q >= 1), keyed by (InequalityKind, Side), with
-    the scalar terms' arithmetic in the same order. The Hoeffding under
-    term is NaN where pq <= 1."""
-    lnq = np.log(q)
-    var = p * (1.0 - p)
-    exponents = {
-        (InequalityKind.CHERNOFF, Side.OVER): p * k * ((q - 1.0) - q * lnq),
-        (InequalityKind.CHERNOFF, Side.UNDER): p * k * ((1.0 / q - 1.0) + lnq / q),
-        (InequalityKind.HOEFFDING, Side.OVER): -2.0 * p * p * (q - 1.0) ** 2 * k,
-        (InequalityKind.HOEFFDING, Side.UNDER): -2.0 * k * (p * q - 1.0) ** 2 / (q * q),
-    }
-    for side in Side:
-        eps = p * (q - 1.0) if side is Side.OVER else p * (1.0 - 1.0 / q)
-        positive = eps > 0.0
-        denom = np.where(positive, 2.0 * var + 2.0 * eps / 3.0, 1.0)
-        exponents[InequalityKind.BERNSTEIN, side] = np.where(
-            positive, -k * eps * eps / denom, 0.0
-        )
-    out = {key: np.minimum(1.0, np.exp(x)) for key, x in exponents.items()}
-    hoeffding_under = (InequalityKind.HOEFFDING, Side.UNDER)
-    out[hoeffding_under] = np.where(p * q > 1.0, out[hoeffding_under], np.nan)
-    return out
+    kinds = _check_kinds(
+        inequalities, DEFAULT_WR_KINDS, WITH_REPLACEMENT_KINDS, "with replacement"
+    )
+    _check_point(SamplingMethod.WITH_REPLACEMENT, p, k, q)
+    return combine_terms(_select_terms(_ORDER, _terms(_SCALAR, p, k, q), kinds))

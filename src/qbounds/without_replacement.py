@@ -13,16 +13,21 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .model import population_variance
+from .model import SamplingMethod, _check_point
 from .terms import (
+    _SCALAR,
     DEFAULT_WOR_KINDS,
     WITHOUT_REPLACEMENT_KINDS,
     BoundResult,
-    BoundTerm,
     InequalityKind,
     Side,
+    _check_kinds,
+    _select_terms,
     combine_terms,
 )
+
+# The kinds of `_terms`' output, each as its over then its under term.
+_ORDER = (InequalityKind.HOEFFDING_SERFLING, InequalityKind.BERNSTEIN_SERFLING)
 
 
 @dataclass(frozen=True)
@@ -34,10 +39,7 @@ class SerflingCoefficients:
 def serfling_coefficients(k: int, n: int) -> SerflingCoefficients:
     """Finite-population coefficients, branch chosen by the exact integer
     comparison 2k <= n (ties take the first branch)."""
-    if n < 2:
-        raise ValueError(f"population must have at least 2 rows, got n={n}")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_point(SamplingMethod.WITHOUT_REPLACEMENT, None, k, None, n)
     rho, zeta = _coefficients(k, n)
     return SerflingCoefficients(rho=rho, zeta=zeta)
 
@@ -54,26 +56,47 @@ def _coefficients(k: int, n: int) -> tuple[float, float]:
     return rho, zeta
 
 
-def _validate(p: float, q: float) -> None:
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"selectivity must be in (0, 1], got {p}")
-    if q < 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
+def _coefficient_arrays(k: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho and zeta over 1-d arrays of (k, n), from `_coefficients` once
+    per distinct pair (a grid has few), so they equal the scalar path's."""
+    pairs, inverse = np.unique(np.stack([k, n], axis=1), axis=0, return_inverse=True)
+    table = np.array([_coefficients(a, b) for a, b in pairs.tolist()]).reshape(-1, 2)
+    rho, zeta = table[inverse.reshape(-1)].T
+    return rho, zeta
 
 
-def _epsilon(p: float, q: float, side: Side) -> float:
-    return p * (q - 1.0) if side is Side.OVER else p * (1.0 - 1.0 / q)
+def _terms(xp, p, k, q, rho, zeta) -> list:
+    """Every Serfling-type term at in-domain points, in `_ORDER`: one
+    point of Python floats with `xp = _SCALAR`, 1-d arrays with numpy.
+    The formulas are in the docstrings of the public term functions.
+
+    Squares are products, which overflow to inf where `** 2` raises on a
+    Python float. No finite q reaches 0/0 or inf/inf: a Bernstein-Serfling
+    denominator that is 0 (then eps = 0) or inf (then (eps zeta)^2 is) is
+    replaced by 1.
+    """
+    var = p * (1.0 - p)
+    rho_var = rho * var
+    hoeffding, bernstein = [], []
+    for eps in (p * (q - 1.0), p * (1.0 - 1.0 / q)):
+        hoeffding.append(xp.minimum(1.0, xp.exp(-2.0 * k * eps * eps / rho)))
+        root = xp.sqrt(2.0 * zeta * rho * var * eps + rho_var * rho_var)
+        denom = eps * zeta + var * rho + root
+        fits = (denom > 0.0) & (denom < math.inf)
+        inner = (eps * zeta) * (eps * zeta) / xp.where(fits, denom, 1.0)
+        bernstein.append(xp.minimum(1.0, 2.0 * xp.exp(-(k / (zeta * zeta)) * inner)))
+    return hoeffding + bernstein
+
+
+def _term(kind: InequalityKind, p: float, k: int, n: int, q: float, side: Side) -> float:
+    _check_point(SamplingMethod.WITHOUT_REPLACEMENT, p, k, q, n)
+    values = _terms(_SCALAR, p, k, q, *_coefficients(k, n))
+    return values[2 * _ORDER.index(kind) + (side is Side.UNDER)]
 
 
 def hoeffding_serfling_term(p: float, k: int, n: int, q: float, side: Side) -> float:
     """exp(-2 k eps^2 / rho), clamped to [0, 1]."""
-    _validate(p, q)
-    return _hoeffding_serfling(p, k, q, side, serfling_coefficients(k, n).rho)
-
-
-def _hoeffding_serfling(p: float, k: int, q: float, side: Side, rho: float) -> float:
-    eps = _epsilon(p, q, side)
-    return min(1.0, math.exp(-2.0 * k * eps * eps / rho))
+    return _term(InequalityKind.HOEFFDING_SERFLING, p, k, n, q, side)
 
 
 def bernstein_serfling_term(p: float, k: int, n: int, q: float, side: Side) -> float:
@@ -86,23 +109,7 @@ def bernstein_serfling_term(p: float, k: int, n: int, q: float, side: Side) -> f
     tiny. The rationalization also shows inner >= 0, so the exponential
     stays a valid probability bound before the 2x multiplier.
     """
-    _validate(p, q)
-    coeffs = serfling_coefficients(k, n)
-    return _bernstein_serfling(p, k, q, side, coeffs.rho, coeffs.zeta)
-
-
-def _bernstein_serfling(
-    p: float, k: int, q: float, side: Side, rho: float, zeta: float
-) -> float:
-    var = population_variance(p)
-    eps = _epsilon(p, q, side)
-    root = math.sqrt(2.0 * zeta * rho * var * eps + (rho * var) ** 2)
-    denom = eps * zeta + var * rho + root
-    if denom == 0.0:
-        inner = 0.0
-    else:
-        inner = (eps * zeta) ** 2 / denom
-    return min(1.0, 2.0 * math.exp(-(k / (zeta * zeta)) * inner))
+    return _term(InequalityKind.BERNSTEIN_SERFLING, p, k, n, q, side)
 
 
 def confidence_wor(
@@ -114,61 +121,9 @@ def confidence_wor(
 ) -> BoundResult:
     """Combined lower bound on P(Q-error <= q) for sampling without
     replacement; the default set uses both Serfling-type inequalities."""
-    kinds = DEFAULT_WOR_KINDS if inequalities is None else frozenset(inequalities)
-    if not kinds:
-        raise ValueError("inequality set must not be empty")
-    invalid = kinds - WITHOUT_REPLACEMENT_KINDS
-    if invalid:
-        names = ", ".join(sorted(kind.value for kind in invalid))
-        raise ValueError(f"not valid for sampling without replacement: {names}")
-    _validate(p, q)
-    coeffs = serfling_coefficients(k, n)
-
-    terms: list[BoundTerm] = []
-    if InequalityKind.HOEFFDING_SERFLING in kinds:
-        for side in Side:
-            terms.append(
-                BoundTerm(
-                    InequalityKind.HOEFFDING_SERFLING,
-                    side,
-                    _hoeffding_serfling(p, k, q, side, coeffs.rho),
-                )
-            )
-    if InequalityKind.BERNSTEIN_SERFLING in kinds:
-        for side in Side:
-            terms.append(
-                BoundTerm(
-                    InequalityKind.BERNSTEIN_SERFLING,
-                    side,
-                    _bernstein_serfling(p, k, q, side, coeffs.rho, coeffs.zeta),
-                )
-            )
-    return combine_terms(terms)
-
-
-def grid_terms(p: np.ndarray, k: np.ndarray, n: np.ndarray, q: np.ndarray) -> dict:
-    """Every Serfling-type term over 1-d arrays of in-domain points
-    (0 < p <= 1, 1 <= k < n, q >= 1), keyed by (InequalityKind, Side).
-
-    The arithmetic is the scalar terms' own, in the same order; rho and
-    zeta come from the scalar helper once per distinct (k, n) pair, which
-    a grid has few of, so they are bit-identical to the scalar path.
-    """
-    pairs, inverse = np.unique(np.stack([k, n], axis=1), axis=0, return_inverse=True)
-    table = np.array([_coefficients(a, b) for a, b in pairs.tolist()]).reshape(-1, 2)
-    rho, zeta = table[inverse.reshape(-1)].T
-    var = p * (1.0 - p)
-    out = {}
-    for side in Side:
-        eps = p * (q - 1.0) if side is Side.OVER else p * (1.0 - 1.0 / q)
-        out[InequalityKind.HOEFFDING_SERFLING, side] = np.minimum(
-            1.0, np.exp(-2.0 * k * eps * eps / rho)
-        )
-        root = np.sqrt(2.0 * zeta * rho * var * eps + (rho * var) ** 2)
-        denom = eps * zeta + var * rho + root
-        nonzero = denom != 0.0
-        inner = np.where(nonzero, (eps * zeta) ** 2 / np.where(nonzero, denom, 1.0), 0.0)
-        out[InequalityKind.BERNSTEIN_SERFLING, side] = np.minimum(
-            1.0, 2.0 * np.exp(-(k / (zeta * zeta)) * inner)
-        )
-    return out
+    kinds = _check_kinds(
+        inequalities, DEFAULT_WOR_KINDS, WITHOUT_REPLACEMENT_KINDS, "without replacement"
+    )
+    _check_point(SamplingMethod.WITHOUT_REPLACEMENT, p, k, q, n)
+    values = _terms(_SCALAR, p, k, q, *_coefficients(k, n))
+    return combine_terms(_select_terms(_ORDER, values, kinds))

@@ -188,6 +188,44 @@ def test_figures_bad_axis_is_domain_error(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("bound --method wr --p 0.1 --k 100 --q nan", "q must be finite"),
+    ("bound --method wr --p 0.1 --k 100 --q inf", "q must be finite"),
+    ("bound --method wor --p 0.1 --k 100 --rows 1000 --q=-inf", "q must be finite"),
+    ("bound --method wr --p 0 --k 0 --q 0.5", "sample size"),
+    ("bound --method wr --p nan --k 10 --q 2", "selectivity must be in (0, 1]"),
+    ("solve-k --method wor --p 1.5 --rows 100 --q 2 --confidence 0.5", "selectivity"),
+    ("exact --method wr --cardinality 10 --rows 100 --k 10 --q inf", "q must be finite"),
+    ("exact --method wr --cardinality 10 --rows 100 --k 10 --q nan", "q must be finite"),
+    ("simulate --method wor --cardinality 10 --rows 100 --k 10 --q inf --trials 10 --seed 1",
+     "q must be finite"),
+    ("solve-k --method wr --p 0.1 --q nan --confidence 0.5", "q must be finite"),
+    ("solve-q --method wr --p 0.1 --k 100 --confidence 0.5 --q-max inf --format json",
+     "q must be finite"),
+    ("estimate --input {table} --predicate a<5 --method wr --k 10 --q nan", "q must be finite"),
+])
+def test_out_of_domain_input_is_domain_error(capsys, tmp_path, argv, message):
+    table = tmp_path / "t.csv"
+    table.write_text("a\n" + "".join(f"{i}\n" for i in range(20)), encoding="utf-8")
+    assert run(argv.format(table=table).split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    "bound --method wor --p 0.5 --k 10 --rows 100 --q 1e200",
+    "bound --method wr --p 0.5 --k 10 --q 1e200 --with-hoeffding",
+])
+def test_huge_q_bound(capsys, argv):
+    # `x ** 2` raises OverflowError on a Python float where x * x gives inf
+    assert run(argv.split() + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert 0.99 < payload["result"]["confidence"] <= 1.0
+    assert all(t["applicable"] and 0.0 <= t["probability"] <= 1.0 for t in payload["terms"])
+
+
 def test_figures_missing_grid_file_is_io_error(capsys, tmp_path):
     code = run(["figures", "--grid", str(tmp_path / "absent.txt"),
                 "--out", str(tmp_path / "o")])

@@ -1,16 +1,27 @@
+import math
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbounds import (
+    InequalityKind,
     PopulationSpec,
     SampleDesign,
     SamplingMethod,
+    SimulationConfig,
+    admissible_range,
+    evaluate_confidence,
+    exact_confidence,
     population_variance,
     q_error,
-    selectivity,
     validate_design,
 )
+from qbounds.confidence import evaluate_grid
+
+WR = SamplingMethod.WITH_REPLACEMENT
+WOR = SamplingMethod.WITHOUT_REPLACEMENT
 
 
 def test_q_error_examples():
@@ -28,9 +39,9 @@ def test_q_error_rejects_negative_inputs():
 
 
 def test_selectivity_examples():
-    assert selectivity(PopulationSpec(n=1_000_000, cardinality=5000)) == 0.005
-    assert selectivity(PopulationSpec(n=10, cardinality=0)) == 0.0
-    assert selectivity(PopulationSpec(n=7, cardinality=7)) == 1.0
+    assert PopulationSpec(n=1_000_000, cardinality=5000).p == 0.005
+    assert PopulationSpec(n=10, cardinality=0).p == 0.0
+    assert PopulationSpec(n=7, cardinality=7).p == 1.0
 
 
 def test_population_variance_examples():
@@ -109,3 +120,53 @@ def test_q_error_at_least_one(p):
 def test_population_variance_symmetric(p):
     assert population_variance(p) == pytest.approx(population_variance(1.0 - p), abs=1e-15)
     assert 0.0 <= population_variance(p) <= 0.25
+
+
+_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]
+
+
+@st.composite
+def _points(draw):
+    """(method, p, k, n, q) around and outside the domain's edges."""
+    method = draw(st.sampled_from(SamplingMethod))
+    p = draw(st.sampled_from(_EDGES + [1.0, 1.5, 5e-324]) | st.floats(0.0, 1.0))
+    q = draw(st.sampled_from(_EDGES + [0.5, 1.0, 1e200, sys.float_info.max])
+             | st.floats(1.0, 1e6))
+    n = draw(st.integers(-2, 10**6))
+    k = draw(st.sampled_from([n - 1, n, n + 1]) | st.integers(-2, 10**6))
+    return method, p, k, n, q
+
+
+def _raises(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+@given(_points())
+@settings(max_examples=400)
+@example((WOR, 0.5, 99, 100, 1.0))
+@example((WOR, 0.5, 100, 100, 2.0))
+@example((WOR, 0.5, 101, 100, 2.0))
+@example((WOR, 0.0, 100, 100, 2.0))
+@example((WR, 0.0, 0, 100, 0.5))
+@example((WR, math.nan, 10, 100, 2.0))
+@example((WR, 0.5, 10, 100, math.nan))
+@example((WR, 0.5, 10, 100, math.inf))
+@example((WR, 0.5, -1, 100, 2.0))
+def test_one_domain_rule_for_scalar_and_grid(point):
+    method, p, k, n, q = point
+    scalar = _raises(lambda: evaluate_confidence(method, p, k, q, n=n))
+    grid = _raises(lambda: evaluate_grid(p, k, n, q, method is WOR, InequalityKind))
+    # evaluate_grid leaves p = 0, the degenerate case, to its callers
+    assert grid == (scalar or p == 0.0)
+    if not 1.0 <= q < math.inf or k < 1:
+        pop = PopulationSpec(n=max(n, 1), cardinality=0)
+        with pytest.raises(ValueError):
+            exact_confidence(pop, SampleDesign(method, k), q)
+        with pytest.raises(ValueError):
+            admissible_range(pop.n, 0, k, q)
+        with pytest.raises(ValueError):
+            SimulationConfig(pop=pop, design=SampleDesign(method, k), q=q, trials=10, seed=0)

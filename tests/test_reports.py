@@ -1,17 +1,27 @@
 import io
 import math
+import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qbounds import (
     GridSpec,
+    PopulationSpec,
+    SampleDesign,
     SamplingMethod,
+    SimulationConfig,
+    confidence_wor,
+    confidence_wr,
     default_inequalities,
     evaluate_confidence,
+    exact_confidence,
     figure_series,
     parse_grid_file,
+    run_simulation,
     table1,
 )
 from qbounds.confidence import evaluate_grid
@@ -27,7 +37,7 @@ from qbounds.reports import (
     write_series_csv,
     write_table1_csv,
 )
-from qbounds.terms import WITH_REPLACEMENT_KINDS, WITHOUT_REPLACEMENT_KINDS
+from qbounds.terms import WITH_REPLACEMENT_KINDS, WITHOUT_REPLACEMENT_KINDS, InequalityKind, Side
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -254,6 +264,52 @@ def test_evaluate_grid_rejects_out_of_domain_points():
                 dict(k=[10, 1000]), dict(n=2**63)):
         with pytest.raises(ValueError):
             evaluate_grid(**{**good, **bad})
+
+
+_ORACLES = {
+    InequalityKind.CHERNOFF: oracles.chernoff,
+    InequalityKind.BERNSTEIN: oracles.bernstein,
+    InequalityKind.HOEFFDING: oracles.hoeffding,
+    InequalityKind.HOEFFDING_SERFLING: oracles.hoeffding_serfling,
+    InequalityKind.BERNSTEIN_SERFLING: oracles.bernstein_serfling,
+}
+
+
+@pytest.mark.parametrize("q", [1e200, sys.float_info.max])
+def test_huge_q_terms_are_probabilities(q):
+    # q^2 and (q-1)^2 overflow past q = 1.3e154 and p^2 underflows below
+    # 1.5e-154; no term may turn into NaN, a warning or an OverflowError
+    ps = [5e-324, 1e-300, 1e-200, 1e-10, 0.5, 0.8, 1.0]
+    pairs = [(1, 2), (10, 100), (10**9, 10**12)]
+    points = [(p, k, n) for p in ps for k, n in pairs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = evaluate_grid(
+            [p for p, _, _ in points], [k for _, k, _ in points], [n for _, _, n in points],
+            q, [[False], [True]], WITH_REPLACEMENT_KINDS | WITHOUT_REPLACEMENT_KINDS,
+        )
+        for i, (p, k, n) in enumerate(points):
+            scalar = (
+                confidence_wr(p, k, q, WITH_REPLACEMENT_KINDS).terms
+                + confidence_wor(p, k, n, q).terms
+            )
+            for term in scalar:
+                kind, side = term.inequality, term.side
+                wor = kind in WITHOUT_REPLACEMENT_KINDS
+                on_grid = grid.terms[kind, side][int(wor), i]
+                if kind is InequalityKind.HOEFFDING and side is Side.UNDER and p * q <= 1.0:
+                    assert not term.applicable and math.isnan(on_grid)
+                    continue
+                assert term.applicable and 0.0 <= term.probability <= 1.0
+                assert on_grid == pytest.approx(term.probability, rel=1e-12, abs=1e-300)
+                args = (p, k, n, q, side.value) if wor else (p, k, q, side.value)
+                want = float(_ORACLES[kind](*args))
+                assert term.probability == pytest.approx(want, rel=1e-9, abs=1e-300)
+        for method in SamplingMethod:
+            pop, design = PopulationSpec(n=100, cardinality=50), SampleDesign(method, 10)
+            assert exact_confidence(pop, design, q) == 1.0
+            config = SimulationConfig(pop=pop, design=design, q=q, trials=100, seed=1)
+            assert run_simulation(config).successes == 100
 
 
 _BOUND_COLUMNS = SERIES_COLUMNS[SERIES_COLUMNS.index("status") + 1 : SERIES_COLUMNS.index("exact")]
