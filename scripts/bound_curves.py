@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from qbounds import GridSpec, SamplingMethod, Unreachable, figure_series, q_at_confidence
-from qbounds.reports import fmt9, write_series_csv
+from qbounds.reports import write_csv, write_series_csv
 
 
 def _write(records, path):
@@ -29,16 +29,19 @@ def q95_sweep(path: str) -> None:
     ps = np.geomspace(1e-4, 1.0, 60)
     ks = (100, 1000, 10000)
     n = 10**6
+    records = []
+    for method in SamplingMethod:
+        for p in ps:
+            for k in ks:
+                if method is SamplingMethod.WITHOUT_REPLACEMENT and k >= n:
+                    continue
+                answer = q_at_confidence(method, float(p), k, 0.95, n=n)
+                records.append({
+                    "method": method.value, "p": float(p), "k": k,
+                    "q95": None if isinstance(answer, Unreachable) else answer,
+                })
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("method,p,k,q95\n")
-        for method in SamplingMethod:
-            for p in ps:
-                for k in ks:
-                    if method is SamplingMethod.WITHOUT_REPLACEMENT and k >= n:
-                        continue
-                    answer = q_at_confidence(method, float(p), k, 0.95, n=n)
-                    cell = "NA" if isinstance(answer, Unreachable) else fmt9(answer)
-                    handle.write(f"{method.value},{fmt9(float(p))},{k},{cell}\n")
+        write_csv(records, {"method": "%s", "p": "%.9g", "k": "%d", "q95": "%.9g"}, handle)
     print(path)
 
 

@@ -1,9 +1,10 @@
 """Command-line frontend.
 
 Exit codes: 0 success (including unreachable solver targets, which are a
-result, not an error), 1 domain or usage errors, 2 I/O errors. All
-numeric output goes through str(), so text, csv and json show identical
-values for the same invocation.
+result, not an error), 1 domain or usage errors, 2 I/O errors. Text and
+csv print one flat record of the query, the result and the terms in the
+cells of `reports.cells` with `%s` (str()), so text, csv and json show
+identical values for the same invocation.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import __version__
 from .confidence import default_inequalities, evaluate_confidence
@@ -22,14 +22,17 @@ from .exact import admissible_range, exact_confidence
 from .ingest import LoadOptions, estimate_with_bounds, load_table, parse_predicate
 from .model import PopulationSpec, SampleDesign, SamplingMethod
 from .reports import (
+    cells,
     figure_series,
     parse_grid_file,
     table1,
+    write_csv,
     write_series_csv,
     write_table1_csv,
 )
 from .simulate import RNG_SCHEME, SimulationConfig, SimulationSummary, run_simulation
 from .solver import DEFAULT_K_MAX, DEFAULT_Q_MAX, Unreachable, min_sample_size, q_at_confidence
+from .terms import BoundTerm
 
 
 class UsageError(ValueError):
@@ -80,14 +83,7 @@ def _require_n_for_wor(method: SamplingMethod, n: Optional[int]) -> None:
         raise UsageError("--method wor needs --rows")
 
 
-def _num(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "NA"
-    return str(value)
-
-
-def _emit(args, query: dict, result: dict, terms: Optional[list[dict]] = None) -> None:
-    terms = terms or []
+def _emit(args, query: dict, result: dict, terms: Sequence[BoundTerm] = ()) -> None:
     fmt = getattr(args, "format", "text")
     if fmt == "json":
         payload = {
@@ -95,48 +91,25 @@ def _emit(args, query: dict, result: dict, terms: Optional[list[dict]] = None) -
             "result": result,
             "terms": [
                 {
-                    "inequality": t["inequality"],
-                    "side": t["side"],
-                    "probability": None if _is_nan(t["probability"]) else t["probability"],
-                    "applicable": t["applicable"],
+                    "inequality": t.inequality.value,
+                    "side": t.side.value,
+                    "probability": t.probability if t.applicable else None,
+                    "applicable": t.applicable,
                 }
                 for t in terms
             ],
             "meta": {"version": __version__, "rng": RNG_SCHEME},
         }
         print(json.dumps(payload, indent=2, allow_nan=False))
-    elif fmt == "csv":
-        header = list(query) + list(result) + [
-            f"{t['inequality']}_{t['side']}" for t in terms
-        ]
-        row = (
-            [_num(query[key]) for key in query]
-            + [_num(result[key]) for key in result]
-            + [_num(t["probability"]) for t in terms]
-        )
-        print(",".join(header))
-        print(",".join(row))
+        return
+    by_term = {f"{t.inequality.value}_{t.side.value}": t.probability for t in terms}
+    if fmt == "csv":
+        record = {**query, **result, **by_term}
+        write_csv([record], dict.fromkeys(record, "%s"), sys.stdout)
     else:
-        for key, value in result.items():
-            print(f"{key} {_num(value)}")
-        for t in terms:
-            print(f"term {t['inequality']}_{t['side']} {_num(t['probability'])}")
-
-
-def _is_nan(value) -> bool:
-    return isinstance(value, float) and math.isnan(value)
-
-
-def _terms_payload(result) -> list[dict]:
-    return [
-        {
-            "inequality": term.inequality.value,
-            "side": term.side.value,
-            "probability": term.probability,
-            "applicable": term.applicable,
-        }
-        for term in result.terms
-    ]
+        shown = {**result, **{f"term {name}": value for name, value in by_term.items()}}
+        for key, cell in zip(shown, cells(shown.values(), "%s")):
+            print(key, cell)
 
 
 # Subcommand handlers --------------------------------------------------------
@@ -160,7 +133,7 @@ def _cmd_bound(args) -> int:
         "omega_source": result.omega_source.value if result.omega_source else None,
         "psi_source": result.psi_source.value if result.psi_source else None,
     }
-    _emit(args, query, payload, _terms_payload(result))
+    _emit(args, query, payload, result.terms)
     return 0
 
 
@@ -280,6 +253,8 @@ def _cmd_figures(args) -> int:
 def _cmd_estimate(args) -> int:
     method = _method(args)
     qs = [float(part) for part in args.q.split(",") if part.strip()]
+    if len(set(qs)) < len(qs):
+        raise UsageError(f"--q lists a value twice: {args.q}")
     options = LoadOptions(delimiter=args.delimiter, header=not args.no_header)
     table = load_table(args.input, options)
     predicate = parse_predicate(args.predicate)
@@ -301,8 +276,8 @@ def _cmd_estimate(args) -> int:
         "p_used": report.p_used,
         "p_source": report.p_source,
     }
-    for entry in report.per_q:
-        result[f"confidence_q{entry.q:g}"] = entry.confidence
+    for entry in report.per_q:  # q's shortest round-trip form, less a trailing .0
+        result[f"confidence_q{repr(entry.q).removesuffix('.0')}"] = entry.confidence
     _emit(args, query, result)
     return 0
 

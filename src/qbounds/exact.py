@@ -57,6 +57,7 @@ _EMPTY_RANGE = AdmissibleRange(0, -1)
 def admissible_range(n: int, c: int, k: int, q: float) -> AdmissibleRange:
     """Bracket the admissible hit counts in closed form, then verify the
     boundaries against the clamped metric (which handles x = 0 and c = 0)."""
+    PopulationSpec(n, c)  # its rule: n >= 1 and 0 <= c <= n
     _check_point(None, None, k, q)
     truth = max(c, 1)
 

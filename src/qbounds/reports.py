@@ -1,8 +1,10 @@
 """Machine-readable reproductions: the golden confidence table and the
 data series behind the bound-curve figures.
 
-Everything lands in CSV with a fixed header, LF newlines, UTF-8, 9
-significant digits in full-precision columns and the literal NA for
+Everything lands in CSV through `write_csv`: a fixed header, LF
+newlines, UTF-8, and one rule for every cell (see `cells`): 9
+significant digits in full-precision columns, two decimals in the
+table's rounded columns, the literal NA for missing values and
 inapplicable terms. Rendering to images is out of scope; these files are
 meant for external plotting.
 """
@@ -13,7 +15,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -50,10 +52,47 @@ def fmt9(value: Optional[float]) -> str:
 
 
 def rounded_cell(value: float) -> str:
-    """Two-decimal display; 1.00 is only printed for values above 0.995."""
-    if value > 0.995:
-        return "1.00"
+    """Two-decimal display, the `%.2f` cell of `write_table1_csv`: 1.00 is
+    only printed for values above 0.995 (the double nearest 0.995 lies
+    below it, so it rounds down)."""
     return format(value, ".2f")
+
+
+_CHUNK = 64  # rows formatted per write: bounds the text held at once
+
+
+def _text(value: str) -> str:
+    """A string cell as itself, quoted per RFC 4180 when it must be."""
+    if "," in value or '"' in value or "\n" in value or "\r" in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def cells(values: Iterable, fmt: str) -> list[str]:
+    """The printed cells of one column whose `%`-format is `fmt`.
+
+    The one cell rule of every table: a string prints as itself (quoted
+    when it holds a comma, a quote or a line break), None and NaN print
+    NA, and any other value prints as `fmt % value`.
+    """
+    return [
+        "NA" if v is None or v != v else _text(v) if isinstance(v, str) else fmt % v
+        for v in values
+    ]
+
+
+def write_csv(records: Sequence[Mapping], columns: Mapping[str, str], out: IO[str]) -> None:
+    """Write `records` as CSV: `columns` maps each header, in order, to the
+    `%`-format of its cells (`%s` text, `%d` integer, `%.9g` full
+    precision, `%.2f` two decimals); each record needs every header as a
+    key. Rows are formatted column by column, a bounded chunk at a time.
+    """
+    out.write(",".join(cells(columns, "%s")) + "\n")
+    getters = [(operator.itemgetter(name), fmt) for name, fmt in columns.items()]
+    for start in range(0, len(records), _CHUNK):
+        chunk = records[start:start + _CHUNK]
+        rows = zip(*(cells(map(get, chunk), fmt) for get, fmt in getters))
+        out.write("".join(",".join(row) + "\n" for row in rows))
 
 
 def table1(n: int = 1_000_000, q: float = 2.0) -> list[dict]:
@@ -82,28 +121,29 @@ def table1(n: int = 1_000_000, q: float = 2.0) -> list[dict]:
     return rows
 
 
+_TABLE1_VALUES = [f"{m}{k}" for k in TABLE1_SAMPLE_SIZES for m in ("r", "nr")]
+_TABLE1_CSV = {
+    "c": "%d", "p": "%.9g", **dict.fromkeys(_TABLE1_VALUES, "%.9g"),
+    **{f"{col}_2dp": "%.2f" for col in _TABLE1_VALUES},
+}
+
+
 def write_table1_csv(rows: Sequence[dict], out: IO[str]) -> None:
-    value_cols = [f"{m}{k}" for k in TABLE1_SAMPLE_SIZES for m in ("r", "nr")]
-    header = ["c", "p"] + value_cols + [f"{col}_2dp" for col in value_cols]
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        cells = [str(row["c"]), fmt9(row["p"])]
-        cells += [fmt9(row[col]) for col in value_cols]
-        cells += [rounded_cell(row[col]) for col in value_cols]
-        out.write(",".join(cells) + "\n")
+    """Table 1 as CSV: each confidence in full precision, then again
+    rounded to two decimals in its `_2dp` column."""
+    records = [{**row, **{f"{col}_2dp": row[col] for col in _TABLE1_VALUES}} for row in rows]
+    write_csv(records, _TABLE1_CSV, out)
 
 
-_TERM_COLUMNS = [
-    f"{kind.value}_{side.value}"
-    for kind in InequalityKind
-    for side in Side
-]
-
-SERIES_COLUMNS = (
-    ["method", "n", "c", "p", "k", "q", "status"]
-    + _TERM_COLUMNS
-    + ["omega", "psi", "confidence", "exact", "empirical_rate", "standard_error"]
-)
+# figure-series columns and the %-format of their cells
+_SERIES_CSV = {
+    "method": "%s", "n": "%d", "c": "%d", "p": "%.9g", "k": "%d", "q": "%.9g", "status": "%s",
+    **{f"{kind.value}_{side.value}": "%.9g" for kind in InequalityKind for side in Side},
+    **dict.fromkeys(
+        ["omega", "psi", "confidence", "exact", "empirical_rate", "standard_error"], "%.9g"
+    ),
+}
+SERIES_COLUMNS = list(_SERIES_CSV)
 
 
 @dataclass(frozen=True)
@@ -290,30 +330,9 @@ def figure_series(
     return records
 
 
-_TEXT_COLUMNS = ("method", "status")
-_INT_COLUMNS = ("n", "c", "k")
-_FLOAT_INDEXES = [
-    i for i, col in enumerate(SERIES_COLUMNS) if col not in _TEXT_COLUMNS + _INT_COLUMNS
-]
-# One %-format per row: "%.9g" prints what fmt9 prints, and NaN as "nan",
-# which no text or number cell can contain, so one replace turns it into NA.
-_SERIES_ROW = ",".join(
-    "%s" if col in _TEXT_COLUMNS else "%d" if col in _INT_COLUMNS else "%.9g"
-    for col in SERIES_COLUMNS
-) + "\n"
-_SERIES_CHUNK = 64  # rows formatted per write: bounds the text held at once
-
-
 def write_series_csv(records: Sequence[dict], out: IO[str]) -> None:
-    """Series records as CSV: fmt9 cells, with None and NaN as NA."""
-    out.write(",".join(SERIES_COLUMNS) + "\n")
-    row_of = operator.itemgetter(*SERIES_COLUMNS)
-    for start in range(0, len(records), _SERIES_CHUNK):
-        columns = list(zip(*map(row_of, records[start:start + _SERIES_CHUNK])))
-        for i in _FLOAT_INDEXES:  # None becomes NaN
-            columns[i] = np.array(columns[i], dtype=np.float64).tolist()
-        text = "".join(_SERIES_ROW % row for row in zip(*columns))
-        out.write(text.replace("nan", "NA"))
+    """Series records as CSV: 9 significant digits, None and NaN as NA."""
+    write_csv(records, _SERIES_CSV, out)
 
 
 @dataclass(frozen=True)
@@ -382,22 +401,13 @@ def simulation_comparison(
     return records
 
 
-COMPARISON_COLUMNS = (
-    "method", "n", "c", "k", "q", "confidence", "exact",
-    "empirical_rate", "standard_error", "successes", "trials", "conservatism",
-)
+_COMPARISON_CSV = {
+    "method": "%s", "n": "%d", "c": "%d", "k": "%d", "q": "%.9g", "confidence": "%.9g",
+    "exact": "%.9g", "empirical_rate": "%.9g", "standard_error": "%.9g",
+    "successes": "%d", "trials": "%d", "conservatism": "%.9g",
+}
+COMPARISON_COLUMNS = tuple(_COMPARISON_CSV)
 
 
 def write_comparison_csv(records: Sequence[dict], out: IO[str]) -> None:
-    out.write(",".join(COMPARISON_COLUMNS) + "\n")
-    for record in records:
-        cells = []
-        for col in COMPARISON_COLUMNS:
-            value = record[col]
-            if col == "method":
-                cells.append(str(value))
-            elif col in ("n", "c", "k", "successes", "trials"):
-                cells.append(str(int(value)))
-            else:
-                cells.append(fmt9(value))
-        out.write(",".join(cells) + "\n")
+    write_csv(records, _COMPARISON_CSV, out)

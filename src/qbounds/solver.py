@@ -119,12 +119,12 @@ def q_at_confidence(
     def conf(q: float) -> float:
         return evaluate_confidence(method, p, k, q, n=n, inequalities=inequalities).confidence
 
-    if conf(1.0) >= target_confidence:
-        return 1.0
     at_cap = conf(q_max)
     if at_cap < target_confidence:
         return Unreachable(target_confidence, q_max, at_cap)
 
+    # conf(1) is 0 at every point (each term is the vacuous 1 at q = 1),
+    # so no target in (0, 1) is met at q = 1 and lo starts there
     lo, hi = 1.0, q_max
     while hi - lo > 1e-9 * hi:
         mid = math.sqrt(lo * hi)

@@ -46,12 +46,13 @@ def serfling_coefficients(k: int, n: int) -> SerflingCoefficients:
 
 def _coefficients(k: int, n: int) -> tuple[float, float]:
     """(rho, zeta) for 1 <= k < n, in exact integer arithmetic up to the
-    final divisions."""
+    final divisions. For 2k > n, rho = (1 - k/n)(1 + 1/k) is one integer
+    ratio: in floats 1 - k/n cancels, to 0 at k = n - 1 past n = 2**53."""
     if 2 * k <= n:
         rho = 1.0 - (k - 1) / n
         zeta = 4.0 / 3.0 + math.sqrt(k * (k - 1) / (n * (n - k + 1)))
     else:
-        rho = (1.0 - k / n) * (1.0 + 1.0 / k)
+        rho = (n - k) * (k + 1) / (n * k)
         zeta = 4.0 / 3.0 + math.sqrt((n - k - 1) * (n - k) / ((k + 1) * n))
     return rho, zeta
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -287,3 +289,83 @@ def test_estimate_bad_predicate_is_usage_error(capsys, tmp_path):
 
 def test_unknown_subcommand(capsys):
     assert run(["frobnicate"]) == 1
+
+
+def _csv_and_json(capsys, argv):
+    """The csv record of a command, parsed, and its JSON values by column."""
+    assert run(argv + ["--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert len(rows) == 1 and len(rows[0]) == len(header) == len(set(header))
+    assert run(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    values = {**payload["query"], **payload["result"]}
+    values.update((f"{t['inequality']}_{t['side']}", t["probability"]) for t in payload["terms"])
+    return dict(zip(header, rows[0])), values
+
+
+def test_estimate_csv_quotes_text_cells(capsys, tmp_path):
+    table = tmp_path / "t.csv"
+    names = ['a,"nan"', "banana", "plain"]
+    table.write_text(
+        "name,v\n" + "".join(f'"{names[i % 3].replace(chr(34), 2 * chr(34))}",{i}\n'
+                             for i in range(300)),
+        encoding="utf-8",
+    )
+    predicate = """name = 'a,"nan"'"""
+    argv = ["estimate", "--input", str(table), "--predicate", predicate,
+            "--method", "wor", "--k", "50", "--q", "2,3", "--seed", "3"]
+    cells, values = _csv_and_json(capsys, argv)
+    assert list(cells) == list(values)
+    assert cells["predicate"] == predicate and cells["true_cardinality"] == "100"
+    for key, value in values.items():
+        assert cells[key] == ("NA" if value is None else str(value)), key
+
+
+@pytest.mark.parametrize("argv", [
+    "bound --method wr --p 0.3 --k 100 --q 2 --with-hoeffding",
+    "solve-q --method wr --p 0.005 --k 10 --confidence 0.999",
+    "exact --method wor --cardinality 10 --rows 100 --k 10 --q 3",
+    "simulate --method wr --cardinality 50 --rows 1000 --k 100 --q 2 --trials 100 --seed 1",
+])
+def test_csv_record_matches_json(capsys, argv):
+    # one flat record: each column once (simulate's query and result both
+    # hold `trials`, always equal), every cell the JSON value through str()
+    cells, values = _csv_and_json(capsys, argv.split())
+    assert list(cells) == list(values)
+    for key, value in values.items():
+        assert cells[key] == ("NA" if value is None else str(value)), key
+
+
+def test_estimate_per_q_column_names(capsys, tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("v\n" + "".join(f"{i}\n" for i in range(100)), encoding="utf-8")
+    base = ["estimate", "--input", str(table), "--predicate", "v < 30",
+            "--method", "wr", "--k", "20"]
+    # names are q's shortest round-trip form: %g kept 6 digits and made
+    # 2.000001 and 2.000002 one column
+    cases = {
+        "2,4": ["confidence_q2", "confidence_q4"],
+        "2.000001,2.000002": ["confidence_q2.000001", "confidence_q2.000002"],
+        "1.5,1e6,1234567.5": ["confidence_q1.5", "confidence_q1000000",
+                              "confidence_q1234567.5"],
+    }
+    for qs, names in cases.items():
+        cells, values = _csv_and_json(capsys, base + ["--q", qs])
+        assert [key for key in values if key.startswith("confidence_q")] == names
+        assert [key for key in cells if key.startswith("confidence_q")] == names
+        assert run(base + ["--q", qs]) == 0
+        text = capsys.readouterr().out.split("\n")
+        assert [line.split(" ")[0] for line in text if line.startswith("confidence_q")] == names
+    # a q listed twice would name one column twice
+    for qs in ("2,2", "2,3,2.0"):
+        assert run(base + ["--q", qs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_bound_k_just_below_huge_n(capsys):
+    # rho = (n - k)(k + 1) / (n k) in integers: 1 - k/n rounded to 0 here
+    argv = ["bound", "--method", "wor", "--p", "0.5", "--k", "99999999999999999",
+            "--rows", "100000000000000000", "--q", "2", "--format", "json"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["confidence"] == 1.0

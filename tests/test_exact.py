@@ -50,6 +50,13 @@ def test_admissible_range_rejects_bad_q():
         admissible_range(100, 10, 10, 0.5)
 
 
+def test_admissible_range_rejects_bad_population():
+    # PopulationSpec's rule: n >= 1 and 0 <= c <= n
+    for n, c in ((0, 5), (100, 500), (100, -1), (-3, 0)):
+        with pytest.raises(ValueError):
+            admissible_range(n, c, 10, 2.0)
+
+
 @given(
     st.integers(min_value=1, max_value=400),
     st.integers(min_value=1, max_value=60),

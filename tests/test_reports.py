@@ -1,8 +1,10 @@
+import csv
 import io
 import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,14 +28,17 @@ from qbounds import (
 )
 from qbounds.confidence import evaluate_grid
 from qbounds.reports import (
+    COMPARISON_COLUMNS,
     SERIES_COLUMNS,
     TABLE1_CARDINALITIES,
     TABLE1_SAMPLE_SIZES,
+    cells,
     default_comparison_points,
     fmt9,
     rounded_cell,
     simulation_comparison,
     write_comparison_csv,
+    write_csv,
     write_series_csv,
     write_table1_csv,
 )
@@ -68,6 +73,20 @@ def test_rounded_cell_rule():
     assert rounded_cell(0.9949) == "0.99"
     assert rounded_cell(0.0009) == "0.00"
     assert rounded_cell(0.124432) == "0.12"
+    # the rule was once a branch printing 1.00 above 0.995; format(v, ".2f")
+    # agrees with it on random values and within 5 ulps of every multiple
+    # of 0.005 in [0, 1]
+    values = np.random.default_rng(5).random(100_000).tolist()
+    for i in range(201):
+        for v in (i * 0.005, i / 200):
+            for _ in range(5):
+                v = math.nextafter(v, -1.0)
+            for _ in range(11):
+                values.append(v)
+                v = math.nextafter(v, 2.0)
+    for v in values:
+        if 0.0 <= v <= 1.0:
+            assert rounded_cell(v) == ("1.00" if v > 0.995 else format(v, ".2f")), v
 
 
 def test_fmt9():
@@ -86,6 +105,12 @@ def test_write_table1_csv():
     # first data row is the smallest cardinality with all-zero cells
     assert lines[1].startswith("166,0.000166,")
     assert ",0.00" in lines[1]
+    for row, cells_of in zip(table1(), csv.DictReader(io.StringIO(out.getvalue()))):
+        assert cells_of["c"] == str(row["c"]) and cells_of["p"] == fmt9(row["p"])
+        for k in TABLE1_SAMPLE_SIZES:
+            for col in (f"r{k}", f"nr{k}"):
+                assert cells_of[col] == fmt9(row[col])
+                assert cells_of[f"{col}_2dp"] == rounded_cell(row[col])
 
 
 def test_grid_spec_validation():
@@ -235,9 +260,14 @@ def test_default_comparison_points_interior():
     write_comparison_csv(records, out)
     lines = [line for line in out.getvalue().split("\n") if line]
     assert len(lines) == 4
-    for record in records:
+    for record, cells_of in zip(records, csv.DictReader(io.StringIO(out.getvalue()))):
         assert 0.0 <= record["empirical_rate"] <= 1.0
         assert record["exact"] >= record["confidence"] - 1e-12
+        assert list(cells_of) == list(COMPARISON_COLUMNS)
+        for col, cell in cells_of.items():
+            value = record[col]
+            want = value if col == "method" else str(value) if type(value) is int else fmt9(value)
+            assert cell == want, col
 
 
 def test_table1_matches_scalar_path():
@@ -423,3 +453,32 @@ def test_figure_series_matches_scalar_path(spec):
     write_series_csv(records, fast)
     _write_series_per_cell(records, per_cell)
     assert fast.getvalue() == per_cell.getvalue()
+
+
+def test_write_csv_cell_rule():
+    records = [
+        {"text": "banana", "int": 7, "full": 0.1 + 0.2, "two": 0.995, "any": True},
+        {"text": 'a,"nan"\nb', "int": None, "full": math.nan, "two": 0.99500001, "any": 2.5},
+        {"text": "nan", "int": 2**70, "full": np.float64(1e-300), "two": None, "any": "x,y"},
+    ]
+    columns = {"text": "%s", "int": "%d", "full": "%.9g", "two": "%.2f", "any": "%s"}
+    out = io.StringIO()
+    write_csv(records, columns, out)
+    assert out.getvalue() == (
+        "text,int,full,two,any\n"
+        "banana,7,0.3,0.99,True\n"
+        '"a,""nan""\nb",NA,NA,1.00,2.5\n'
+        f"nan,{2**70},1e-300,NA,\"x,y\"\n"
+    )
+    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    assert [row[0] for row in rows[1:]] == [r["text"] for r in records]
+    # one column, and no records
+    single, empty = io.StringIO(), io.StringIO()
+    write_csv([{"a": 1}, {"a": None}], {"a": "%d"}, single)
+    write_csv([], {"a": "%d", "b": "%s"}, empty)
+    assert single.getvalue() == "a\n1\nNA\n" and empty.getvalue() == "a,b\n"
+
+
+@given(st.lists(st.none() | st.floats() | st.integers(-(10**20), 10**20), max_size=200))
+def test_full_precision_cells_match_fmt9(values):
+    assert cells(values, "%.9g") == [fmt9(v) for v in values]

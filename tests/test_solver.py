@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbounds.solver as solver_module
 from qbounds import (
     SamplingMethod,
     Unreachable,
+    default_inequalities,
     evaluate_confidence,
     min_sample_size,
     q_at_confidence,
@@ -151,3 +154,34 @@ def test_unreachable_is_a_result_not_an_error():
     answer = q_at_confidence(WR, 0.005, 10, 0.999)
     assert isinstance(answer, Unreachable)
     assert answer.target_confidence == 0.999
+
+
+@given(
+    st.sampled_from([WR, WOR]),
+    st.floats(min_value=5e-324, max_value=1.0),
+    st.integers(min_value=1, max_value=10**9),
+    st.integers(min_value=1, max_value=10**9),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_confidence_at_q_one_is_zero(method, p, k, extra, with_hoeffding):
+    # every term is the vacuous 1 at q = 1 (Hoeffding's under side needs
+    # pq > 1), which is why q_at_confidence's bisection can start at q = 1
+    kinds = default_inequalities(method, with_hoeffding)
+    result = evaluate_confidence(method, p, k, 1.0, n=k + extra, inequalities=kinds)
+    assert result.confidence == 0.0
+
+
+def test_q_at_confidence_evaluations(monkeypatch):
+    # the bisection starts at q = 1 without evaluating the bound there
+    seen = []
+    real = solver_module.evaluate_confidence
+
+    def counting(method, p, k, q, **kwargs):
+        seen.append(q)
+        return real(method, p, k, q, **kwargs)
+
+    monkeypatch.setattr(solver_module, "evaluate_confidence", counting)
+    answer = q_at_confidence(WR, 0.01, 1000, 0.9)
+    assert seen[0] == 10**6 and 1.0 not in seen
+    assert _conf_wr(0.01, 1000, answer) >= 0.9

@@ -167,3 +167,25 @@ def test_hs_approaches_classical_hoeffding_for_huge_n():
             eps = p * (q - 1.0) if side is Side.OVER else p * (1.0 - 1.0 / q)
             classical = min(1.0, math.exp(-2.0 * k * eps * eps))
             assert hoeffding_serfling_term(p, k, n, q, side) == pytest.approx(classical, rel=1e-6)
+
+
+@given(st.integers(min_value=3, max_value=10**18), st.data())
+@settings(max_examples=300)
+def test_rho_is_one_rounding_of_the_exact_ratio(n, data):
+    # for 2k > n, rho = (n - k)(k + 1) / (n k) is formed in integers, so it
+    # keeps full precision where 1 - k/n cancels (n - k tiny against n)
+    k = data.draw(st.integers(min_value=n // 2 + 1, max_value=n - 1) | st.just(n - 1))
+    rho, zeta = oracles.serfling_rho_zeta(k, n)
+    coeffs = serfling_coefficients(k, n)
+    assert coeffs.rho == pytest.approx(float(rho), rel=2.3e-16, abs=0)
+    assert coeffs.zeta == pytest.approx(float(zeta), rel=1e-15, abs=0)
+
+
+def test_rho_at_k_n_minus_one_past_2_53():
+    n = 10**17
+    rho, zeta = oracles.serfling_rho_zeta(n - 1, n)
+    coeffs = serfling_coefficients(n - 1, n)  # rho = 1 / (n - 1)
+    assert coeffs.rho == pytest.approx(float(rho), rel=2.3e-16, abs=0) and coeffs.rho > 0.0
+    assert coeffs.zeta == pytest.approx(float(zeta), rel=1e-15, abs=0)
+    result = confidence_wor(0.5, n - 1, n, 2.0)
+    assert result.confidence == 1.0
