@@ -21,7 +21,6 @@ from .model import (
     PopulationSpec,
     SampleDesign,
     SamplingMethod,
-    population_variance,
     q_error,
     validate_design,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "min_sample_size",
     "parse_grid_file",
     "parse_predicate",
-    "population_variance",
     "q_at_confidence",
     "q_error",
     "run_simulation",

@@ -5,27 +5,34 @@ binomial (with replacement) or hypergeometric (without replacement)
 hit-count distribution. The estimator convention lives here and only
 here: a sample with hit count x estimates n * x / k.
 
-Probability masses are evaluated through log-gamma (factorial tables are
-useless at n = 1e9), summed walking outward from the distribution mode,
-truncated once terms drop below 1e-30 relative to the peak, and
-accumulated with compensated summation. When the admissible region holds
-more than half the mass the complement is summed instead, so results
-near 1 keep absolute accuracy comparable to the tail mass itself.
+Each answer takes one pass over one window of hit counts around the
+mean, sized from the standard deviation and doubled only while an edge
+still carries more than 1e-30 of the peak. The log pmf on the window
+comes from the ratio of successive masses, an exact-integer fraction
+rounded once per factor, summed outward from the mode and normalized
+over the window, so no term of size n ln n ever cancels (Loader 2000,
+"Fast and Accurate Computation of Binomial Probabilities"). The inside
+sum is read from that array; when it holds more than half the mass the
+two excluded tails are read from the same array instead, so results
+near 1 keep absolute accuracy comparable to the tail mass itself. The
+integer factors are int64, so n and k must stay below 2**63, and a window
+wider than MAX_WINDOW hit counts is refused rather than allocated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_point, q_error
 
-_REL_CUTOFF_LOG = math.log(1e-30)
-_CHUNK = 4096
+_REL_CUTOFF = 1e-30
+# The first window spans the mean +- (_SPREAD standard deviations + _MARGIN).
+_SPREAD = 12.0
+_MARGIN = 40
+MAX_WINDOW = 1 << 21  # hit counts in one window; ~64 MB of numpy arrays at the limit
 
 
 def estimate_from_hits(n: int, k: int, hits: float):
@@ -91,37 +98,55 @@ def admissible_range(n: int, c: int, k: int, q: float) -> AdmissibleRange:
     return AdmissibleRange(lo, hi)
 
 
-def binom_logpmf(xs: np.ndarray, k: int, p: float) -> np.ndarray:
-    """log P(Binomial(k, p) = xs) via log-gamma; needs 0 < p < 1."""
-    return (
-        gammaln(k + 1)
-        - gammaln(xs + 1.0)
-        - gammaln(k - xs + 1.0)
-        + xs * math.log(p)
-        + (k - xs) * math.log1p(-p)
-    )
+def binom_logpmf(xs: np.ndarray, n: int, c: int, k: int) -> np.ndarray:
+    """log P(Binomial(k, c/n) = x | x in xs) on a contiguous run xs of hit
+    counts inside [0, k], for 0 < c < n and k < 2**63. Over the support
+    this is the log pmf itself."""
+    x = np.asarray(xs, dtype=np.int64)[:-1]
+    ratio = (k - x).astype(np.float64)
+    ratio /= x + 1
+    ratio *= c / (n - c)
+    return _normalized(ratio)
 
 
 def hypergeom_logpmf(xs: np.ndarray, n: int, c: int, k: int) -> np.ndarray:
-    """log P(Hypergeometric(n, c, k) = xs) via log-gamma, for xs inside the
-    support [max(0, k-(n-c)), min(k, c)]."""
-    return (
-        gammaln(k + 1)
-        + gammaln(n - k + 1)
-        - gammaln(n + 1)
-        + gammaln(c + 1.0)
-        - gammaln(xs + 1.0)
-        - gammaln(c - xs + 1.0)
-        + gammaln(n - c + 1.0)
-        - gammaln(k - xs + 1.0)
-        - gammaln(n - c - k + xs + 1.0)
-    )
+    """log P(Hypergeometric(n, c, k) = x | x in xs) on a contiguous run xs
+    of hit counts inside [max(0, k-(n-c)), min(k, c)], for n < 2**63. Over
+    the whole support this is the log pmf itself."""
+    x = np.asarray(xs, dtype=np.int64)[:-1]
+    ratio = (c - x).astype(np.float64)
+    ratio *= k - x
+    ratio /= np.multiply(x + 1, (n - c - k + 1) + x, dtype=np.float64)
+    return _normalized(ratio)
+
+
+def _normalized(ratio: np.ndarray) -> np.ndarray:
+    """Log masses of a run of hit counts from the ratios pmf(x+1)/pmf(x)
+    of its neighbours (overwritten), normalized over the run.
+
+    Each ratio is a fraction of integers, each rounded once, and rounding
+    is monotone, so the ratios still fall along the run: the mode is the
+    first point past the ratios above 1, and its log mass 0 is the
+    maximum. Partial sums start there, so they stay small where the mass
+    is.
+    """
+    log_ratio = np.log(ratio, out=ratio)
+    mode = int(np.count_nonzero(log_ratio > 0.0))
+    out = np.empty(log_ratio.size + 1)
+    out[mode] = 0.0
+    np.cumsum(log_ratio[mode:], out=out[mode + 1:])
+    np.negative(log_ratio[:mode], out=out[:mode])
+    np.cumsum(out[:mode][::-1], out=out[:mode][::-1])
+    out -= math.log(np.exp(out).sum())
+    return out
 
 
 def exact_confidence(pop: PopulationSpec, design: SampleDesign, q: float) -> float:
     """P(Q-error <= q) summed exactly over the hit-count distribution."""
     _check_point(design.method, None, design.k, q, pop.n)
     n, c, k = pop.n, pop.cardinality, design.k
+    if max(n, k) >= 2**63:
+        raise ValueError(f"exact tail sums need n and k below 2**63, got n={n}, k={k}")
     rng = admissible_range(n, c, k, q)
     if rng.empty:
         return 0.0
@@ -131,67 +156,34 @@ def exact_confidence(pop: PopulationSpec, design: SampleDesign, q: float) -> flo
     if c == n:
         return 1.0 if k in rng else 0.0
 
+    variance = k * (c / n) * ((n - c) / n)
     if design.method is SamplingMethod.WITH_REPLACEMENT:
-        p = c / n
-
-        def logpmf(xs: np.ndarray) -> np.ndarray:
-            return binom_logpmf(xs, k, p)
-
-        support_lo, support_hi = 0, k
-        mode = math.floor((k + 1) * p)
+        logpmf, support_lo, support_hi = binom_logpmf, 0, k
     else:
+        logpmf, support_lo, support_hi = hypergeom_logpmf, max(0, k - (n - c)), min(k, c)
+        variance *= (n - k) / (n - 1)
 
-        def logpmf(xs: np.ndarray) -> np.ndarray:
-            return hypergeom_logpmf(xs, n, c, k)
+    mean = k * c // n
+    half = math.ceil(_SPREAD * math.sqrt(variance)) + _MARGIN
+    while True:
+        a, b = max(support_lo, mean - half), min(support_hi, mean + half)
+        if b - a >= MAX_WINDOW:
+            raise ValueError(
+                f"exact tail sum needs {b - a + 1} hit counts, more than {MAX_WINDOW}"
+            )
+        pmf = np.exp(logpmf(np.arange(a, b + 1, dtype=np.int64), n, c, k))
+        floor = _REL_CUTOFF * pmf.max()
+        if (a == support_lo or pmf[0] < floor) and (b == support_hi or pmf[-1] < floor):
+            break
+        half *= 2
 
-        support_lo = max(0, k - (n - c))
-        support_hi = min(k, c)
-        mode = math.floor((k + 1) * (c + 1) / (n + 2))
-
-    lo = max(rng.lo, support_lo)
-    hi = min(rng.hi, support_hi)
-    if lo > hi:
-        return 0.0
-
-    inside = _sum_unimodal(logpmf, lo, hi, mode)
+    # positions of the admissible range in the window, clipped to it
+    start = min(max(rng.lo - a, 0), pmf.size)
+    stop = min(max(rng.hi + 1 - a, 0), pmf.size)
+    inside = float(pmf[start:stop].sum())
     if inside <= 0.5:
         return min(1.0, inside)
     # Near 1, sum the two excluded tails instead: their relative error does
     # not get amplified by the cancellation in 1 - (big sum).
-    below = _sum_unimodal(logpmf, support_lo, lo - 1, mode) if lo > support_lo else 0.0
-    above = _sum_unimodal(logpmf, hi + 1, support_hi, mode) if hi < support_hi else 0.0
-    return min(1.0, max(0.0, 1.0 - below - above))
-
-
-def _sum_unimodal(
-    logpmf: Callable[[np.ndarray], np.ndarray], lo: int, hi: int, mode: int
-) -> float:
-    """Sum exp(logpmf) over [lo, hi], walking outward from the mode.
-
-    The pmf is unimodal, so once a chunk edge falls below the relative
-    cutoff the remaining direction is negligible.
-    """
-    if lo > hi:
-        return 0.0
-    start = min(max(mode, lo), hi)
-    peak_log = float(logpmf(np.array([start], dtype=np.float64))[0])
-    cutoff = peak_log + _REL_CUTOFF_LOG
-
-    values: list[float] = []
-    x = start
-    while x <= hi:
-        top = min(hi, x + _CHUNK - 1)
-        lp = logpmf(np.arange(x, top + 1, dtype=np.float64))
-        values.extend(np.exp(lp).tolist())
-        if lp[-1] < cutoff:
-            break
-        x = top + 1
-    x = start - 1
-    while x >= lo:
-        bottom = max(lo, x - _CHUNK + 1)
-        lp = logpmf(np.arange(bottom, x + 1, dtype=np.float64))
-        values.extend(np.exp(lp).tolist())
-        if lp[0] < cutoff:
-            break
-        x = bottom - 1
-    return math.fsum(values)
+    outside = float(pmf[:start].sum()) + float(pmf[stop:].sum())
+    return min(1.0, max(0.0, 1.0 - outside))

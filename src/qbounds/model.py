@@ -100,10 +100,3 @@ def q_error(est: float, truth: float) -> float:
     e = max(float(est), 1.0)
     t = max(float(truth), 1.0)
     return max(t / e, e / t)
-
-
-def population_variance(p: float) -> float:
-    """Variance p(1-p) of the per-row Bernoulli indicator."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"selectivity must be in [0, 1], got {p}")
-    return p * (1.0 - p)

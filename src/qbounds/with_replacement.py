@@ -17,7 +17,6 @@ from .terms import (
     DEFAULT_WR_KINDS,
     WITH_REPLACEMENT_KINDS,
     BoundResult,
-    BoundTerm,
     InequalityKind,
     Side,
     _check_kinds,
@@ -103,15 +102,15 @@ def bernstein_term(p: float, k: int, q: float, side: Side) -> float:
     return _term(InequalityKind.BERNSTEIN, p, k, q, side)
 
 
-def hoeffding_term(p: float, k: int, q: float, side: Side) -> BoundTerm:
-    """Hoeffding tail term; the under side exists only when pq > 1.
+def hoeffding_term(p: float, k: int, q: float, side: Side) -> float:
+    """Hoeffding tail term; the under side exists only when pq > 1 and is
+    NaN (not applicable) otherwise.
 
     Over:  exp(-2 p^2 (q-1)^2 k)
     Under: exp(-2 k (pq-1)^2 / q^2), derived from the loosened event
            "hit count <= k/q", hence the pq > 1 applicability gate.
     """
-    value = _term(InequalityKind.HOEFFDING, p, k, q, side)
-    return BoundTerm(InequalityKind.HOEFFDING, side, value, value == value)
+    return _term(InequalityKind.HOEFFDING, p, k, q, side)
 
 
 def confidence_wr(

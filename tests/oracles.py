@@ -4,7 +4,7 @@ Everything here recomputes the closed forms with mpmath (50 digits) or by
 brute-force enumeration, deliberately avoiding the library's own code
 paths: the direct power forms instead of log-space assembly, the raw
 minus-square-root expression instead of the rationalized one, plain
-combinatorial sums instead of the outward-walk summation. The CSV loader
+combinatorial sums instead of the pmf-ratio window. The CSV loader
 is pinned by its original per-cell parser.
 """
 
@@ -13,6 +13,12 @@ import re
 import mpmath as mp
 
 mp.mp.dps = 50
+
+
+def workdps(n):
+    """Working precision for pmfs of a table of n rows: their log-gamma
+    terms have size n ln n, so precision grows with the digits of n."""
+    return mp.workdps(max(50, 30 + 2 * len(str(n))))
 
 
 def chernoff(p, k, q, side):

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +134,56 @@ def test_exact_subcommand(capsys):
     assert payload["result"]["exact_confidence"] == pytest.approx(0.8625113734390672, rel=1e-9)
     assert payload["result"]["admissible_lo"] == 3
     assert payload["result"]["admissible_hi"] == 10
+
+
+@pytest.mark.parametrize("argv", [
+    # c/n rounds to 1.0: the odds c/(n-c) come from the integers instead
+    "--method wr --rows 1000000000000000000 --cardinality 999999999999999997 "
+    "--k 100000000000000000 --q 1.5",
+    "--method wr --rows 1000000000000000000 --cardinality 999999999999999000 "
+    "--k 1000000000000000 --q 1.0000000000001",
+    # the admissible range [2392877, 5298173] reaches 700 sd either side of the mean
+    "--method wor --rows 149533246083845 --cardinality 38405147510443 --k 13863459 --q 1.488",
+])
+def test_exact_at_huge_n(capsys, argv):
+    assert run(["exact"] + argv.split()) == 0
+    assert _text_result(capsys)["exact_confidence"] == "1.0"
+
+
+def test_exact_refusals_are_domain_errors(capsys):
+    for argv in (
+        "--method wr --rows 10000000000000000000 --cardinality 5 --k 10 --q 2",
+        "--method wor --rows 10000000000000 --cardinality 5000000000000 --k 1000000000000 --q 2",
+    ):
+        assert run(["exact"] + argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_runs_without_scipy():
+    # scipy is a test dependency only: the library and the CLI must not need it
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "try:",
+        "    import scipy",
+        "except ImportError:",
+        "    pass",
+        "else:",
+        "    raise SystemExit('scipy still importable')",
+        "import qbounds",
+        "from qbounds.cli import run",
+        "assert run(['exact', '--method', 'wor', '--cardinality', '5000', '--rows', '1000000',",
+        "            '--k', '1000', '--q', '2']) == 0",
+        "assert run(['table1']) == 0",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("exact_confidence 0.86268225720610")
+    assert "c,p," in done.stdout
 
 
 def test_simulate_subcommand_deterministic(capsys):

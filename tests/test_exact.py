@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.stats
@@ -17,7 +18,8 @@ from qbounds import (
     estimate_from_hits,
     exact_confidence,
 )
-from qbounds.exact import hypergeom_logpmf
+from qbounds import exact
+from qbounds.exact import MAX_WINDOW, hypergeom_logpmf
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -80,9 +82,7 @@ def test_exact_confidence_frozen_values():
     wr = exact_confidence(pop, SampleDesign(method=WR, k=1000), 2.0)
     wor = exact_confidence(pop, SampleDesign(method=WOR, k=1000), 2.0)
     assert wr == pytest.approx(EXACT_WR_5K, rel=1e-12)
-    # hypergeometric log-gamma noise at n = 1e6 dominates; see the
-    # small-n normalization test for the tight accuracy check
-    assert wor == pytest.approx(EXACT_WOR_5K, rel=1e-8)
+    assert wor == pytest.approx(EXACT_WOR_5K, rel=1e-12)
 
 
 def test_exact_confidence_trivial_cases():
@@ -140,6 +140,106 @@ def test_exact_matches_scipy_at_large_scale():
         wor = exact_confidence(pop, SampleDesign(method=WOR, k=k), q)
         want_wor = scipy.stats.hypergeom.cdf(r.hi, n, c, k) - scipy.stats.hypergeom.cdf(r.lo - 1, n, c, k)
         assert wor == pytest.approx(want_wor, rel=1e-5, abs=1e-9)
+        assert wr == pytest.approx(_mp_exact(WR, n, c, k, r), rel=1e-12)
+        assert wor == pytest.approx(_mp_exact(WOR, n, c, k, r), rel=1e-12)
+
+
+def _mp_exact(method, n, c, k, r):
+    """The exact probability of range r by brute mpmath summation, with
+    working precision raised with n so the log-size terms keep their digits."""
+    with oracles.workdps(n):
+        if method is WR:
+            return oracles.binom_sum(k, mp.mpf(c) / n, r.lo, r.hi)
+        return oracles.hypergeom_sum(n, c, k, r.lo, r.hi)
+
+
+# Points where a pmf formed from log-gamma terms of size n ln n loses its
+# digits to cancellation (rel 3e-7 and 3e-6 at n = 1e9, 7e-3 at 1e12, all at 1e15).
+@pytest.mark.parametrize("method, n, c, k, q", [
+    (WR, 10**12, 10**9, 10**9, 1.0001),
+    (WOR, 10**9, 10**6, 10**5, 1.05),
+    (WOR, 10**12, 10**8, 10**6, 1.01),
+    (WOR, 10**15, 10**12, 10**7, 1.01),
+])
+def test_exact_matches_mpmath_at_huge_scale(method, n, c, k, q):
+    r = admissible_range(n, c, k, q)
+    got = exact_confidence(PopulationSpec(n=n, cardinality=c), SampleDesign(method=method, k=k), q)
+    assert got == pytest.approx(_mp_exact(method, n, c, k, r), rel=1e-12)
+
+
+@given(
+    st.integers(min_value=10**10, max_value=10**17),
+    st.floats(min_value=-6.0, max_value=-0.3),
+    st.integers(min_value=1, max_value=10**7),
+    st.floats(min_value=1.0, max_value=10.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_bound_never_exceeds_exact_at_huge_n(n, log_p, k, q):
+    c = max(1, round(10.0**log_p * n))
+    exact_wor = exact_confidence(PopulationSpec(n=n, cardinality=c), SampleDesign(method=WOR, k=k), q)
+    assert confidence_wor(c / n, k, n, q).confidence <= exact_wor + 1e-12
+
+
+@given(
+    st.integers(min_value=10**10, max_value=2**63 - 1),
+    st.integers(min_value=1, max_value=10**4),
+    st.floats(min_value=-12.0, max_value=1.0),
+    st.floats(min_value=1.0, max_value=10.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_bound_never_exceeds_exact_near_p_one(n, misses, log_k_over_n, q):
+    # c/n rounds to 1.0 past n = 2**53, where log1p(-p) used to fail;
+    # k <= 10 n keeps the expected misses, so the window, small
+    c = n - misses
+    k = min(max(1, round(10.0**log_k_over_n * n)), 2**63 - 1)
+    exact_wr = exact_confidence(PopulationSpec(n=n, cardinality=c), SampleDesign(method=WR, k=k), q)
+    assert confidence_wr(c / n, k, q).confidence <= exact_wr + 1e-12
+
+
+def test_exact_evaluates_one_window():
+    counts = {"binom_logpmf": 0, "hypergeom_logpmf": 0}
+
+    def counted(name):
+        original = getattr(exact, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+
+    points = [(10**6, 5000, 1000, 2.0), (10**9, 10**6, 10**5, 1.05), (10**6, 5000, 10**4, 3.0),
+              (10**15, 10**12, 10**7, 1.01), (40, 12, 7, 1.8)]
+    with pytest.MonkeyPatch.context() as patch:
+        for name in counts:
+            patch.setattr(exact, name, counted(name))
+        for n, c, k, q in points:
+            for method in (WR, WOR):
+                exact_confidence(PopulationSpec(n=n, cardinality=c), SampleDesign(method=method, k=k), q)
+    assert counts == {"binom_logpmf": len(points), "hypergeom_logpmf": len(points)}
+
+
+def test_exact_refuses_a_window_past_the_limit():
+    # sd = 5e5 hit counts: the window would be ~1.2e7 wide, far past
+    # MAX_WINDOW, and is refused before any array is allocated
+    n, c, k = 10**13, 5 * 10**12, 10**12
+    assert 24 * math.sqrt(k * (c / n) * (1 - c / n)) > MAX_WINDOW
+    pop = PopulationSpec(n=n, cardinality=c)
+    for method in (WR, WOR):
+        with pytest.raises(ValueError, match="hit counts"):
+            exact_confidence(pop, SampleDesign(method=method, k=k), 2.0)
+
+
+def test_exact_refuses_tables_past_int64():
+    pop = PopulationSpec(n=2**63, cardinality=2**62)
+    for method in (WR, WOR):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            exact_confidence(pop, SampleDesign(method=method, k=10), 2.0)
+    # with replacement k may pass n, and is held to the same limit
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        exact_confidence(PopulationSpec(n=10, cardinality=10), SampleDesign(method=WR, k=2**63), 2.0)
+    # the last table size the integer factors hold
+    pop = PopulationSpec(n=2**63 - 1, cardinality=2**62)
+    assert 0.0 < exact_confidence(pop, SampleDesign(method=WOR, k=1000), 1.2) < 1.0
 
 
 @given(
@@ -213,4 +313,4 @@ def test_exact_brute_force_tiny_population():
     want_wr = float(oracles.binom_sum(k, c / n, r.lo, r.hi))
     want_wor = float(oracles.hypergeom_sum(n, c, k, r.lo, r.hi))
     assert exact_confidence(pop, SampleDesign(method=WR, k=k), q) == pytest.approx(want_wr, rel=1e-12)
-    assert exact_confidence(pop, SampleDesign(method=WOR, k=k), q) == pytest.approx(want_wor, rel=1e-11)
+    assert exact_confidence(pop, SampleDesign(method=WOR, k=k), q) == pytest.approx(want_wor, rel=1e-12)

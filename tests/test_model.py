@@ -14,7 +14,6 @@ from qbounds import (
     admissible_range,
     evaluate_confidence,
     exact_confidence,
-    population_variance,
     q_error,
     validate_design,
 )
@@ -42,20 +41,6 @@ def test_selectivity_examples():
     assert PopulationSpec(n=1_000_000, cardinality=5000).p == 0.005
     assert PopulationSpec(n=10, cardinality=0).p == 0.0
     assert PopulationSpec(n=7, cardinality=7).p == 1.0
-
-
-def test_population_variance_examples():
-    assert population_variance(0.5) == 0.25
-    assert population_variance(0.0) == 0.0
-    assert population_variance(1.0) == 0.0
-    assert population_variance(0.005) == pytest.approx(0.004975, rel=1e-12)
-
-
-def test_population_variance_domain():
-    with pytest.raises(ValueError):
-        population_variance(-0.01)
-    with pytest.raises(ValueError):
-        population_variance(1.01)
 
 
 def test_population_spec_invariants():
@@ -114,12 +99,6 @@ def test_q_error_scale_covariant_above_clamp(est, truth, c):
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_q_error_at_least_one(p):
     assert q_error(p * 100, (1 - p) * 100) >= 1.0
-
-
-@given(st.floats(min_value=0.0, max_value=1.0))
-def test_population_variance_symmetric(p):
-    assert population_variance(p) == pytest.approx(population_variance(1.0 - p), abs=1e-15)
-    assert 0.0 <= population_variance(p) <= 0.25
 
 
 _EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]

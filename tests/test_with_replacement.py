@@ -54,20 +54,14 @@ def test_bernstein_frozen_values():
 
 
 def test_hoeffding_frozen_values():
-    over = hoeffding_term(0.1667, 100, 2.0, Side.OVER)
-    assert over.applicable
-    assert over.probability == pytest.approx(0.0038573378870582698, rel=1e-12)
-    under = hoeffding_term(0.6, 100, 2.0, Side.UNDER)
-    assert under.applicable
-    assert under.probability == pytest.approx(0.13533528323661281, rel=1e-12)
+    assert hoeffding_term(0.1667, 100, 2.0, Side.OVER) == pytest.approx(0.0038573378870582698, rel=1e-12)
+    assert hoeffding_term(0.6, 100, 2.0, Side.UNDER) == pytest.approx(0.13533528323661281, rel=1e-12)
 
 
 def test_hoeffding_under_inapplicable_when_pq_small():
-    term = hoeffding_term(0.3, 100, 2.0, Side.UNDER)  # pq = 0.6
-    assert not term.applicable
-    assert math.isnan(term.probability)
-    boundary = hoeffding_term(0.5, 100, 2.0, Side.UNDER)  # pq = 1 exactly
-    assert not boundary.applicable
+    assert math.isnan(hoeffding_term(0.3, 100, 2.0, Side.UNDER))  # pq = 0.6
+    assert math.isnan(hoeffding_term(0.5, 100, 2.0, Side.UNDER))  # pq = 1 exactly
+    assert not math.isnan(hoeffding_term(0.3, 100, 2.0, Side.OVER))
 
 
 def test_confidence_wr_table_cells():
@@ -120,8 +114,7 @@ def test_terms_stay_in_unit_interval(p, k, q):
         assert 0.0 <= chernoff_term(p, k, q, side) <= 1.0
         assert 0.0 <= bernstein_term(p, k, q, side) <= 1.0
         term = hoeffding_term(p, k, q, side)
-        if term.applicable:
-            assert 0.0 <= term.probability <= 1.0
+        assert 0.0 <= term <= 1.0 or (side is Side.UNDER and math.isnan(term))
 
 
 @given(ps, ks, qs, qs)
