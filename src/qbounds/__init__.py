@@ -35,7 +35,6 @@ from .with_replacement import (
     hoeffding_term,
 )
 from .without_replacement import (
-    SerflingCoefficients,
     bernstein_serfling_term,
     confidence_wor,
     hoeffding_serfling_term,
@@ -56,7 +55,6 @@ __all__ = [
     "RNG_SCHEME",
     "SampleDesign",
     "SamplingMethod",
-    "SerflingCoefficients",
     "Side",
     "SimulationConfig",
     "SimulationSummary",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -48,10 +49,8 @@ def _add_format(parser) -> None:
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
 
-def _add_population(parser, integers_only: bool = False) -> None:
-    if not integers_only:
-        parser.add_argument("--p", type=float, default=None,
-                            help="selectivity in [0, 1]")
+def _add_population(parser) -> None:
+    parser.add_argument("--p", type=float, default=None, help="selectivity in [0, 1]")
     parser.add_argument("--cardinality", type=int, default=None,
                         help="rows satisfying the predicate")
     parser.add_argument("--rows", type=int, default=None,
@@ -59,7 +58,7 @@ def _add_population(parser, integers_only: bool = False) -> None:
 
 
 def _resolve_population(args) -> tuple[float, Optional[int]]:
-    p_given = getattr(args, "p", None)
+    p_given = args.p
     c_given = args.cardinality
     n_given = args.rows
     if p_given is not None and c_given is not None:
@@ -93,8 +92,8 @@ def _emit(args, query: dict, result: dict, terms: Sequence[BoundTerm] = ()) -> N
                 {
                     "inequality": t.inequality.value,
                     "side": t.side.value,
-                    "probability": t.probability if t.applicable else None,
-                    "applicable": t.applicable,
+                    "probability": None if math.isnan(t.probability) else t.probability,
+                    "applicable": not math.isnan(t.probability),
                 }
                 for t in terms
             ],

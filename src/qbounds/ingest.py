@@ -16,7 +16,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -30,6 +30,7 @@ from .model import (
     q_error,
     validate_design,
 )
+from .simulate import _check_seed, block_generator
 from .solver import Unreachable, q_at_confidence
 
 
@@ -62,6 +63,10 @@ class TableData:
     columns: list[str]
     types: list[ColumnType]
     data: list[np.ndarray]
+    # text column i -> (codes, distinct) with data[i] == distinct[codes]:
+    # = and != compare the integer codes, not one Python string per row
+    codes: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -79,11 +84,11 @@ class LoadOptions:
     type_hints: Optional[dict[str, ColumnType]] = None
 
 
-def _infer_column(cells: list[str]) -> tuple[ColumnType, np.ndarray]:
+def _infer_column(cells: list[str]) -> tuple[ColumnType, Optional[np.ndarray]]:
     """Integer if every stripped cell is `[+-]?\\d+`, else real if every
     cell is a number, else text. numpy parses a cell as int() or float()
     does; of their grammar only the `_` separator goes beyond this rule,
-    and ids such as `1_0` stay text."""
+    and ids such as `1_0` stay text (values None: load_table encodes it)."""
     if "_" not in "".join(cells):
         try:
             return ColumnType.INTEGER, _integer_array(cells)
@@ -93,7 +98,7 @@ def _infer_column(cells: list[str]) -> tuple[ColumnType, np.ndarray]:
             return ColumnType.REAL, _real_array(cells)
         except ValueError:
             pass
-    return ColumnType.TEXT, np.array(cells, dtype=object)
+    return ColumnType.TEXT, None
 
 
 def _integer_array(cells: list[str]) -> np.ndarray:
@@ -152,11 +157,12 @@ def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
     hints = options.type_hints or {}
     types: list[ColumnType] = []
     data: list[np.ndarray] = []
+    codes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for i, name in enumerate(columns):
         cells = [row[i].strip() for row in rows]
         hint = hints.get(name)
         if hint is ColumnType.TEXT:
-            col_type, values = ColumnType.TEXT, np.array(cells, dtype=object)
+            col_type, values = ColumnType.TEXT, None
         else:
             col_type, values = _infer_column(cells)
         if col_type is ColumnType.TEXT and hint in (ColumnType.INTEGER, ColumnType.REAL):
@@ -170,21 +176,20 @@ def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
             )
         if col_type is ColumnType.INTEGER and hint is ColumnType.REAL:
             col_type, values = ColumnType.REAL, _real_array(cells)
+        if col_type is ColumnType.TEXT:  # equal cells share one str object
+            distinct = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
+            codes[i] = (np.fromiter(map(distinct.__getitem__, cells), np.intp, len(cells)),
+                        np.array(list(distinct), dtype=object))
+            values = codes[i][1][codes[i][0]]
         types.append(col_type)
         data.append(values)
-    return TableData(columns=columns, types=types, data=data)
+    return TableData(columns=columns, types=types, data=data, codes=codes)
 
 
 # Predicate language ---------------------------------------------------------
 
-_OPS: dict[str, Callable] = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+_OPS: dict[str, Callable] = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _TEXT_OPS = frozenset({"=", "!="})
 
 
@@ -337,7 +342,11 @@ def _predicate_mask(table: TableData, compiled) -> np.ndarray:
     """Boolean mask of the rows that satisfy every bound atom."""
     mask = np.ones(table.n, dtype=bool)
     for index, op, literal in compiled:
-        mask &= op(table.data[index], literal)
+        column = table.data[index]
+        if index in table.codes:  # op is = or !=; -1 codes a literal no row holds
+            column, distinct = table.codes[index]
+            literal = next(iter(np.flatnonzero(distinct == literal)), -1)
+        mask &= op(column, literal)
     return mask
 
 
@@ -347,20 +356,14 @@ def true_cardinality(table: TableData, predicate: Predicate) -> int:
 
 
 def sample_indices(n: int, design: SampleDesign, rng: np.random.Generator) -> np.ndarray:
-    """Row indices per the design. Without replacement uses a partial
-    Fisher-Yates over index space: exact uniformity, O(k) extra memory."""
+    """Row indices per the design, drawn from `rng`: with replacement k
+    independent uniform draws from range(n); without, a uniformly random
+    k-subset of range(n) in random order, from numpy's `Generator.choice`
+    (Floyd's algorithm for k <= n/50, a partial shuffle otherwise)."""
     k = design.k
     if design.method is SamplingMethod.WITH_REPLACEMENT:
         return rng.integers(0, n, size=k)
-    swaps = rng.integers(np.arange(k), n)
-    displaced: dict[int, int] = {}
-    out = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        j = int(swaps[i])
-        picked = displaced.get(j, j)
-        out[i] = picked
-        displaced[j] = displaced.get(i, i)
-    return out
+    return rng.choice(n, k, replace=False)
 
 
 @dataclass(frozen=True)
@@ -406,17 +409,20 @@ def estimate_with_bounds(
     scan (the bounds assume the ground truth is known) and the realized
     Q-error is reported. Passing assume_p suppresses the ground truth:
     only the estimate is reported and the bounds use the supplied p.
+
+    The rows come from `simulate.block_generator(seed, 0)`, so the seed
+    follows the simulation's rule: an integer in [0, 2**64).
     """
     n = table.n
-    pop_check = PopulationSpec(n=n, cardinality=0)
-    validate_design(pop_check, design)
+    validate_design(PopulationSpec(n=n, cardinality=0), design)
     if not qs and target_confidence is None:
         raise ValueError("need at least one q value or a target confidence")
     if assume_p is not None and not 0.0 <= assume_p <= 1.0:
         raise ValueError(f"assumed selectivity must be in [0, 1], got {assume_p}")
+    _check_seed(seed)
 
     mask = _predicate_mask(table, bind_predicate(table, predicate))
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = block_generator(seed, 0)
     hits = int(np.count_nonzero(mask[sample_indices(n, design, rng)]))
     est = estimate_from_hits(n, design.k, hits)
 
@@ -434,18 +440,11 @@ def estimate_with_bounds(
     per_q = []
     for q in qs:
         result = evaluate_confidence(design.method, p_used, design.k, q, n=n)
-        per_q.append(QConfidence(
-            q=q,
-            confidence=result.confidence,
-            omega=result.omega,
-            psi=result.psi,
-            degenerate=result.degenerate,
-        ))
+        per_q.append(QConfidence(q, result.confidence, result.omega, result.psi,
+                                 result.degenerate))
     q_at_target = None
     if target_confidence is not None and p_used > 0.0:
-        answer = q_at_confidence(
-            design.method, p_used, design.k, target_confidence, n=n
-        )
+        answer = q_at_confidence(design.method, p_used, design.k, target_confidence, n=n)
         if not isinstance(answer, Unreachable):
             q_at_target = float(answer)
     return EstimateReport(

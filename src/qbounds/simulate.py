@@ -3,7 +3,9 @@
 Trials are grouped into fixed-size blocks; block b draws from a Philox
 counter stream keyed by (seed, b), so results are bit-identical whether
 blocks run sequentially or in parallel and aggregation is a plain sum.
-The scheme identifier is exported for output metadata.
+The sampled estimate (`ingest.estimate_with_bounds`) draws its rows from
+block 0 of the same scheme, under the same seed rule. The scheme
+identifier is exported for output metadata.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .exact import admissible_range
 from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_point
 
-RNG_SCHEME = "philox4x64-block4096-v1"
+RNG_SCHEME = "philox4x64-block4096-v2"
 _BLOCK = 4096
 
 
@@ -34,8 +36,13 @@ class SimulationConfig:
         _check_point(self.design.method, None, self.design.k, self.q, self.pop.n)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    """The seed rule of every seeded draw: an unsigned 64-bit integer."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,6 @@ class BoundTerm:
     inequality: InequalityKind
     side: Side
     probability: float
-    applicable: bool = True
 
 
 @dataclass(frozen=True)
@@ -107,9 +106,8 @@ def _side_min(
     best = math.inf
     source = None
     for term in terms:
-        if term.side is not side or not term.applicable:
-            continue
-        if term.probability < best:
+        # an inapplicable term's NaN never compares below `best`
+        if term.side is side and term.probability < best:
             best = term.probability
             source = term.inequality
     if source is None:
@@ -144,6 +142,6 @@ def _select_terms(
     terms = []
     for kind, over, under in zip(order, values[::2], values[1::2]):
         if kind in kinds:
-            terms.append(BoundTerm(kind, Side.OVER, over, over == over))
-            terms.append(BoundTerm(kind, Side.UNDER, under, under == under))
+            terms.append(BoundTerm(kind, Side.OVER, over))
+            terms.append(BoundTerm(kind, Side.UNDER, under))
     return terms

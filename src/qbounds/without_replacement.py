@@ -8,7 +8,6 @@ and zeta, defined piecewise around k = n/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -30,18 +29,11 @@ from .terms import (
 _ORDER = (InequalityKind.HOEFFDING_SERFLING, InequalityKind.BERNSTEIN_SERFLING)
 
 
-@dataclass(frozen=True)
-class SerflingCoefficients:
-    rho: float
-    zeta: float
-
-
-def serfling_coefficients(k: int, n: int) -> SerflingCoefficients:
-    """Finite-population coefficients, branch chosen by the exact integer
-    comparison 2k <= n (ties take the first branch)."""
+def serfling_coefficients(k: int, n: int) -> tuple[float, float]:
+    """Finite-population coefficients (rho, zeta), branch chosen by the
+    exact integer comparison 2k <= n (ties take the first branch)."""
     _check_point(SamplingMethod.WITHOUT_REPLACEMENT, None, k, None, n)
-    rho, zeta = _coefficients(k, n)
-    return SerflingCoefficients(rho=rho, zeta=zeta)
+    return _coefficients(k, n)
 
 
 def _coefficients(k: int, n: int) -> tuple[float, float]:

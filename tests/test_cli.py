@@ -327,6 +327,18 @@ def test_estimate_assume_p(capsys, tmp_path):
     assert payload["result"]["realized_q_error"] is None
 
 
+@pytest.mark.parametrize("method", ["wr", "wor"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_estimate_seed_outside_rule_is_domain_error(capsys, tmp_path, method, seed):
+    table = tmp_path / "data.csv"
+    table.write_text("a\n" + "".join(f"{i}\n" for i in range(20)), encoding="utf-8")
+    assert run(["estimate", "--input", str(table), "--predicate", "a < 5",
+                "--method", method, "--k", "5", "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must be an unsigned 64-bit integer, got {seed}\n"
+
+
 def test_estimate_missing_input_is_io_error(capsys, tmp_path):
     code = run(["estimate", "--input", str(tmp_path / "nope.csv"),
                 "--predicate", "a = 1", "--method", "wr", "--k", "5"])

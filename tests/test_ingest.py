@@ -7,20 +7,24 @@ import tempfile
 import numpy as np
 import oracles
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbounds import (
     ColumnType,
     LoadOptions,
+    PopulationSpec,
     SampleDesign,
     SamplingMethod,
+    SimulationConfig,
     estimate_with_bounds,
     evaluate_confidence,
     load_table,
     parse_predicate,
     true_cardinality,
 )
+from qbounds.exact import hypergeom_logpmf
 from qbounds.ingest import (
     Atom,
     BindingError,
@@ -31,6 +35,7 @@ from qbounds.ingest import (
     sample_indices,
 )
 from qbounds import ingest
+from qbounds.simulate import block_generator
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -318,6 +323,23 @@ def test_numeric_comparisons_are_exact(tmp_path, cells, literals):
             assert true_cardinality(table, predicate) == want, (op, literal)
 
 
+@pytest.mark.parametrize("hint", [None, ColumnType.TEXT])
+def test_text_comparisons_match_per_row_strings(tmp_path, hint):
+    """= and != on a text column (compared through its integer codes) count
+    what per-row string comparison counts, for literals the column holds,
+    one it does not, the blank cell and case variants."""
+    cells = ["b_1", "a", "", "it's", "b_1", "é", "A", "a", "b_1", "10"]
+    path = _write(tmp_path, "t,u\n" + "".join(f"{cell},0\n" for cell in cells))
+    table = load_table(path, LoadOptions(type_hints={"t": hint} if hint else None))
+    assert table.types == [ColumnType.TEXT, ColumnType.INTEGER]
+    assert table.data[0].dtype == object and table.data[0].tolist() == cells
+    for literal in sorted(set(cells)) + ["absent", "B_1", "a "]:
+        for op in ("=", "!="):
+            predicate = Predicate(atoms=(Atom(column="t", op=op, literal=literal),))
+            want = sum(1 for cell in cells if _PY_OPS[op](cell, literal))
+            assert true_cardinality(table, predicate) == want, (op, literal)
+
+
 def test_float_literal_on_integer_column_at_2_53_plus_1(tmp_path):
     path = _write(tmp_path, f"v\n{2**53 + 1}\n{2**53}\n")
     table = load_table(path)
@@ -356,6 +378,52 @@ def test_sample_indices_full_population_without_replacement():
     rng = np.random.Generator(np.random.Philox(key=3))
     idx = sample_indices(50, SampleDesign(method=WOR, k=49), rng)
     assert len(set(idx.tolist())) == 49
+
+
+def _contiguous_block(n, design, rng):
+    """A sampler that is not uniform: k consecutive rows from a random start."""
+    start = rng.integers(0, n - design.k + 1)
+    return start + np.arange(design.k)
+
+
+def _ordered_pair_pvalue(sampler, draws=30_000):
+    """Chi-square tail probability of the ordered pairs that k = 2 rows
+    drawn from n = 6 yield; a uniform sampler gives each of the 30 pairs
+    probability 1/30."""
+    rng = block_generator(5, 0)
+    design = SampleDesign(method=WOR, k=2)
+    counts = np.zeros((6, 6), dtype=np.int64)
+    for _ in range(draws):
+        a, b = sampler(6, design, rng)
+        counts[a, b] += 1
+    return scipy.stats.chisquare(counts[~np.eye(6, dtype=bool)]).pvalue
+
+
+def _hit_count_pvalue(sampler, n, c, k, draws=20_000):
+    """Chi-square tail probability of the hit counts of k rows drawn from
+    n, of which the first c are hits, against the Hypergeometric(n, c, k)
+    pmf; bins expected to hold fewer than 10 draws are pooled into one."""
+    rng = block_generator(6, 0)
+    design = SampleDesign(method=WOR, k=k)
+    hits = [np.count_nonzero(sampler(n, design, rng) < c) for _ in range(draws)]
+    observed = np.bincount(hits, minlength=k + 1)
+    expected = draws * np.exp(hypergeom_logpmf(np.arange(k + 1), n, c, k))
+    sparse = expected < 10.0
+    observed = np.append(observed[~sparse], observed[sparse].sum())
+    expected = np.append(expected[~sparse], expected[sparse].sum())
+    return scipy.stats.chisquare(observed, expected * (draws / expected.sum())).pvalue
+
+
+@pytest.mark.parametrize("pvalue", [
+    _ordered_pair_pvalue,
+    # numpy draws k <= n/50 by Floyd's algorithm, larger k by a partial shuffle
+    lambda sampler: _hit_count_pvalue(sampler, n=1000, c=100, k=50),
+    lambda sampler: _hit_count_pvalue(sampler, n=20_000, c=2_000, k=1_000),
+], ids=["pairs", "hits_floyd", "hits_shuffle"])
+def test_sample_indices_without_replacement_is_uniform(pvalue):
+    assert pvalue(sample_indices) > 1e-9
+    # the same statistic rejects a sampler that is not uniform
+    assert pvalue(_contiguous_block) < 1e-9
 
 
 # Estimation ------------------------------------------------------------------
@@ -461,6 +529,35 @@ def test_estimate_with_bounds_checks_assume_p_first(small_table, monkeypatch, as
         with pytest.raises(ValueError, match="assumed selectivity"):
             estimate_with_bounds(small_table, parse_predicate(text),
                                  SampleDesign(method=WR, k=10), seed=0, assume_p=assume_p)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_estimate_with_bounds_checks_seed_first(small_table, monkeypatch, seed):
+    # the rule and message of the simulation's seed, checked before any
+    # scan or draw
+    with pytest.raises(ValueError) as simulated:
+        SimulationConfig(pop=PopulationSpec(n=1000, cardinality=200),
+                         design=SampleDesign(method=WR, k=10), q=2.0, trials=1, seed=seed)
+
+    def fail(*args):
+        raise AssertionError("sampled or scanned before the seed was checked")
+
+    monkeypatch.setattr(ingest, "sample_indices", fail)
+    monkeypatch.setattr(ingest, "_predicate_mask", fail)
+    for method in (WR, WOR):
+        for text in ("grp = 0", "missing = 1"):
+            with pytest.raises(ValueError) as estimated:
+                estimate_with_bounds(small_table, parse_predicate(text),
+                                     SampleDesign(method=method, k=10), seed=seed)
+            assert str(estimated.value) == str(simulated.value)
+
+
+def test_estimate_with_bounds_seed_edges(small_table):
+    pred = parse_predicate("grp = 0")
+    for seed in (0, 2**64 - 1):
+        report = estimate_with_bounds(small_table, pred, SampleDesign(method=WOR, k=10),
+                                      seed=seed)
+        assert report.seed == seed
 
 
 def test_estimate_hits_count_matches_manual_replay(small_table):

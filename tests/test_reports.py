@@ -328,9 +328,9 @@ def test_huge_q_terms_are_probabilities(q):
                 wor = kind in WITHOUT_REPLACEMENT_KINDS
                 on_grid = grid.terms[kind, side][int(wor), i]
                 if kind is InequalityKind.HOEFFDING and side is Side.UNDER and p * q <= 1.0:
-                    assert not term.applicable and math.isnan(on_grid)
+                    assert math.isnan(term.probability) and math.isnan(on_grid)
                     continue
-                assert term.applicable and 0.0 <= term.probability <= 1.0
+                assert 0.0 <= term.probability <= 1.0
                 assert on_grid == pytest.approx(term.probability, rel=1e-12, abs=1e-300)
                 args = (p, k, n, q, side.value) if wor else (p, k, q, side.value)
                 want = float(_ORACLES[kind](*args))
@@ -361,8 +361,7 @@ def _reference_record(record: dict, include_hoeffding: bool) -> dict:
     kinds = WITH_REPLACEMENT_KINDS if method is WR else WITHOUT_REPLACEMENT_KINDS
     full = evaluate_confidence(method, p, k, q, n=n, inequalities=kinds)
     for term in full.terms:
-        value = term.probability if term.applicable else math.nan
-        want[f"{term.inequality.value}_{term.side.value}"] = value
+        want[f"{term.inequality.value}_{term.side.value}"] = term.probability
     chosen = evaluate_confidence(
         method, p, k, q, n=n, inequalities=default_inequalities(method, include_hoeffding)
     )
