@@ -84,20 +84,21 @@ class LoadOptions:
     type_hints: Optional[dict[str, ColumnType]] = None
 
 
-def _infer_column(cells: list[str]) -> tuple[ColumnType, Optional[np.ndarray]]:
-    """Integer if every stripped cell is `[+-]?\\d+`, else real if every
-    cell is a number, else text. numpy parses a cell as int() or float()
-    does; of their grammar only the `_` separator goes beyond this rule,
-    and ids such as `1_0` stay text (values None: load_table encodes it)."""
-    if "_" not in "".join(cells):
-        try:
-            return ColumnType.INTEGER, _integer_array(cells)
-        except ValueError:
-            pass
-        try:
-            return ColumnType.REAL, _real_array(cells)
-        except ValueError:
-            pass
+def _infer_column(cells: list[str], real: bool = False) -> tuple[ColumnType, Optional[np.ndarray]]:
+    """Integer (unless `real`) if every stripped cell is `[+-]?\\d+`, else
+    real if every cell is a number, else text (values None). numpy parses
+    as int() and float() do, skipping what str.strip() drops but \\x1c-\\x1f;
+    of their grammar only `_` goes beyond this rule, so ids like `1_0` stay text."""
+    joined = "".join(cells)
+    if "_" not in joined:
+        if any(sep in joined for sep in "\x1c\x1d\x1e\x1f"):
+            cells = [cell.strip() for cell in cells]
+        for col_type, parse in ((ColumnType.INTEGER, _integer_array),
+                                (ColumnType.REAL, _real_array))[real:]:
+            try:
+                return col_type, parse(cells)
+            except ValueError:
+                pass
     return ColumnType.TEXT, None
 
 
@@ -111,16 +112,37 @@ def _integer_array(cells: list[str]) -> np.ndarray:
 def _real_array(cells: list[str]) -> np.ndarray:
     values = np.array(cells, dtype=np.float64)
     for j in np.flatnonzero((values == 0.0) & np.signbit(values)):
-        if cells[j].lstrip("+-").isdecimal():
+        if cells[j].strip().lstrip("+-").isdecimal():
             values[j] = 0.0  # an integer cell such as -0 is the integer 0
     return values
 
 
-def _line_no(records: list[list[str]], index: int) -> int:
+def _line_no(path: str, delimiter: str, index: int) -> int:
     """Line number of the index-th non-blank record; lines count csv
     records, blank ones included."""
-    nonblank = (line_no for line_no, row in enumerate(records, start=1) if row)
-    return next(itertools.islice(nonblank, index, None))
+    with open(path, newline="", encoding="utf-8") as handle:
+        records = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
+        return next(itertools.islice((no for no, row in records if row), index, None))
+
+
+def _cells(path: str, delimiter: str) -> Union[np.ndarray, list[list[str]]]:
+    """The raw cells of the non-blank records: a 2-d object array, or the
+    row lists if their lengths differ. numpy's C tokenizer splits a file
+    that has a cell and no `"` as csv.reader does (on a file of blank lines
+    it would warn); csv.reader reads the rest, RFC 4180 quotes included,
+    and a ragged file or bad UTF-8 again, for its line numbers and errors."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    if b'"' not in raw and re.search(rb"[^\r\n]", raw):
+        del raw  # free the bytes before numpy reads the file
+        try:
+            return np.loadtxt(path, dtype=object, delimiter=delimiter, comments=None,
+                              ndmin=2, encoding="utf-8")
+        except ValueError:
+            pass
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = [row for row in csv.reader(handle, delimiter=delimiter) if row]
+    return np.array(rows, dtype=object) if len({len(row) for row in rows}) < 2 else rows
 
 
 def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
@@ -130,55 +152,47 @@ def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
     blank) degrades the column to text, unless a numeric type hint turns
     that into a parse error instead. Duplicate header names are an error.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        records = list(csv.reader(handle, delimiter=options.delimiter))
-    rows = [row for row in records if row]  # a blank line is not a data row
+    cells = _cells(path, options.delimiter)  # a blank line is not a data row
     first = int(options.header)  # non-blank records before the first data row
     if options.header:
-        if not rows:
+        if not len(cells):
             raise TableParseError(f"{path}: empty file")
-        columns = [cell.strip() for cell in rows.pop(0)]
+        columns = [cell.strip() for cell in cells[0]]
         duplicates = [name for i, name in enumerate(columns) if name in columns[:i]]
         if duplicates:
-            raise TableParseError(
-                f"{path}: line {_line_no(records, 0)}: duplicate column name {duplicates[0]!r}"
-            )
-    if not rows:
+            raise TableParseError(f"{path}: line {_line_no(path, options.delimiter, 0)}: "
+                                  f"duplicate column name {duplicates[0]!r}")
+    if len(cells) <= first:
         raise TableParseError(f"{path}: no data rows")
     if not options.header:
-        columns = [f"col{i}" for i in range(len(rows[0]))]
+        columns = [f"col{i}" for i in range(len(cells[0]))]
 
     m = len(columns)
-    for j, row in enumerate(rows):
-        if len(row) != m:
-            raise TableParseError(f"{path}: line {_line_no(records, first + j)}: "
-                                  f"expected {m} fields, got {len(row)}")
+    if isinstance(cells, list):
+        j = next(j for j, row in enumerate(cells) if len(row) != m)
+        raise TableParseError(f"{path}: line {_line_no(path, options.delimiter, j)}: "
+                              f"expected {m} fields, got {len(cells[j])}")
 
     hints = options.type_hints or {}
     types: list[ColumnType] = []
     data: list[np.ndarray] = []
     codes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for i, name in enumerate(columns):
-        cells = [row[i].strip() for row in rows]
+        column = cells[first:, i].tolist()
         hint = hints.get(name)
-        if hint is ColumnType.TEXT:
-            col_type, values = ColumnType.TEXT, None
-        else:
-            col_type, values = _infer_column(cells)
+        col_type, values = ((ColumnType.TEXT, None) if hint is ColumnType.TEXT
+                            else _infer_column(column, real=hint is ColumnType.REAL))
         if col_type is ColumnType.TEXT and hint in (ColumnType.INTEGER, ColumnType.REAL):
-            bad = next(
-                j for j, cell in enumerate(cells)
-                if _infer_column([cell])[0] is ColumnType.TEXT
-            )
+            bad = next(j for j, cell in enumerate(column)
+                       if _infer_column([cell])[0] is ColumnType.TEXT)
             raise TableParseError(
-                f"{path}: line {_line_no(records, first + bad)}: column {name!r} "
-                f"is hinted {hint.value} but holds a non-numeric cell"
-            )
-        if col_type is ColumnType.INTEGER and hint is ColumnType.REAL:
-            col_type, values = ColumnType.REAL, _real_array(cells)
-        if col_type is ColumnType.TEXT:  # equal cells share one str object
-            distinct = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
-            codes[i] = (np.fromiter(map(distinct.__getitem__, cells), np.intp, len(cells)),
+                f"{path}: line {_line_no(path, options.delimiter, first + bad)}: column {name!r} "
+                f"is hinted {hint.value} but holds a non-numeric cell")
+        if col_type is ColumnType.TEXT:  # equal stripped cells share one str object
+            distinct: dict[str, int] = {}
+            raw = {cell: distinct.setdefault(cell.strip(), len(distinct))
+                   for cell in dict.fromkeys(column)}
+            codes[i] = (np.fromiter(map(raw.__getitem__, column), np.intp, len(column)),
                         np.array(list(distinct), dtype=object))
             values = codes[i][1][codes[i][0]]
         types.append(col_type)

@@ -22,7 +22,7 @@ import numpy as np
 from .confidence import default_inequalities, evaluate_confidence, evaluate_grid
 from .exact import exact_confidence
 from .model import PopulationSpec, SampleDesign, SamplingMethod
-from .simulate import SimulationConfig, run_simulation
+from .simulate import SimulationConfig, _check_seed, run_simulation
 from .terms import (
     DEFAULT_WOR_KINDS,
     DEFAULT_WR_KINDS,
@@ -261,8 +261,11 @@ def figure_series(
 
     Points that violate preconditions are emitted with a degenerate or
     invalid status instead of being dropped. The bound columns come from
-    one `evaluate_grid` call over the whole grid.
+    one `evaluate_grid` call over the whole grid. Point i of the
+    simulation draws under seed `(seed + 1_000_003 * i) % 2**64`, where
+    `seed` must itself be an unsigned 64-bit integer.
     """
+    _check_seed(seed)
     if spec.p is not None:
         sel = [(n, int(round(float(v) * n)), float(v)) for n in spec.n for v in spec.p]
     else:
@@ -374,7 +377,8 @@ def simulation_comparison(
 ) -> list[dict]:
     """Empirical success rate next to the exact probability and the
     theoretical bound for each point; `conservatism` is how far the bound
-    sits below what actually happens."""
+    sits below what actually happens. Seeds follow `figure_series`."""
+    _check_seed(seed)
     records = []
     for index, pt in enumerate(points):
         pop = PopulationSpec(n=pt.n, cardinality=pt.c)

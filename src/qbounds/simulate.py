@@ -21,6 +21,8 @@ from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_point
 
 RNG_SCHEME = "philox4x64-block4096-v2"
 _BLOCK = 4096
+# numpy's hypergeometric draw refuses C or n - C at or above this
+_HYPERGEOMETRIC_LIMIT = 10**9
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,11 @@ class SimulationConfig:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _check_seed(self.seed)
+        n, c = self.pop.n, self.pop.cardinality
+        if (self.design.method is SamplingMethod.WITHOUT_REPLACEMENT
+                and max(c, n - c) >= _HYPERGEOMETRIC_LIMIT):
+            raise ValueError(f"simulation without replacement needs C and n - C below "
+                             f"{_HYPERGEOMETRIC_LIMIT:,}, got C={c}, n - C={n - c}")
 
 
 def _check_seed(seed: int) -> None:

@@ -5,9 +5,10 @@ brute-force enumeration, deliberately avoiding the library's own code
 paths: the direct power forms instead of log-space assembly, the raw
 minus-square-root expression instead of the rationalized one, plain
 combinatorial sums instead of the pmf-ratio window. The CSV loader
-is pinned by its original per-cell parser.
+is pinned by its original csv.reader record split and per-cell parser.
 """
 
+import csv
 import re
 
 import mpmath as mp
@@ -152,3 +153,39 @@ def reference_column(cells, hint=None):
     if "real" in kinds or hint == "real":
         return "real", [float(value) for _, value in parsed]
     return "integer", [value for _, value in parsed]
+
+
+def reference_table(path, delimiter=",", header=True, hints=None):
+    """(column names, [(type, values)]) of a delimited file as the loader
+    originally read it: csv.reader's records, blank ones skipped, every
+    cell stripped, each column through `reference_column`. A file the
+    loader rejects raises ValueError with the text after the path."""
+    hints = hints or {}
+    with open(path, newline="", encoding="utf-8") as handle:
+        records = [(line, row)
+                   for line, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1)
+                   if row]
+    if header:
+        if not records:
+            raise ValueError("empty file")
+        line, row = records.pop(0)
+        names = [cell.strip() for cell in row]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"line {line}: duplicate column name {name!r}")
+    if not records:
+        raise ValueError("no data rows")
+    if not header:
+        names = [f"col{i}" for i in range(len(records[0][1]))]
+    for line, row in records:
+        if len(row) != len(names):
+            raise ValueError(f"line {line}: expected {len(names)} fields, got {len(row)}")
+    columns = []
+    for i, name in enumerate(names):
+        hint = hints.get(name)
+        try:
+            columns.append(reference_column([row[i].strip() for _, row in records], hint))
+        except ValueError as exc:
+            raise ValueError(f"line {records[exc.args[0]][0]}: column {name!r} is hinted "
+                             f"{hint} but holds a non-numeric cell") from None
+    return names, columns

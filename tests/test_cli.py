@@ -230,6 +230,28 @@ def test_figures_end_to_end(capsys, tmp_path):
         assert needed in header
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_figures_simulation_seed_outside_rule_is_domain_error(capsys, tmp_path, seed):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("p = 0.2\nk = 100\nq = 2\nmethod = wr\n", encoding="utf-8")
+    out_dir = tmp_path / "series"
+    assert run(["figures", "--grid", str(grid), "--out", str(out_dir),
+                "--with-simulation", "--trials", "10", "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must be an unsigned 64-bit integer, got {seed}\n"
+    assert not out_dir.exists()
+
+
+def test_simulate_population_beyond_numpys_sampler_is_domain_error(capsys):
+    assert run(["simulate", "--method", "wor", "--rows", "2000000000", "--cardinality", "10",
+                "--k", "10", "--q", "2", "--trials", "10", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: simulation without replacement needs C and n - C below "
+                            "1,000,000,000, got C=10, n - C=1999999990\n")
+
+
 def test_figures_bad_axis_is_domain_error(capsys, tmp_path):
     for axes in ("p = 0.1\nk = 10\nq = nan", "c = 0,5\nn = 0\nk = 10\nq = 2",
                  "p = 0.1\nk = 10\nq = 0.5", "p = 0.1\nk = 0\nq = 2",

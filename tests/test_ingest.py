@@ -199,6 +199,100 @@ def test_load_table_matches_cell_by_cell_reference(spec):
             assert array.dtype == (np.float64 if kind == "real" else object)
 
 
+_DELIMITERS = [",", ";", "\t", " ", "|"]
+# cell text for quote-free files: padding the loader strips, NUL, the
+# separators \x1c-\x1f that int() does not skip, and `#`, which numpy's
+# tokenizer would read as a comment unless told not to
+_TOKENIZER_CELLS = st.one_of(
+    st.sampled_from(["1", "-0", "+3", "007", "1.5", "-0.0", "nan", "inf", "1e5", "1_0",
+                     "x", "it's", "", "#", "#1", "1#", "\u0661"]),
+    st.text(alphabet="0123456789+-.eEx_'# \t\x00\x0b\x1c\x1f\u3000", max_size=4),
+)
+_PADDING = st.sampled_from(["", " ", "\t", "\x0b", "\u3000", "\x1c", " \x1f"])
+
+
+@st.composite
+def _delimited_files(draw):
+    """(text, delimiter, header, hints) of a file drawn line by line: rows of
+    padded cells over a few column flavours, sometimes a ragged row, blank
+    and whitespace-only lines, `\n`, `\r\n` and `\r` endings; in a quoted
+    file some cells are RFC 4180 quoted and may hold the delimiter, a line
+    break or a doubled quote."""
+    delimiter = draw(st.sampled_from(_DELIMITERS))
+    header = draw(st.booleans())
+    quoted = draw(st.booleans())
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 6))
+    flavours = [_INT_CELLS, st.one_of(_INT_CELLS, _REAL_CELLS), _TOKENIZER_CELLS]
+    columns = [draw(st.sampled_from(flavours)) for _ in range(m)]
+    names = (draw(st.lists(st.sampled_from(["a", "b", " a", "c0", ""]), min_size=m, max_size=m))
+             if draw(st.booleans()) else [f"c{i}" for i in range(m)])
+    rows = [names] if header else []
+    rows += [[draw(_PADDING) + draw(column) + draw(_PADDING) for column in columns]
+             for _ in range(n)]
+    if draw(st.integers(0, 3)):  # most files hold the delimiter only between cells
+        rows = [[cell.replace(delimiter, "") for cell in row] for row in rows]
+    if rows and draw(st.integers(0, 4)) == 0:  # a ragged row
+        j = draw(st.integers(0, len(rows) - 1))
+        rows[j] = rows[j][:-1] if draw(st.booleans()) else rows[j] + ["9"]
+
+    def cell_text(cell):
+        if quoted and draw(st.integers(0, 2)) == 0:
+            inside = cell + draw(st.sampled_from(["", delimiter, "\r\n", "\n", '"']))
+            return '"' + inside.replace('"', '""') + '"'
+        return cell
+
+    lines = [delimiter.join(map(cell_text, row)) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):  # blank and whitespace-only lines
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "", " ", "\t"])))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    keys = [name.strip() for name in names] if header else [f"col{i}" for i in range(m)]
+    hints = {key: draw(st.sampled_from([None, "integer", "real", "text"])) for key in keys}
+    return text, delimiter, header, {key: hint for key, hint in hints.items() if hint}
+
+
+@given(_delimited_files())
+@settings(max_examples=400, deadline=None)
+def test_load_table_matches_csv_reader_reference(spec):
+    """Quote-free files (numpy's tokenizer) and quoted ones (csv.reader)
+    load to the types, values, dtypes, codes and TableParseError text of
+    the original csv.reader loader, for every delimiter, both header
+    settings and every type hint."""
+    text, delimiter, header, hints = spec
+    options = LoadOptions(delimiter=delimiter, header=header,
+                          type_hints={name: ColumnType(hint) for name, hint in hints.items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        try:
+            names, expected = oracles.reference_table(path, delimiter, header, hints)
+        except ValueError as exc:
+            with pytest.raises(TableParseError) as info:
+                load_table(path, options)
+            assert str(info.value) == f"{path}: {exc}"
+            return
+        table = load_table(path, options)
+    assert table.columns == names
+    for i, ((kind, values), col_type, array) in enumerate(zip(expected, table.types, table.data)):
+        assert col_type.value == kind
+        assert list(map(repr, array.tolist())) == list(map(repr, values))
+        if kind == "integer":
+            assert array.dtype == (np.int64 if all(-2**63 <= v < 2**63 for v in values)
+                                   else object)
+        else:
+            assert array.dtype == (np.float64 if kind == "real" else object)
+        if kind == "text":
+            distinct = list(dict.fromkeys(values))
+            assert table.codes[i][1].tolist() == distinct
+            assert table.codes[i][0].tolist() == [distinct.index(v) for v in values]
+        else:
+            assert i not in table.codes
+
+
 # Predicate language ----------------------------------------------------------
 
 def test_parse_predicate_conjunction():

@@ -252,6 +252,27 @@ def test_series_csv_na_literal_for_inapplicable_terms():
     assert float(cols["confidence"]) == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_simulation_seed_is_checked_before_any_point(monkeypatch, seed):
+    """figure_series and simulation_comparison hold their seed to the
+    simulation's rule before they compute a point, instead of reducing
+    each point's seed modulo 2**64."""
+    from qbounds import reports
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a point was computed before the seed check")
+
+    for name in ("evaluate_grid", "exact_confidence", "evaluate_confidence", "run_simulation"):
+        monkeypatch.setattr(reports, name, fail)
+    message = f"seed must be an unsigned 64-bit integer, got {seed}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        figure_series(GridSpec(p=(0.2,), k=(100,), q=(2.0,)), with_simulation=True,
+                      trials=10, seed=seed)
+    point = reports.ComparisonPoint(SamplingMethod.WITH_REPLACEMENT, 10**6, 1000, 100, 2.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulation_comparison([point], trials=10, seed=seed)
+
+
 def test_default_comparison_points_interior():
     points = default_comparison_points()
     assert len(points) >= 50

@@ -98,3 +98,20 @@ def test_config_validation():
 
 def test_rng_scheme_is_versioned():
     assert isinstance(RNG_SCHEME, str) and RNG_SCHEME
+
+
+@pytest.mark.parametrize("n, c", [(2 * 10**9, 10), (2 * 10**9, 2 * 10**9 - 5),
+                                  (10**9 + 1, 1), (10**9, 0)])
+def test_wor_population_beyond_numpys_sampler_is_rejected(n, c):
+    """numpy's hypergeometric draw refuses C or n - C of 1e9 or more; the
+    config refuses such a point first, in its own words."""
+    with pytest.raises(ValueError, match=r"^simulation without replacement needs C and n - C "
+                                         r"below 1,000,000,000, got C="):
+        _cfg(n, c, 10, 2.0, trials=10, seed=1, method=WOR)
+    _cfg(n, c, 10, 2.0, trials=10, seed=1)  # with replacement draws a binomial
+
+
+def test_wor_population_just_below_the_limit_simulates():
+    limit = 10**9 - 1
+    summary = run_simulation(_cfg(2 * limit, limit, 10, 2.0, trials=100, seed=1, method=WOR))
+    assert summary.trials == 100 and 0 <= summary.successes <= 100
