@@ -126,23 +126,22 @@ def _line_no(path: str, delimiter: str, index: int) -> int:
 
 
 def _cells(path: str, delimiter: str) -> Union[np.ndarray, list[list[str]]]:
-    """The raw cells of the non-blank records: a 2-d object array, or the
-    row lists if their lengths differ. numpy's C tokenizer splits a file
-    that has a cell and no `"` as csv.reader does (on a file of blank lines
-    it would warn); csv.reader reads the rest, RFC 4180 quotes included,
-    and a ragged file or bad UTF-8 again, for its line numbers and errors."""
+    """The raw cells of the non-blank records. numpy's C tokenizer splits a file
+    with a cell and no `"` as csv.reader does, into a 2-d object array (a blank
+    file would warn); csv.reader splits the rest (quotes, ragged rows, bad UTF-8)
+    into row lists, left uncopied since an array copy raises peak memory."""
     with open(path, "rb") as handle:
         raw = handle.read()
-    if b'"' not in raw and re.search(rb"[^\r\n]", raw):
-        del raw  # free the bytes before numpy reads the file
+    quote_free = b'"' not in raw and re.search(rb"[^\r\n]", raw) is not None
+    del raw  # free the bytes before either tokenizer reads the file
+    if quote_free:
         try:
             return np.loadtxt(path, dtype=object, delimiter=delimiter, comments=None,
                               ndmin=2, encoding="utf-8")
         except ValueError:
             pass
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle, delimiter=delimiter) if row]
-    return np.array(rows, dtype=object) if len({len(row) for row in rows}) < 2 else rows
+        return [row for row in csv.reader(handle, delimiter=delimiter) if row]
 
 
 def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
@@ -168,17 +167,18 @@ def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
         columns = [f"col{i}" for i in range(len(cells[0]))]
 
     m = len(columns)
-    if isinstance(cells, list):
-        j = next(j for j, row in enumerate(cells) if len(row) != m)
-        raise TableParseError(f"{path}: line {_line_no(path, options.delimiter, j)}: "
-                              f"expected {m} fields, got {len(cells[j])}")
+    for j, row in enumerate(cells if isinstance(cells, list) else ()):
+        if len(row) != m:
+            raise TableParseError(f"{path}: line {_line_no(path, options.delimiter, j)}: "
+                                  f"expected {m} fields, got {len(row)}")
 
     hints = options.type_hints or {}
     types: list[ColumnType] = []
     data: list[np.ndarray] = []
     codes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for i, name in enumerate(columns):
-        column = cells[first:, i].tolist()
+        column = (cells[first:, i].tolist() if isinstance(cells, np.ndarray)
+                  else [row[i] for row in itertools.islice(cells, first, None)])
         hint = hints.get(name)
         col_type, values = ((ColumnType.TEXT, None) if hint is ColumnType.TEXT
                             else _infer_column(column, real=hint is ColumnType.REAL))
