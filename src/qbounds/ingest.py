@@ -141,7 +141,11 @@ def _cells(path: str, delimiter: str) -> Union[np.ndarray, list[list[str]]]:
         except ValueError:
             pass
     with open(path, newline="", encoding="utf-8") as handle:
-        return [row for row in csv.reader(handle, delimiter=delimiter) if row]
+        numbers = itertools.count(1)  # of the records, blank ones included
+        try:
+            return [row for row, _ in zip(csv.reader(handle, delimiter=delimiter), numbers) if row]
+        except csv.Error as error:  # such as a cell over csv.field_size_limit()
+            raise TableParseError(f"{path}: line {next(numbers)}: {error}") from None
 
 
 def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:

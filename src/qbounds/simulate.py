@@ -21,7 +21,8 @@ from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_point
 
 RNG_SCHEME = "philox4x64-block4096-v2"
 _BLOCK = 4096
-# numpy's hypergeometric draw refuses C or n - C at or above this
+# numpy's hypergeometric draw refuses C or n - C at or above this; C = 0
+# and C = n need no draw (the hit count is 0 or k)
 _HYPERGEOMETRIC_LIMIT = 10**9
 
 
@@ -41,7 +42,7 @@ class SimulationConfig:
         _check_seed(self.seed)
         n, c = self.pop.n, self.pop.cardinality
         if (self.design.method is SamplingMethod.WITHOUT_REPLACEMENT
-                and max(c, n - c) >= _HYPERGEOMETRIC_LIMIT):
+                and 0 < c < n and max(c, n - c) >= _HYPERGEOMETRIC_LIMIT):
             raise ValueError(f"simulation without replacement needs C and n - C below "
                              f"{_HYPERGEOMETRIC_LIMIT:,}, got C={c}, n - C={n - c}")
 
@@ -86,8 +87,10 @@ def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
         gen = block_generator(cfg.seed, b)
         if cfg.design.method is SamplingMethod.WITH_REPLACEMENT:
             hits = gen.binomial(k, p, size=size)
-        else:
+        elif 0 < c < n:
             hits = gen.hypergeometric(c, n - c, k, size=size)
+        else:
+            hits = np.full(size, k if c else 0)
         successes += int(np.count_nonzero((hits >= rng.lo) & (hits <= rng.hi)))
         if cfg.keep_q_errors:
             est = np.maximum(hits * (n / k), 1.0)

@@ -2,7 +2,7 @@
 
 Two inversions: the least sample size reaching a target confidence at a
 given q, and the best (smallest) q guaranteed at a target confidence for
-a given sample size. Both exploit monotonicity of the bound; targets that
+a given sample size. Both bisect on the monotone bound; targets that
 no admissible k or q can reach come back as a first-class Unreachable
 result, not an error (the with-replacement under-estimation term has the
 floor e^(-pk), so confidence saturates below 1 for finite samples).
@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .confidence import evaluate_confidence
+from . import with_replacement
+from .confidence import default_inequalities, evaluate_confidence
 from .model import SamplingMethod, _check_point
+from .terms import _SCALAR, WITH_REPLACEMENT_KINDS, WITHOUT_REPLACEMENT_KINDS, _check_kinds
 from .terms import InequalityKind
 
 DEFAULT_K_MAX = 10**9
@@ -47,59 +49,55 @@ def min_sample_size(
     inequalities: Optional[Iterable[InequalityKind]] = None,
     k_max: int = DEFAULT_K_MAX,
 ) -> Union[int, Unreachable]:
-    """Least k in [1, k_max] with confidence(p, k, q) >= target.
+    """Least k in [1, cap] with confidence(p, k, q) >= target, where cap is
+    k_max, and at most n - 1 without replacement.
 
-    Geometric doubling finds a bracket, then integer bisection pins the
-    answer. Bisection assumes confidence grows with k; that holds for all
-    with-replacement terms and the Hoeffding-Serfling term, but the
-    Bernstein-Serfling zeta(k) dependence lacks a clean proof, so the
-    doubling probes are checked for order violations and the solver falls
-    back to a linear forward scan when one shows up.
+    One integer bisection, each step decided by the scalar bound, over a
+    bracket whose top is evaluated first (below the target there, k is
+    Unreachable): the paper's rule of thumb with replacement (`_bracket`),
+    [0, cap] without, as the Hoeffding-Serfling bound grows with k and the
+    Bernstein-Serfling bound did in an exhaustive scan.
     """
     _validate_target(target_confidence)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    _check_point(method, None, 1, q, n)  # k = 1, the least, must be admissible
-    cap = k_max if method is SamplingMethod.WITH_REPLACEMENT else min(k_max, n - 1)
+    _check_point(method, None if p == 0.0 else p, 1, q, n)  # k = 1, the least, must be admissible
+    wr = method is SamplingMethod.WITH_REPLACEMENT
+    allowed = WITH_REPLACEMENT_KINDS if wr else WITHOUT_REPLACEMENT_KINDS
+    kinds = _check_kinds(inequalities, default_inequalities(method), allowed,
+                         method.name.lower().replace("_", " "))
+    cap = k_max if wr else min(k_max, n - 1)
 
     def conf(k: int) -> float:
-        return evaluate_confidence(method, p, k, q, n=n, inequalities=inequalities).confidence
+        return evaluate_confidence(method, p, k, q, n=n, inequalities=kinds).confidence
 
-    probe_ks: list[int] = []
-    probe_values: list[float] = []
-    k = 1
-    while True:
-        k_eff = min(k, cap)
-        probe_ks.append(k_eff)
-        value = conf(k_eff)
-        probe_values.append(value)
-        if value >= target_confidence:
-            break
-        if k_eff == cap:
-            return Unreachable(target_confidence, float(cap), value)
-        k *= 2
-
-    if len(probe_ks) == 1:
-        return probe_ks[0]
-    lo, hi = probe_ks[-2], probe_ks[-1]
-
-    monotone = all(
-        probe_values[i] <= probe_values[i + 1] + 1e-15
-        for i in range(len(probe_values) - 1)
-    )
-    if not monotone:
-        k = lo + 1
-        while conf(k) < target_confidence:
-            k += 1
-        return k
-
-    while hi - lo > 1:
+    lo, hi = _bracket(p, q, target_confidence, kinds, cap) if wr else (0, cap)
+    if (value := conf(hi)) < target_confidence:
+        return Unreachable(target_confidence, float(cap), value)
+    while hi - lo > 1:  # the least k is in (lo, hi]
         mid = (lo + hi) // 2
-        if conf(mid) >= target_confidence:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if conf(mid) >= target_confidence else (mid, hi)
     return hi
+
+
+def _bracket(p: float, q: float, target: float, kinds: frozenset, cap: int) -> tuple[int, int]:
+    """(lo, hi) in [0, cap] with the least with-replacement k in (lo, hi].
+
+    Each term is min(1, e^(-k r)) with a rate r >= 0 free of k, so the bound
+    max(0, 1 - e^(-kA) - e^(-kB)), A and B the largest chosen rates per side,
+    grows with k, and with s = 1 - target and m = min(A, B) its least k is
+    in [ln(1/s)/m, ln(2/s)/m]. The ends are widened by a relative 1e-9 and
+    by one, the low one also by 2^-52 in s, for the bound's rounding; where
+    m is 0 or the top is not finite, the bracket is [0, cap]."""
+    rates = [-x if with_replacement._ORDER[i // 2] in kinds and x == x else 0.0
+             for i, x in enumerate(with_replacement._exponents(_SCALAR, p, 1, q))]
+    m = min(max(rates[::2]), max(rates[1::2]))  # the over and the under side
+    s = 1.0 - target
+    top = math.log(2.0 / s) / m * (1.0 + 1e-9) if m > 0.0 else math.inf
+    if top == math.inf:
+        return 0, cap
+    bottom = math.log(1.0 / (s + 2.0**-52)) / m * (1.0 - 1e-9)
+    return max(0, min(cap, math.floor(bottom) - 1)), min(cap, math.ceil(top) + 1)
 
 
 def q_at_confidence(

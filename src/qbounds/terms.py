@@ -42,13 +42,14 @@ class Side(enum.Enum):
 
 # The term kernels take their math from a backend: this one for a single
 # point of Python floats, the numpy module itself for arrays. `where`
-# evaluates both branches in either backend, so neither may fail.
+# evaluates both branches in either backend, so neither may fail, and
+# `minimum` passes a NaN in its second argument on, as numpy's does.
 _SCALAR = SimpleNamespace(
     where=lambda condition, a, b: a if condition else b,
     exp=math.exp,
     log=math.log,
     sqrt=math.sqrt,
-    minimum=min,
+    minimum=lambda a, b: a if a < b else b,
 )
 
 

@@ -24,15 +24,15 @@ from .terms import (
     combine_terms,
 )
 
-# The kinds of `_terms`' output, each as its over then its under term.
+# The kinds of `_exponents`' output, each as its over then its under term.
 _ORDER = (InequalityKind.CHERNOFF, InequalityKind.BERNSTEIN, InequalityKind.HOEFFDING)
 
 
-def _terms(xp, p, k, q) -> list:
-    """Every with-replacement term at in-domain points, in `_ORDER`: one
-    point of Python floats with `xp = _SCALAR`, 1-d arrays with numpy.
-    The formulas are in the docstrings of the public term functions; the
-    Hoeffding under term is NaN (not applicable) unless pq > 1.
+def _exponents(xp, p, k, q) -> list:
+    """The log of every with-replacement term, -k times a rate >= 0 free of
+    k, at in-domain points in `_ORDER`: one point of Python floats with
+    `xp = _SCALAR`, 1-d arrays with numpy. The formulas are in the public
+    term functions' docstrings; Hoeffding's under one is NaN unless pq > 1.
 
     Squares are products, which overflow to inf where `** 2` raises on a
     Python float. No finite q reaches 0/0, 0 * inf or inf/inf, and an
@@ -45,7 +45,6 @@ def _terms(xp, p, k, q) -> list:
     lnq = xp.log(q)
     var = p * (1.0 - p)
     eps_over = p * (q - 1.0)
-    eps_under = p * (1.0 - 1.0 / q)
     q_lnq = q * lnq
     exponents = [
         xp.where(
@@ -55,7 +54,7 @@ def _terms(xp, p, k, q) -> list:
         ),
         p * k * ((1.0 / q - 1.0) + lnq / q),
     ]
-    for eps in (eps_over, eps_under):
+    for eps in (eps_over, p * (1.0 - 1.0 / q)):
         denom = 2.0 * var + 2.0 * eps / 3.0
         fits = (denom > 0.0) & (denom < math.inf)
         exponents.append(-k * eps * eps / xp.where(fits, denom, 1.0))
@@ -69,14 +68,17 @@ def _terms(xp, p, k, q) -> list:
     d = p * q - 1.0
     square = q * q
     fits = square < math.inf
-    exponents.append(xp.where(
+    exponents.append(xp.where(p * q > 1.0, xp.where(
         fits,
         -2.0 * k * (d * d) / xp.where(fits, square, 1.0),
         -2.0 * k * ((d / q) * (d / q)),
-    ))
-    out = [xp.minimum(1.0, xp.exp(x)) for x in exponents]
-    out[-1] = xp.where(p * q > 1.0, out[-1], math.nan)
-    return out
+    ), math.nan))
+    return exponents
+
+
+def _terms(xp, p, k, q) -> list:
+    """The terms min(1, e^x) of `_exponents`, NaN where x is NaN."""
+    return [xp.minimum(1.0, xp.exp(x)) for x in _exponents(xp, p, k, q)]
 
 
 def _term(kind: InequalityKind, p: float, k: int, q: float, side: Side) -> float:

@@ -252,6 +252,28 @@ def test_simulate_population_beyond_numpys_sampler_is_domain_error(capsys):
                             "1,000,000,000, got C=10, n - C=1999999990\n")
 
 
+@pytest.mark.parametrize("cardinality", ["0", "1000000000"])
+def test_simulate_fixed_hit_count_beyond_numpys_sampler(capsys, cardinality):
+    # C = 0 and C = n need no hypergeometric draw, so n = 1e9 is no limit
+    assert run(["simulate", "--method", "wor", "--rows", "1000000000",
+                "--cardinality", cardinality, "--k", "100", "--q", "2",
+                "--trials", "1000", "--seed", "1", "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["successes"] == result["trials"] == 1000
+
+
+def test_figures_simulation_with_empty_predicate_at_huge_n(capsys, tmp_path):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("p = 0,0.001\nk = 100\nq = 2\nn = 1e9\nmethod = wor\n", encoding="utf-8")
+    out_dir = tmp_path / "series"
+    assert run(["figures", "--grid", str(grid), "--out", str(out_dir),
+                "--with-simulation", "--trials", "1000", "--seed", "1"]) == 0
+    capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO((out_dir / "series.csv").read_text(encoding="utf-8"))))
+    assert [(row["c"], row["status"]) for row in rows] == [("0", "degenerate"), ("1000000", "ok")]
+    assert rows[0]["empirical_rate"] == "1"
+
+
 def test_figures_bad_axis_is_domain_error(capsys, tmp_path):
     for axes in ("p = 0.1\nk = 10\nq = nan", "c = 0,5\nn = 0\nk = 10\nq = 2",
                  "p = 0.1\nk = 10\nq = 0.5", "p = 0.1\nk = 0\nq = 2",
@@ -359,6 +381,20 @@ def test_estimate_seed_outside_rule_is_domain_error(capsys, tmp_path, method, se
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: seed must be an unsigned 64-bit integer, got {seed}\n"
+
+
+def test_estimate_cell_over_csv_field_limit_is_domain_error(capsys, tmp_path):
+    # a quoted cell sends the file to csv.reader, which refuses a field over
+    # its limit; the limit is process-wide and stays as it is
+    limit = csv.field_size_limit()
+    table = tmp_path / "long.csv"
+    table.write_text('a,b\n1,"' + "x" * 200_000 + '"\n', encoding="utf-8")
+    assert run(["estimate", "--input", str(table), "--predicate", "a = 1",
+                "--method", "wr", "--k", "1", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {table}: line 2: field larger than field limit ({limit})\n"
+    assert csv.field_size_limit() == limit
 
 
 def test_estimate_missing_input_is_io_error(capsys, tmp_path):

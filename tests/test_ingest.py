@@ -2,6 +2,7 @@ import csv
 import math
 import operator
 import os
+import re
 import sys
 import tempfile
 
@@ -62,6 +63,15 @@ def test_load_table_basic(tmp_path):
 def test_load_table_ragged_row_names_line(tmp_path):
     path = _write(tmp_path, "a,b\n1,x\n2\n")
     with pytest.raises(TableParseError, match="line 3"):
+        load_table(path)
+
+
+def test_load_table_cell_over_csv_field_limit_names_line(tmp_path):
+    # the line counts records, blank ones included, as every load error's
+    # does: the quoted line break in record 2 starts no new line
+    path = _write(tmp_path, 'a,b\n1,"x\ny"\n\n2,"' + "x" * 200_000 + '"\n')
+    message = f"{path}: line 4: field larger than field limit"
+    with pytest.raises(TableParseError, match="^" + re.escape(message)):
         load_table(path)
 
 

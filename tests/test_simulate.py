@@ -9,6 +9,7 @@ from qbounds import (
     SimulationConfig,
     exact_confidence,
     run_simulation,
+    simulate,
 )
 
 WR = SamplingMethod.WITH_REPLACEMENT
@@ -101,7 +102,7 @@ def test_rng_scheme_is_versioned():
 
 
 @pytest.mark.parametrize("n, c", [(2 * 10**9, 10), (2 * 10**9, 2 * 10**9 - 5),
-                                  (10**9 + 1, 1), (10**9, 0)])
+                                  (10**9 + 1, 1), (2 * 10**9, 10**9)])
 def test_wor_population_beyond_numpys_sampler_is_rejected(n, c):
     """numpy's hypergeometric draw refuses C or n - C of 1e9 or more; the
     config refuses such a point first, in its own words."""
@@ -115,3 +116,20 @@ def test_wor_population_just_below_the_limit_simulates():
     limit = 10**9 - 1
     summary = run_simulation(_cfg(2 * limit, limit, 10, 2.0, trials=100, seed=1, method=WOR))
     assert summary.trials == 100 and 0 <= summary.successes <= 100
+
+
+class _NoDraws:
+    def hypergeometric(self, *args, **kwargs):
+        raise AssertionError("a fixed hit count needs no draw")
+
+
+@pytest.mark.parametrize("n, c", [(10**9, 0), (10**9, 10**9), (5 * 10**18, 0),
+                                  (5 * 10**18, 5 * 10**18), (1000, 0), (1000, 1000)])
+def test_wor_fixed_hit_counts_simulate_at_any_n(monkeypatch, n, c):
+    """C = 0 and C = n fix the hit count at 0 and k: accepted at any n,
+    and counted without numpy's hypergeometric draw."""
+    monkeypatch.setattr(simulate, "block_generator", lambda seed, block: _NoDraws())
+    summary = run_simulation(_cfg(n, c, 100, 2.0, trials=5000, seed=1, method=WOR,
+                                  keep_q_errors=True))
+    assert summary.successes == summary.trials == 5000
+    assert np.all(summary.q_errors == 1.0)

@@ -1,18 +1,22 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbounds.solver as solver_module
 from qbounds import (
+    InequalityKind,
     SamplingMethod,
     Unreachable,
     default_inequalities,
     evaluate_confidence,
     min_sample_size,
     q_at_confidence,
+    with_replacement,
 )
+from qbounds.terms import WITH_REPLACEMENT_KINDS, WITHOUT_REPLACEMENT_KINDS
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -129,25 +133,102 @@ def test_solver_stays_inside_search_box(monkeypatch):
     assert all(1.0 <= q <= 10**4 for q in seen_q)
 
 
-class _Fake:
-    def __init__(self, confidence):
-        self.confidence = confidence
+def _nonempty_subsets(kinds):
+    kinds = sorted(kinds, key=lambda kind: kind.value)  # not the set's per-process order
+    return [frozenset(subset) for size in range(1, len(kinds) + 1)
+            for subset in itertools.combinations(kinds, size)]
 
 
-def test_non_monotone_probe_falls_back_to_linear_scan(monkeypatch):
-    # synthetic confidence with a dip at the k=4 probe forces the scan path
-    table = {1: 0.3, 2: 0.5, 3: 0.5, 4: 0.4, 5: 0.4, 6: 0.95, 7: 0.95, 8: 0.95}
-    calls = []
+WR_KIND_SETS = _nonempty_subsets(WITH_REPLACEMENT_KINDS)
+WOR_KIND_SETS = _nonempty_subsets(WITHOUT_REPLACEMENT_KINDS)
 
-    def fake(method, p, k, q, n=None, inequalities=None):
-        calls.append(k)
-        return _Fake(table.get(k, 0.95))
 
-    monkeypatch.setattr(solver_module, "evaluate_confidence", fake)
-    answer = min_sample_size(WR, 0.1, 2.0, 0.9)
-    assert answer == 6
-    # probes 1,2,4,8 then a forward scan from the last probe below target
-    assert calls == [1, 2, 4, 8, 5, 6]
+@pytest.mark.parametrize("method, kinds", [
+    pytest.param(method, kinds, id="-".join([method.value, *sorted(kind.value for kind in kinds)]))
+    for method, sets in ((WR, WR_KIND_SETS), (WOR, WOR_KIND_SETS)) for kinds in sets
+])
+def test_min_sample_size_matches_brute_force(method, kinds):
+    # every k up to the cap evaluated: the answer is the first k reaching
+    # the target, or Unreachable with the bound at the cap
+    cap, n = 3000, 3001  # without replacement the cap is n - 1 = 3000 too
+    for p in (0.0, 0.05, 0.3, 1.0):
+        for q in (1.5, 4.0):
+            values = [evaluate_confidence(method, p, k, q, n=n, inequalities=kinds).confidence
+                      for k in range(1, cap + 1)]
+            for target in (1e-9, 0.5, 0.9, 0.99, 1 - 1e-6):
+                least = next((k for k, value in enumerate(values, 1) if value >= target),
+                             Unreachable(target, float(cap), values[-1]))
+                answer = min_sample_size(method, p, q, target, n=n, inequalities=kinds, k_max=cap)
+                assert answer == least, (p, q, target)
+
+
+_TARGETS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=5e-324, max_value=1e-6),
+    st.integers(min_value=1, max_value=2**30).map(lambda i: 1.0 - i * 2.0**-53),
+)
+
+
+@given(
+    st.one_of(st.floats(min_value=5e-324, max_value=1.0),
+              st.floats(min_value=-9.0, max_value=0.0).map(lambda e: 10.0**e)),
+    st.one_of(st.floats(min_value=1.0, max_value=1e300),
+              st.floats(min_value=-4.0, max_value=3.0).map(lambda e: 1.0 + 10.0**e)),
+    _TARGETS,
+    st.sampled_from(WR_KIND_SETS),
+    st.integers(min_value=1, max_value=10**9),
+)
+@example(0.5, 2.0, 1.0 - 2.0**-53, frozenset({InequalityKind.BERNSTEIN}), 10**9)
+@settings(max_examples=500, deadline=None)
+def test_min_sample_size_round_trip_over_wr_domain(p, q, target, kinds, k_max):
+    # near target 1 the bound's last rounding decides the least k: the
+    # bracket's low end must allow for it
+    def conf(k):
+        return evaluate_confidence(WR, p, k, q, inequalities=kinds).confidence
+
+    answer = min_sample_size(WR, p, q, target, inequalities=kinds, k_max=k_max)
+    if isinstance(answer, Unreachable):
+        assert answer == Unreachable(target, float(k_max), conf(k_max))
+        assert answer.confidence_at_limit < target
+    else:
+        assert 1 <= answer <= k_max
+        assert conf(answer) >= target
+        assert answer == 1 or conf(answer - 1) < target
+
+
+def test_min_sample_size_evaluations(monkeypatch):
+    # the rule of thumb's bracket at p = 0.005, q = 2 is ~900 wide: its top
+    # and ten bisection steps; at p = 0 the bound is 0 for every k, and the
+    # top of the bracket, the cap, is the one evaluation
+    seen = []
+    real = solver_module.evaluate_confidence
+
+    def counting(method, p, k, q, **kwargs):
+        seen.append(k)
+        return real(method, p, k, q, **kwargs)
+
+    monkeypatch.setattr(solver_module, "evaluate_confidence", counting)
+    assert min_sample_size(WR, 0.005, 2.0, 0.95) == 3919
+    assert len(seen) <= 12
+    for method in (WR, WOR):
+        seen.clear()
+        answer = min_sample_size(method, 0.0, 2.0, 0.95, n=10**6)
+        assert isinstance(answer, Unreachable) and answer.confidence_at_limit == 0.0
+        assert len(seen) == 1
+
+
+@pytest.mark.parametrize("change", [
+    {"p": 1.5}, {"p": -0.1}, {"p": math.nan}, {"q": 0.5}, {"q": math.inf}, {"q": math.nan},
+    {"inequalities": []}, {"inequalities": [InequalityKind.HOEFFDING_SERFLING]},
+    {"p": 0.0, "inequalities": [InequalityKind.BERNSTEIN_SERFLING]},
+])
+def test_min_sample_size_checks_input_before_reading_rates(monkeypatch, change):
+    def no_rates(*args):
+        raise AssertionError("rates read before the input was checked")
+
+    monkeypatch.setattr(with_replacement, "_exponents", no_rates)
+    with pytest.raises(ValueError):
+        min_sample_size(WR, **{"p": 0.1, "q": 2.0, "target_confidence": 0.9, **change})
 
 
 def test_unreachable_is_a_result_not_an_error():
