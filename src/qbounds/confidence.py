@@ -23,9 +23,11 @@ from .terms import (
     DEFAULT_WOR_KINDS,
     DEFAULT_WR_KINDS,
     WITH_REPLACEMENT_KINDS,
+    WITHOUT_REPLACEMENT_KINDS,
     BoundResult,
     InequalityKind,
     Side,
+    _check_kinds,
     degenerate_result,
 )
 from .with_replacement import confidence_wr
@@ -40,6 +42,17 @@ def default_inequalities(
     return DEFAULT_WOR_KINDS
 
 
+def _method_kinds(
+    method: SamplingMethod, inequalities: Optional[Iterable[InequalityKind]]
+) -> frozenset[InequalityKind]:
+    """The chosen inequality set (the method's default for None), checked as
+    `confidence_wr` and `confidence_wor` check it."""
+    wr = method is SamplingMethod.WITH_REPLACEMENT
+    return _check_kinds(inequalities, default_inequalities(method),
+                        WITH_REPLACEMENT_KINDS if wr else WITHOUT_REPLACEMENT_KINDS,
+                        method.name.lower().replace("_", " "))
+
+
 def evaluate_confidence(
     method: SamplingMethod,
     p: float,
@@ -50,10 +63,11 @@ def evaluate_confidence(
 ) -> BoundResult:
     """Lower bound on P(Q-error <= q) for the given sampling method.
 
-    The point is checked once: here when p = 0, by `confidence_wr` or
-    `confidence_wor` otherwise.
+    The point and the inequality set are checked once: here when p = 0,
+    by `confidence_wr` or `confidence_wor` otherwise.
     """
     if p == 0.0:
+        _method_kinds(method, inequalities)
         _check_point(method, None, k, q, n)
         return degenerate_result()
     if method is SamplingMethod.WITH_REPLACEMENT:

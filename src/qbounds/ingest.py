@@ -10,6 +10,7 @@ case-insensitive, whitespace insignificant. Text columns support only
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import itertools
@@ -17,19 +18,13 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .confidence import evaluate_confidence
 from .exact import estimate_from_hits
-from .model import (
-    PopulationSpec,
-    SampleDesign,
-    SamplingMethod,
-    q_error,
-    validate_design,
-)
+from .model import PopulationSpec, SampleDesign, SamplingMethod, q_error, validate_design
 from .simulate import _check_seed, block_generator
 from .solver import Unreachable, q_at_confidence
 
@@ -83,6 +78,12 @@ class LoadOptions:
     header: bool = True
     type_hints: Optional[dict[str, ColumnType]] = None
 
+    def __post_init__(self):  # `"` opens a quoted cell and a line break ends a record
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1) \
+                or self.delimiter in '"\r\n':
+            raise ValueError("the delimiter must be one character other than '\"', '\\r' "
+                             f"and '\\n', got {self.delimiter!r}")
+
 
 def _infer_column(cells: list[str], real: bool = False) -> tuple[ColumnType, Optional[np.ndarray]]:
     """Integer (unless `real`) if every stripped cell is `[+-]?\\d+`, else
@@ -117,35 +118,50 @@ def _real_array(cells: list[str]) -> np.ndarray:
     return values
 
 
-def _line_no(path: str, delimiter: str, index: int) -> int:
-    """Line number of the index-th non-blank record; lines count csv
-    records, blank ones included."""
+def _records(path: str, delimiter: str) -> Iterator[tuple[int, list[str]]]:
+    """csv.reader's non-blank records and their line numbers, which count records,
+    blank ones included. Only an error reads a file this way, to name its line."""
     with open(path, newline="", encoding="utf-8") as handle:
-        records = enumerate(csv.reader(handle, delimiter=delimiter), start=1)
-        return next(itertools.islice((no for no, row in records if row), index, None))
-
-
-def _cells(path: str, delimiter: str) -> Union[np.ndarray, list[list[str]]]:
-    """The raw cells of the non-blank records. numpy's C tokenizer splits a file
-    with a cell and no `"` as csv.reader does, into a 2-d object array (a blank
-    file would warn); csv.reader splits the rest (quotes, ragged rows, bad UTF-8)
-    into row lists, left uncopied since an array copy raises peak memory."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    quote_free = b'"' not in raw and re.search(rb"[^\r\n]", raw) is not None
-    del raw  # free the bytes before either tokenizer reads the file
-    if quote_free:
+        numbers = itertools.count(1)
         try:
-            return np.loadtxt(path, dtype=object, delimiter=delimiter, comments=None,
-                              ndmin=2, encoding="utf-8")
-        except ValueError:
-            pass
-    with open(path, newline="", encoding="utf-8") as handle:
-        numbers = itertools.count(1)  # of the records, blank ones included
-        try:
-            return [row for row, _ in zip(csv.reader(handle, delimiter=delimiter), numbers) if row]
+            yield from ((no, row) for row, no in zip(csv.reader(handle, delimiter=delimiter), numbers)
+                        if row)
         except csv.Error as error:  # such as a cell over csv.field_size_limit()
             raise TableParseError(f"{path}: line {next(numbers)}: {error}") from None
+
+
+def _line_no(path: str, delimiter: str, index: int) -> int:
+    """Line number of the index-th non-blank record."""
+    return next(itertools.islice(_records(path, delimiter), index, None))[0]
+
+
+def _cells(path: str, delimiter: str) -> np.ndarray:
+    """The raw cells of the non-blank records, split as csv.reader splits them,
+    in a 2-d object array (0 x 0 for a blank file, on which numpy warns). From a path
+    numpy turns a quoted \\r into \\n, so a file with `"` and \\r is read from a handle."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    blank = re.search(rb"[^\r\n]", raw) is None
+    from_handle = b'"' in raw and b"\r" in raw
+    del raw  # free the bytes before numpy reads the file
+    if blank:
+        return np.empty((0, 0), dtype=object)
+    with (open(path, newline="", encoding="utf-8") if from_handle
+          else contextlib.nullcontext(path)) as source:
+        return np.loadtxt(source, dtype=object, delimiter=delimiter, comments=None, ndmin=2,
+                          encoding="utf-8", quotechar='"')
+
+
+def _columns(path: str, options: LoadOptions, row: Sequence[str]) -> list[str]:
+    """Names of the columns of the first non-blank record: its stripped cells
+    under a header, which must not repeat, else col0, col1, ..."""
+    columns = ([cell.strip() for cell in row] if options.header
+               else [f"col{i}" for i in range(len(row))])
+    duplicates = [name for i, name in enumerate(columns) if name in columns[:i]]
+    if duplicates:
+        raise TableParseError(f"{path}: line {_line_no(path, options.delimiter, 0)}: "
+                              f"duplicate column name {duplicates[0]!r}")
+    return columns
 
 
 def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
@@ -155,34 +171,27 @@ def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
     blank) degrades the column to text, unless a numeric type hint turns
     that into a parse error instead. Duplicate header names are an error.
     """
-    cells = _cells(path, options.delimiter)  # a blank line is not a data row
+    try:
+        cells = _cells(path, options.delimiter)  # a blank line is not a data row
+    except ValueError as error:  # numpy refused the file: bad UTF-8 or a ragged row
+        records = list(_records(path, options.delimiter))  # bad UTF-8 raises here
+        m = len(_columns(path, options, records[0][1]))
+        no, row = next(((no, row) for no, row in records if len(row) != m), (0, None))
+        raise TableParseError(f"{path}: line {no}: expected {m} fields, got {len(row)}"
+                              if row else f"{path}: {error}") from None
     first = int(options.header)  # non-blank records before the first data row
-    if options.header:
-        if not len(cells):
-            raise TableParseError(f"{path}: empty file")
-        columns = [cell.strip() for cell in cells[0]]
-        duplicates = [name for i, name in enumerate(columns) if name in columns[:i]]
-        if duplicates:
-            raise TableParseError(f"{path}: line {_line_no(path, options.delimiter, 0)}: "
-                                  f"duplicate column name {duplicates[0]!r}")
-    if len(cells) <= first:
+    if not len(cells):
+        raise TableParseError(f"{path}: {'empty file' if options.header else 'no data rows'}")
+    columns = _columns(path, options, cells[0])
+    if len(cells) == first:
         raise TableParseError(f"{path}: no data rows")
-    if not options.header:
-        columns = [f"col{i}" for i in range(len(cells[0]))]
-
-    m = len(columns)
-    for j, row in enumerate(cells if isinstance(cells, list) else ()):
-        if len(row) != m:
-            raise TableParseError(f"{path}: line {_line_no(path, options.delimiter, j)}: "
-                                  f"expected {m} fields, got {len(row)}")
 
     hints = options.type_hints or {}
     types: list[ColumnType] = []
     data: list[np.ndarray] = []
     codes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for i, name in enumerate(columns):
-        column = (cells[first:, i].tolist() if isinstance(cells, np.ndarray)
-                  else [row[i] for row in itertools.islice(cells, first, None)])
+        column = cells[first:, i].tolist()
         hint = hints.get(name)
         col_type, values = ((ColumnType.TEXT, None) if hint is ColumnType.TEXT
                             else _infer_column(column, real=hint is ColumnType.REAL))
@@ -465,18 +474,7 @@ def estimate_with_bounds(
         answer = q_at_confidence(design.method, p_used, design.k, target_confidence, n=n)
         if not isinstance(answer, Unreachable):
             q_at_target = float(answer)
-    return EstimateReport(
-        n=n,
-        k=design.k,
-        method=design.method,
-        seed=seed,
-        hits=hits,
-        estimate=est,
-        p_used=p_used,
-        p_source=p_source,
-        per_q=tuple(per_q),
-        true_cardinality=truth,
-        realized_q_error=realized,
-        target_confidence=target_confidence,
-        q_at_target=q_at_target,
-    )
+    return EstimateReport(n=n, k=design.k, method=design.method, seed=seed, hits=hits,
+                          estimate=est, p_used=p_used, p_source=p_source, per_q=tuple(per_q),
+                          true_cardinality=truth, realized_q_error=realized,
+                          target_confidence=target_confidence, q_at_target=q_at_target)

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from . import with_replacement
-from .confidence import default_inequalities, evaluate_confidence
+from .confidence import _method_kinds, evaluate_confidence
 from .model import SamplingMethod, _check_point
-from .terms import _SCALAR, WITH_REPLACEMENT_KINDS, WITHOUT_REPLACEMENT_KINDS, _check_kinds
-from .terms import InequalityKind
+from .terms import _SCALAR, InequalityKind
 
 DEFAULT_K_MAX = 10**9
 DEFAULT_Q_MAX = 10**6
@@ -63,9 +62,7 @@ def min_sample_size(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     _check_point(method, None if p == 0.0 else p, 1, q, n)  # k = 1, the least, must be admissible
     wr = method is SamplingMethod.WITH_REPLACEMENT
-    allowed = WITH_REPLACEMENT_KINDS if wr else WITHOUT_REPLACEMENT_KINDS
-    kinds = _check_kinds(inequalities, default_inequalities(method), allowed,
-                         method.name.lower().replace("_", " "))
+    kinds = _method_kinds(method, inequalities)
     cap = k_max if wr else min(k_max, n - 1)
 
     def conf(k: int) -> float:

@@ -383,18 +383,32 @@ def test_estimate_seed_outside_rule_is_domain_error(capsys, tmp_path, method, se
     assert captured.err == f"error: seed must be an unsigned 64-bit integer, got {seed}\n"
 
 
-def test_estimate_cell_over_csv_field_limit_is_domain_error(capsys, tmp_path):
-    # a quoted cell sends the file to csv.reader, which refuses a field over
-    # its limit; the limit is process-wide and stays as it is
+def test_estimate_long_quoted_cell_loads(capsys, tmp_path):
+    # a quoted cell longer than csv.field_size_limit() loads as its quote-free
+    # form does; the limit is process-wide and stays as it is
     limit = csv.field_size_limit()
     table = tmp_path / "long.csv"
-    table.write_text('a,b\n1,"' + "x" * 200_000 + '"\n', encoding="utf-8")
+    table.write_text('a,b\n1,"' + "x" * 200_000 + '"\n2,y\n', encoding="utf-8")
     assert run(["estimate", "--input", str(table), "--predicate", "a = 1",
-                "--method", "wr", "--k", "1", "--seed", "1"]) == 1
+                "--method", "wr", "--k", "1", "--seed", "1", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["result"]["true_cardinality"] == 1
+    assert csv.field_size_limit() == limit
+
+
+@pytest.mark.parametrize("delimiter", ["ab", "", "\n", "\r", '"'])
+def test_estimate_bad_delimiter_is_domain_error(capsys, tmp_path, delimiter):
+    # `"` quotes a cell, so it splits none, even in a file it would split into a table
+    table = tmp_path / "t.csv"
+    table.write_text('a"b\n1"2\n' if delimiter == '"' else "a,b\n1,2\n", encoding="utf-8")
+    assert run(["estimate", "--input", str(table), "--predicate", "a = 1", "--method", "wr",
+                "--k", "1", "--seed", "1", "--delimiter", delimiter]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {table}: line 2: field larger than field limit ({limit})\n"
-    assert csv.field_size_limit() == limit
+    assert captured.err.startswith("error: the delimiter must be one character")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_estimate_missing_input_is_io_error(capsys, tmp_path):

@@ -66,13 +66,34 @@ def test_load_table_ragged_row_names_line(tmp_path):
         load_table(path)
 
 
-def test_load_table_cell_over_csv_field_limit_names_line(tmp_path):
+def test_load_table_ragged_row_after_quoted_line_break_names_line(tmp_path):
     # the line counts records, blank ones included, as every load error's
     # does: the quoted line break in record 2 starts no new line
-    path = _write(tmp_path, 'a,b\n1,"x\ny"\n\n2,"' + "x" * 200_000 + '"\n')
-    message = f"{path}: line 4: field larger than field limit"
-    with pytest.raises(TableParseError, match="^" + re.escape(message)):
+    path = _write(tmp_path, 'a,b\n1,"x\ny"\n\n2\n')
+    message = f"{path}: line 4: expected 2 fields, got 1"
+    with pytest.raises(TableParseError, match="^" + re.escape(message) + "$"):
         load_table(path)
+
+
+def test_load_table_long_quoted_cell_loads_as_its_quote_free_form(tmp_path):
+    # csv.field_size_limit() (131,072 characters by default) bounds no cell
+    limit = csv.field_size_limit()
+    long = "x" * 200_000
+    quoted = load_table(_write(tmp_path, f'a,b\n1,"{long}"\n2,y\n', name="q.csv"))
+    plain = load_table(_write(tmp_path, f"a,b\n1,{long}\n2,y\n", name="p.csv"))
+    assert quoted.columns == plain.columns and quoted.types == plain.types
+    assert [a.tolist() for a in quoted.data] == [a.tolist() for a in plain.data]
+    assert quoted.data[1].tolist() == [long, "y"]
+    assert csv.field_size_limit() == limit
+
+
+@pytest.mark.parametrize("rows, hints", [("\n\n2\n", None), ("\nz,y\n", {"a": ColumnType.INTEGER})])
+def test_load_table_error_after_long_quoted_cell_names_that_cell(tmp_path, rows, hints):
+    # csv.reader, which names an error's line, stops at the cell over its limit
+    path = _write(tmp_path, 'a,b\n1,"' + "x" * 200_000 + '"' + rows)
+    message = f"{path}: line 2: field larger than field limit ({csv.field_size_limit()})"
+    with pytest.raises(TableParseError, match="^" + re.escape(message) + "$"):
+        load_table(path, LoadOptions(type_hints=hints))
 
 
 def test_load_table_empty_file(tmp_path):
@@ -235,7 +256,7 @@ def _delimited_files(draw):
     padded cells over a few column flavours, sometimes a ragged row, blank
     and whitespace-only lines, `\n`, `\r\n` and `\r` endings; in a quoted
     file some cells are RFC 4180 quoted and may hold the delimiter, a line
-    break or a doubled quote."""
+    break (`\n`, `\r\n` or a lone `\r`) or a doubled quote."""
     delimiter = draw(st.sampled_from(_DELIMITERS))
     header = draw(st.booleans())
     quoted = draw(st.booleans())
@@ -256,7 +277,7 @@ def _delimited_files(draw):
 
     def cell_text(cell):
         if quoted and draw(st.integers(0, 2)) == 0:
-            inside = cell + draw(st.sampled_from(["", delimiter, "\r\n", "\n", '"']))
+            inside = cell + draw(st.sampled_from(["", delimiter, "\r\n", "\n", "\r", '"']))
             return '"' + inside.replace('"', '""') + '"'
         return cell
 
@@ -275,12 +296,13 @@ def _delimited_files(draw):
 @given(_delimited_files())
 @example((_PADDED_FILE, ",", True, {}))
 @example((_PADDED_FILE.replace("x", '"x"'), ",", True, {}))
+@example(('i,t\r\n1,"a\rb"\r\n2,"c\r\nd"\r\n3,e\r\n', ",", True, {}))
 @settings(max_examples=400, deadline=None)
 def test_load_table_matches_csv_reader_reference(spec):
-    """Quote-free files (numpy's tokenizer) and quoted ones (csv.reader)
-    load to the types, values, dtypes, codes and TableParseError text of
-    the original csv.reader loader, for every delimiter, both header
-    settings and every type hint."""
+    """Quote-free files and quoted ones, read from the path or, when they
+    hold `"` and `\\r`, from a newline="" handle, load to the types, values,
+    dtypes, codes and TableParseError text of the original csv.reader
+    loader, for every delimiter, both header settings and every type hint."""
     text, delimiter, header, hints = spec
     options = LoadOptions(delimiter=delimiter, header=header,
                           type_hints={name: ColumnType(hint) for name, hint in hints.items()})

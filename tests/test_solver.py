@@ -231,6 +231,19 @@ def test_min_sample_size_checks_input_before_reading_rates(monkeypatch, change):
         min_sample_size(WR, **{"p": 0.1, "q": 2.0, "target_confidence": 0.9, **change})
 
 
+@pytest.mark.parametrize("p", [0.0, 0.1])
+@pytest.mark.parametrize("method, kinds", [
+    (WR, []), (WR, [InequalityKind.HOEFFDING_SERFLING]),
+    (WOR, []), (WOR, [InequalityKind.CHERNOFF]),
+])
+def test_inequality_set_is_checked_at_p_zero_too(p, method, kinds):
+    # p = 0 is the degenerate case, but a bad set is an error there as at p > 0
+    with pytest.raises(ValueError, match="inequality set must not be empty|not valid for"):
+        evaluate_confidence(method, p, 10, 2.0, n=100, inequalities=kinds)
+    with pytest.raises(ValueError, match="inequality set must not be empty|not valid for"):
+        q_at_confidence(method, p, 10, 0.9, n=100, inequalities=kinds)
+
+
 def test_unreachable_is_a_result_not_an_error():
     answer = q_at_confidence(WR, 0.005, 10, 0.999)
     assert isinstance(answer, Unreachable)
