@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from . import with_replacement, without_replacement
 from .model import SamplingMethod, _check_point
 from .terms import (
+    _SCALAR,
     DEFAULT_WOR_KINDS,
     DEFAULT_WR_KINDS,
     WITH_REPLACEMENT_KINDS,
@@ -28,6 +29,7 @@ from .terms import (
     InequalityKind,
     Side,
     _check_kinds,
+    _minima,
     degenerate_result,
 )
 from .with_replacement import confidence_wr
@@ -73,6 +75,30 @@ def evaluate_confidence(
     if method is SamplingMethod.WITH_REPLACEMENT:
         return confidence_wr(p, k, q, inequalities)
     return confidence_wor(p, k, n, q, inequalities)
+
+
+def _confidence_at(
+    method: SamplingMethod, p: float, n: Optional[int], kinds: frozenset[InequalityKind]
+) -> Callable[[int, float], float]:
+    """`conf(k, q)`, equal to `evaluate_confidence(method, p, k, q, n,
+    kinds).confidence` bit for bit, for a set `kinds` that `_method_kinds`
+    has checked: the solvers' bisection step. It reads the same term
+    kernel and per-side minima, but builds no BoundTerm or BoundResult;
+    each point is still checked."""
+    wr = method is SamplingMethod.WITH_REPLACEMENT
+    order = with_replacement._ORDER if wr else without_replacement._ORDER
+
+    def conf(k: int, q: float) -> float:
+        if p == 0.0:
+            _check_point(method, None, k, q, n)
+            return 0.0
+        _check_point(method, p, k, q, n)
+        values = (with_replacement._terms(_SCALAR, p, k, q) if wr else without_replacement._terms(
+            _SCALAR, p, k, q, *without_replacement._coefficients(k, n)))
+        omega, psi, _, _ = _minima(order, values, kinds)
+        return max(0.0, 1.0 - omega - psi)
+
+    return conf
 
 
 @dataclass(frozen=True)

@@ -120,19 +120,27 @@ def _real_array(cells: list[str]) -> np.ndarray:
 
 def _records(path: str, delimiter: str) -> Iterator[tuple[int, list[str]]]:
     """csv.reader's non-blank records and their line numbers, which count records,
-    blank ones included. Only an error reads a file this way, to name its line."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        numbers = itertools.count(1)
-        try:
-            yield from ((no, row) for row, no in zip(csv.reader(handle, delimiter=delimiter), numbers)
-                        if row)
-        except csv.Error as error:  # such as a cell over csv.field_size_limit()
-            raise TableParseError(f"{path}: line {next(numbers)}: {error}") from None
+    blank ones included. Only an error reads a file this way, to name its line.
+    numpy bounds no cell, so neither does the reader here: the process-wide
+    csv.field_size_limit() is lifted while it reads, and restored when the
+    records end, raise or are closed."""
+    limit = csv.field_size_limit(2**31 - 1)  # the largest a C long takes everywhere
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            numbers = itertools.count(1)
+            try:
+                yield from ((no, row) for row, no
+                            in zip(csv.reader(handle, delimiter=delimiter), numbers) if row)
+            except csv.Error as error:
+                raise TableParseError(f"{path}: line {next(numbers)}: {error}") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _line_no(path: str, delimiter: str, index: int) -> int:
     """Line number of the index-th non-blank record."""
-    return next(itertools.islice(_records(path, delimiter), index, None))[0]
+    with contextlib.closing(_records(path, delimiter)) as records:
+        return next(itertools.islice(records, index, None))[0]
 
 
 def _cells(path: str, delimiter: str) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from . import with_replacement
-from .confidence import _method_kinds, evaluate_confidence
+from .confidence import _confidence_at, _method_kinds
 from .model import SamplingMethod, _check_point
 from .terms import _SCALAR, InequalityKind
 
@@ -52,10 +52,13 @@ def min_sample_size(
     k_max, and at most n - 1 without replacement.
 
     One integer bisection, each step decided by the scalar bound, over a
-    bracket whose top is evaluated first (below the target there, k is
-    Unreachable): the paper's rule of thumb with replacement (`_bracket`),
-    [0, cap] without, as the Hoeffding-Serfling bound grows with k and the
-    Bernstein-Serfling bound did in an exhaustive scan.
+    bracket whose top is evaluated first: the paper's rule of thumb with
+    replacement (`_bracket`); without, [0, top] where the Hoeffding-Serfling
+    bound alone reaches the target at top (`_serfling_top`), else [0, cap],
+    as the Hoeffding-Serfling bound grows with k and the Bernstein-Serfling
+    bound did in an exhaustive scan. Below the target at a top short of cap
+    (the bound's rounding), the search goes on over [top, cap]; below it at
+    cap, k is Unreachable.
     """
     _validate_target(target_confidence)
     if k_max < 1:
@@ -63,17 +66,19 @@ def min_sample_size(
     _check_point(method, None if p == 0.0 else p, 1, q, n)  # k = 1, the least, must be admissible
     wr = method is SamplingMethod.WITH_REPLACEMENT
     kinds = _method_kinds(method, inequalities)
+    conf = _confidence_at(method, p, n, kinds)
     cap = k_max if wr else min(k_max, n - 1)
 
-    def conf(k: int) -> float:
-        return evaluate_confidence(method, p, k, q, n=n, inequalities=kinds).confidence
-
-    lo, hi = _bracket(p, q, target_confidence, kinds, cap) if wr else (0, cap)
-    if (value := conf(hi)) < target_confidence:
+    lo, hi = (_bracket(p, q, target_confidence, kinds, cap) if wr
+              else (0, min(cap, _serfling_top(p, q, target_confidence, kinds, n))))
+    if (value := conf(hi, q)) < target_confidence and hi < cap:
+        lo, hi = hi, cap
+        value = conf(hi, q)
+    if value < target_confidence:
         return Unreachable(target_confidence, float(cap), value)
     while hi - lo > 1:  # the least k is in (lo, hi]
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if conf(mid) >= target_confidence else (mid, hi)
+        lo, hi = (lo, mid) if conf(mid, q) >= target_confidence else (mid, hi)
     return hi
 
 
@@ -97,6 +102,24 @@ def _bracket(p: float, q: float, target: float, kinds: frozenset, cap: int) -> t
     return max(0, min(cap, math.floor(bottom) - 1)), min(cap, math.ceil(top) + 1)
 
 
+def _serfling_top(p: float, q: float, target: float, kinds: frozenset, n: int) -> int:
+    """A k in [1, n/2] at which the without-replacement bound reaches the
+    target, or n where none is known.
+
+    With Hoeffding-Serfling chosen, the bound is at least its own
+    1 - 2 exp(-2 k eps^2 / rho) with eps = p(1 - 1/q), the smaller side's,
+    and rho = (n - k + 1)/n for 2k <= n; with L = ln(2 / (1 - target)) that
+    reaches the target for k >= L(n + 1) / (2 eps^2 n + L). The top is that
+    least k widened by a relative 1e-9 and by one for the bound's rounding;
+    past n/2, rho takes its other branch, and n is returned."""
+    if InequalityKind.HOEFFDING_SERFLING not in kinds:
+        return n
+    eps = p * (1.0 - 1.0 / q)
+    rate = math.log(2.0 / (1.0 - target))
+    top = math.ceil(rate * (n + 1) / (2.0 * eps * eps * n + rate) * (1.0 + 1e-9)) + 1
+    return top if 2 * top <= n else n
+
+
 def q_at_confidence(
     method: SamplingMethod,
     p: float,
@@ -110,11 +133,9 @@ def q_at_confidence(
     confidence(p, k, q) >= target, by bisection on the q-monotone bound."""
     _validate_target(target_confidence)
     _check_point(method, None, k, q_max, n)
+    conf = _confidence_at(method, p, n, _method_kinds(method, inequalities))
 
-    def conf(q: float) -> float:
-        return evaluate_confidence(method, p, k, q, n=n, inequalities=inequalities).confidence
-
-    at_cap = conf(q_max)
+    at_cap = conf(k, q_max)
     if at_cap < target_confidence:
         return Unreachable(target_confidence, q_max, at_cap)
 
@@ -125,7 +146,7 @@ def q_at_confidence(
         mid = math.sqrt(lo * hi)
         if not lo < mid < hi:
             break
-        if conf(mid) >= target_confidence:
+        if conf(k, mid) >= target_confidence:
             hi = mid
         else:
             lo = mid

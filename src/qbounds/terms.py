@@ -22,6 +22,11 @@ class InequalityKind(enum.Enum):
     HOEFFDING_SERFLING = "hoeffding_serfling"
     BERNSTEIN_SERFLING = "bernstein_serfling"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality; Enum's own hashes the name in Python, and every
+    # bound evaluation tests each kind against the chosen set.
+    __hash__ = object.__hash__
+
 
 WITH_REPLACEMENT_KINDS = frozenset(
     {InequalityKind.CHERNOFF, InequalityKind.BERNSTEIN, InequalityKind.HOEFFDING}
@@ -75,20 +80,20 @@ class BoundResult:
     degenerate: bool = False
 
 
-def combine_terms(terms: Iterable[BoundTerm]) -> BoundResult:
-    """Take per-side minima over applicable terms and clamp the confidence.
-
-    A side with no applicable term gets the vacuous bound 1.
-    """
-    terms = tuple(terms)
-    omega, omega_src = _side_min(terms, Side.OVER)
-    psi, psi_src = _side_min(terms, Side.UNDER)
-    confidence = max(0.0, 1.0 - omega - psi)
+def combine_terms(order: tuple[InequalityKind, ...], values: list, kinds: frozenset) -> BoundResult:
+    """The combined bound of a term kernel's values, which hold the over
+    then the under term of each kind in `order`, over the chosen `kinds`,
+    with a BoundTerm per chosen term (a NaN value is an inapplicable term)."""
+    omega, psi, omega_src, psi_src = _minima(order, values, kinds)
+    terms, pairs = [], iter(values)
+    for kind, over, under in zip(order, pairs, pairs):
+        if kind in kinds:
+            terms += (BoundTerm(kind, Side.OVER, over), BoundTerm(kind, Side.UNDER, under))
     return BoundResult(
         omega=omega,
         psi=psi,
-        confidence=confidence,
-        terms=terms,
+        confidence=max(0.0, 1.0 - omega - psi),
+        terms=tuple(terms),
         omega_source=omega_src,
         psi_source=psi_src,
     )
@@ -101,19 +106,26 @@ def degenerate_result() -> BoundResult:
     )
 
 
-def _side_min(
-    terms: tuple[BoundTerm, ...], side: Side
-) -> tuple[float, Optional[InequalityKind]]:
-    best = math.inf
-    source = None
-    for term in terms:
-        # an inapplicable term's NaN never compares below `best`
-        if term.side is side and term.probability < best:
-            best = term.probability
-            source = term.inequality
-    if source is None:
-        return 1.0, None
-    return best, source
+def _minima(
+    order: tuple[InequalityKind, ...], values: list, kinds: frozenset
+) -> tuple[float, float, Optional[InequalityKind], Optional[InequalityKind]]:
+    """(omega, psi, the kind giving omega, the kind giving psi): the least
+    over and the least under term of the chosen kinds in a term kernel's
+    values (laid out as `combine_terms` reads them). An inapplicable
+    term's NaN never compares below the running minimum, so it never
+    binds; a side with no applicable term gets the vacuous bound 1 and no
+    kind; on a tie the first kind in `order` binds."""
+    omega = psi = math.inf
+    omega_src = psi_src = None
+    pairs = iter(values)
+    for kind, over, under in zip(order, pairs, pairs):
+        if kind in kinds:
+            if over < omega:
+                omega, omega_src = over, kind
+            if under < psi:
+                psi, psi_src = under, kind
+    return (1.0 if omega_src is None else omega, 1.0 if psi_src is None else psi,
+            omega_src, psi_src)
 
 
 def _check_kinds(
@@ -132,17 +144,3 @@ def _check_kinds(
         names = ", ".join(sorted(kind.value for kind in invalid))
         raise ValueError(f"not valid for sampling {regime}: {names}")
     return kinds
-
-
-def _select_terms(
-    order: tuple[InequalityKind, ...], values: list, kinds: frozenset
-) -> list[BoundTerm]:
-    """BoundTerms of the chosen kinds from a term kernel's values, which
-    hold the over then the under term of each kind in `order`. A NaN
-    value is an inapplicable term."""
-    terms = []
-    for kind, over, under in zip(order, values[::2], values[1::2]):
-        if kind in kinds:
-            terms.append(BoundTerm(kind, Side.OVER, over))
-            terms.append(BoundTerm(kind, Side.UNDER, under))
-    return terms

@@ -20,7 +20,6 @@ from .terms import (
     InequalityKind,
     Side,
     _check_kinds,
-    _select_terms,
     combine_terms,
 )
 
@@ -130,4 +129,4 @@ def confidence_wr(
         inequalities, DEFAULT_WR_KINDS, WITH_REPLACEMENT_KINDS, "with replacement"
     )
     _check_point(SamplingMethod.WITH_REPLACEMENT, p, k, q)
-    return combine_terms(_select_terms(_ORDER, _terms(_SCALAR, p, k, q), kinds))
+    return combine_terms(_ORDER, _terms(_SCALAR, p, k, q), kinds)

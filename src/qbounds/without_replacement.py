@@ -21,7 +21,6 @@ from .terms import (
     InequalityKind,
     Side,
     _check_kinds,
-    _select_terms,
     combine_terms,
 )
 
@@ -119,4 +118,4 @@ def confidence_wor(
     )
     _check_point(SamplingMethod.WITHOUT_REPLACEMENT, p, k, q, n)
     values = _terms(_SCALAR, p, k, q, *_coefficients(k, n))
-    return combine_terms(_select_terms(_ORDER, values, kinds))
+    return combine_terms(_ORDER, values, kinds)

@@ -49,6 +49,15 @@ def _write(tmp_path, text, name="t.csv"):
     return str(path)
 
 
+@pytest.fixture(autouse=True)
+def _field_size_limit_kept():
+    # load_table lifts csv.field_size_limit() only while it names an error's
+    # line; every load_table call in a test, returning or raising, restores it
+    limit = csv.field_size_limit()
+    yield
+    assert csv.field_size_limit() == limit
+
+
 # Loading ---------------------------------------------------------------------
 
 def test_load_table_basic(tmp_path):
@@ -87,13 +96,19 @@ def test_load_table_long_quoted_cell_loads_as_its_quote_free_form(tmp_path):
     assert csv.field_size_limit() == limit
 
 
-@pytest.mark.parametrize("rows, hints", [("\n\n2\n", None), ("\nz,y\n", {"a": ColumnType.INTEGER})])
-def test_load_table_error_after_long_quoted_cell_names_that_cell(tmp_path, rows, hints):
-    # csv.reader, which names an error's line, stops at the cell over its limit
+@pytest.mark.parametrize("rows, hints, fault", [
+    ("\n\n2\n", None, "line 4: expected 2 fields, got 1"),
+    ("\nz,y\n", {"a": ColumnType.INTEGER},
+     "line 3: column 'a' is hinted integer but holds a non-numeric cell"),
+])
+def test_load_table_error_after_long_quoted_cell_names_the_fault(tmp_path, rows, hints, fault):
+    # csv.reader, which names an error's line, reads past a cell over its
+    # limit as numpy does, and the process-wide limit is restored after
+    limit = csv.field_size_limit()
     path = _write(tmp_path, 'a,b\n1,"' + "x" * 200_000 + '"' + rows)
-    message = f"{path}: line 2: field larger than field limit ({csv.field_size_limit()})"
-    with pytest.raises(TableParseError, match="^" + re.escape(message) + "$"):
+    with pytest.raises(TableParseError, match="^" + re.escape(f"{path}: {fault}") + "$"):
         load_table(path, LoadOptions(type_hints=hints))
+    assert csv.field_size_limit() == limit
 
 
 def test_load_table_empty_file(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,13 @@ from qbounds import (
     q_at_confidence,
     with_replacement,
 )
-from qbounds.terms import WITH_REPLACEMENT_KINDS, WITHOUT_REPLACEMENT_KINDS
+from qbounds.confidence import _confidence_at, _method_kinds
+from qbounds.terms import (
+    DEFAULT_WOR_KINDS,
+    WITH_REPLACEMENT_KINDS,
+    WITHOUT_REPLACEMENT_KINDS,
+    _minima,
+)
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -117,20 +124,31 @@ def test_solver_monotone_in_target():
     assert answers == sorted(answers)
 
 
-def test_solver_stays_inside_search_box(monkeypatch):
-    seen_k, seen_q = [], []
-    real = evaluate_confidence
+@pytest.fixture
+def steps(monkeypatch):
+    """Every (k, q) at which a solver evaluates the bound, recorded through
+    the per-solve closure its bisection steps call."""
+    seen = []
+    real = solver_module._confidence_at
 
-    def recording(method, p, k, q, n=None, inequalities=None):
-        seen_k.append(k)
-        seen_q.append(q)
-        return real(method, p, k, q, n=n, inequalities=inequalities)
+    def recording(*args):
+        conf = real(*args)
 
-    monkeypatch.setattr(solver_module, "evaluate_confidence", recording)
+        def step(k, q):
+            seen.append((k, q))
+            return conf(k, q)
+        return step
+
+    monkeypatch.setattr(solver_module, "_confidence_at", recording)
+    return seen
+
+
+def test_solver_stays_inside_search_box(steps):
     min_sample_size(WR, 0.003, 2.0, 0.9, k_max=10**7)
     q_at_confidence(WR, 0.003, 2000, 0.9, q_max=10**4)
-    assert all(1 <= k <= 10**7 for k in seen_k)
-    assert all(1.0 <= q <= 10**4 for q in seen_q)
+    assert steps
+    assert all(1 <= k <= 10**7 for k, _ in steps)
+    assert all(1.0 <= q <= 10**4 for _, q in steps)
 
 
 def _nonempty_subsets(kinds):
@@ -196,25 +214,132 @@ def test_min_sample_size_round_trip_over_wr_domain(p, q, target, kinds, k_max):
         assert answer == 1 or conf(answer - 1) < target
 
 
-def test_min_sample_size_evaluations(monkeypatch):
+def _bisect_to_cap(p, q, target, n, kinds, k_max=solver_module.DEFAULT_K_MAX):
+    """The least k in [1, cap] the without-replacement bound accepts, found
+    by one bisection over [0, cap] through `evaluate_confidence`, as
+    min_sample_size searched before its Hoeffding-Serfling top; and the
+    number of bound evaluations that made."""
+    cap = min(k_max, n - 1)
+    evaluations = 0
+
+    def conf(k):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate_confidence(WOR, p, k, q, n=n, inequalities=kinds).confidence
+
+    if (value := conf(cap)) < target:
+        return Unreachable(target, float(cap), value), evaluations
+    lo, hi = 0, cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if conf(mid) >= target else (mid, hi)
+    return hi, evaluations
+
+
+_HS = frozenset({InequalityKind.HOEFFDING_SERFLING})
+_BS = frozenset({InequalityKind.BERNSTEIN_SERFLING})
+
+
+@given(
+    st.one_of(st.floats(min_value=5e-324, max_value=1.0),
+              st.floats(min_value=-9.0, max_value=0.0).map(lambda e: 10.0**e)),
+    st.one_of(st.floats(min_value=1.0, max_value=1e300),
+              st.floats(min_value=-4.0, max_value=3.0).map(lambda e: 1.0 + 10.0**e)),
+    st.one_of(_TARGETS, st.integers(min_value=1, max_value=8).map(lambda i: 1.0 - i * 2.0**-53)),
+    st.sampled_from(WOR_KIND_SETS),
+    st.one_of(st.integers(min_value=2, max_value=1000),
+              st.floats(min_value=3.0, max_value=18.0).map(lambda e: int(10.0**e))),
+    st.integers(min_value=1, max_value=10**9),
+)
+@example(0.005, 2.0, 0.95, DEFAULT_WOR_KINDS, 10**6, 10**9)  # the Hoeffding-Serfling top
+@example(0.01, 1.5, 0.9, DEFAULT_WOR_KINDS, 1000, 10**9)  # 2 top > n
+@example(0.005, 2.0, 0.95, _BS, 10**6, 10**9)  # Hoeffding-Serfling not chosen
+@example(0.5, 2.0, 1.0 - 2.0**-53, _HS, 10**9, 10**9)  # a target one ulp below 1
+@example(0.5, 2.0, 1.0 - 3 * 2.0**-53, DEFAULT_WOR_KINDS, 10**15, 10**9)
+@settings(max_examples=300, deadline=None)
+def test_min_sample_size_wor_matches_bisection_to_cap(p, q, target, kinds, n, k_max):
+    answer = min_sample_size(WOR, p, q, target, n=n, inequalities=kinds, k_max=k_max)
+    assert answer == _bisect_to_cap(p, q, target, n, kinds, k_max)[0]
+
+
+@given(
+    st.sampled_from([(WR, kinds) for kinds in WR_KIND_SETS]
+                    + [(WOR, kinds) for kinds in WOR_KIND_SETS]),
+    st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1.0),
+              st.floats(min_value=-9.0, max_value=0.0).map(lambda e: 10.0**e)),
+    st.one_of(st.floats(min_value=1.0, max_value=1e300),
+              st.floats(min_value=-4.0, max_value=3.0).map(lambda e: 1.0 + 10.0**e)),
+    st.integers(min_value=2, max_value=2**62),
+    st.integers(min_value=0, max_value=2**62),
+)
+@example((WOR, DEFAULT_WOR_KINDS), 5e-324, 1e300, 2**62, 2**62 - 2)  # k = n - 1
+@example((WOR, _HS), 0.3, 1.5, 2**62, 2**61 - 1)  # 2k = n
+@example((WR, WITH_REPLACEMENT_KINDS), 1.0, 1.0, 2, 2**62)
+@settings(max_examples=500, deadline=None)
+def test_solver_step_equals_evaluate_confidence(method_kinds, p, q, n, offset):
+    # the closure the solvers bisect on gives the records path's confidence,
+    # bit for bit, at every point of the domain (k in [1, n - 1])
+    method, kinds = method_kinds
+    k = 1 + offset % (n - 1)
+    conf = _confidence_at(method, p, n, _method_kinds(method, kinds))
+    expected = evaluate_confidence(method, p, k, q, n=n, inequalities=kinds).confidence
+    assert conf(k, q).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("method, bracket, short", [
+    (WR, "_bracket", lambda *args: (0, 10)),
+    (WOR, "_serfling_top", lambda *args: 10),
+])
+def test_min_sample_size_searches_past_a_short_top(monkeypatch, method, bracket, short):
+    # a top the bound's rounding leaves below the target is no Unreachable:
+    # the search goes on over [top, cap]
+    expected = min_sample_size(method, 0.005, 2.0, 0.95, n=10**6)
+    monkeypatch.setattr(solver_module, bracket, short)
+    assert min_sample_size(method, 0.005, 2.0, 0.95, n=10**6) == expected
+
+
+@pytest.mark.parametrize("method, p, k, q, n", [
+    (WR, 1.5, 10, 2.0, None), (WR, math.nan, 10, 2.0, None), (WR, 0.1, 0, 2.0, None),
+    (WR, 0.1, 10, 0.5, None), (WR, 0.1, 10, math.inf, None), (WR, 0.0, 10, math.nan, None),
+    (WOR, -0.1, 10, 2.0, 100), (WOR, 0.1, 100, 2.0, 100), (WOR, 0.0, 100, 2.0, 100),
+    (WOR, 0.1, 10, math.nan, 100),
+])
+def test_solver_step_rejects_what_evaluate_confidence_rejects(method, p, k, q, n):
+    # the closure checks each point as evaluate_confidence does
+    kinds = _method_kinds(method, None)
+    with pytest.raises(ValueError) as expected:
+        evaluate_confidence(method, p, k, q, n=n)
+    with pytest.raises(ValueError, match="^" + re.escape(str(expected.value)) + "$"):
+        _confidence_at(method, p, n, kinds)(k, q)
+
+
+def test_per_side_minima_rule():
+    # NaN-skipping, the vacuous 1 with no kind where no term applies, and
+    # the first kind in the order binding a tie
+    order = with_replacement._ORDER
+    chernoff, bernstein, hoeffding = order
+    values = [0.5, 0.25, 0.5, 0.125, math.nan, math.nan]
+    assert _minima(order, values, frozenset(order)) == (0.5, 0.125, chernoff, bernstein)
+    assert _minima(order, values, frozenset({hoeffding})) == (1.0, 1.0, None, None)
+    assert _minima(order, [1.0] * 6, frozenset(order)) == (1.0, 1.0, chernoff, chernoff)
+    assert evaluate_confidence(WOR, 0.3, 50, 1.0, n=100).omega_source is InequalityKind.HOEFFDING_SERFLING
+
+
+def test_min_sample_size_evaluations(steps):
     # the rule of thumb's bracket at p = 0.005, q = 2 is ~900 wide: its top
     # and ten bisection steps; at p = 0 the bound is 0 for every k, and the
     # top of the bracket, the cap, is the one evaluation
-    seen = []
-    real = solver_module.evaluate_confidence
-
-    def counting(method, p, k, q, **kwargs):
-        seen.append(k)
-        return real(method, p, k, q, **kwargs)
-
-    monkeypatch.setattr(solver_module, "evaluate_confidence", counting)
     assert min_sample_size(WR, 0.005, 2.0, 0.95) == 3919
-    assert len(seen) <= 12
+    assert len(steps) <= 12
     for method in (WR, WOR):
-        seen.clear()
+        steps.clear()
         answer = min_sample_size(method, 0.0, 2.0, 0.95, n=10**6)
         assert isinstance(answer, Unreachable) and answer.confidence_at_limit == 0.0
-        assert len(seen) == 1
+        assert len(steps) == 1
+    # without replacement the Hoeffding-Serfling top cuts the [0, cap] bracket
+    steps.clear()
+    assert min_sample_size(WOR, 0.005, 2.0, 0.95, n=10**6) == 9363
+    assert len(steps) < _bisect_to_cap(0.005, 2.0, 0.95, 10**6, DEFAULT_WOR_KINDS)[1] == 21
 
 
 @pytest.mark.parametrize("change", [
@@ -266,16 +391,9 @@ def test_confidence_at_q_one_is_zero(method, p, k, extra, with_hoeffding):
     assert result.confidence == 0.0
 
 
-def test_q_at_confidence_evaluations(monkeypatch):
+def test_q_at_confidence_evaluations(steps):
     # the bisection starts at q = 1 without evaluating the bound there
-    seen = []
-    real = solver_module.evaluate_confidence
-
-    def counting(method, p, k, q, **kwargs):
-        seen.append(q)
-        return real(method, p, k, q, **kwargs)
-
-    monkeypatch.setattr(solver_module, "evaluate_confidence", counting)
     answer = q_at_confidence(WR, 0.01, 1000, 0.9)
-    assert seen[0] == 10**6 and 1.0 not in seen
+    assert steps[0] == (1000, 10**6) and all(k == 1000 for k, _ in steps)
+    assert 1.0 not in [q for _, q in steps]
     assert _conf_wr(0.01, 1000, answer) >= 0.9
