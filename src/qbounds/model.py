@@ -32,7 +32,7 @@ class PopulationSpec:
     cardinality: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if not self.n >= 1:
             raise ValueError(f"population size must be >= 1, got {self.n}")
         if not 0 <= self.cardinality <= self.n:
             raise ValueError(
@@ -65,21 +65,22 @@ def _check_point(
     """The input domain of every query, in one place: 0 < p <= 1, k >= 1,
     finite q >= 1, and without replacement a table size n with k < n (so
     n >= 2). None skips a value the caller does not take; p = 0 is the
-    caller's degenerate case and never reaches this check. NaN fails
-    every comparison here, so it is rejected like any out-of-domain value.
+    caller's degenerate case and never reaches this check. Each check
+    asks whether a value is inside the domain, and NaN fails every
+    comparison, so it is rejected like any out-of-domain value.
 
     `confidence.evaluate_grid` applies the same rule to arrays.
     """
     if p is not None and not 0.0 < p <= 1.0:
         raise ValueError(f"selectivity must be in (0, 1], got {p}")
-    if k is not None and k < 1:
+    if k is not None and not k >= 1:
         raise ValueError(f"sample size must be >= 1, got {k}")
     if q is not None and not 1.0 <= q < math.inf:
         raise ValueError(f"q must be finite and >= 1, got {q}")
     if method is SamplingMethod.WITHOUT_REPLACEMENT:
         if n is None:
             raise ValueError("sampling without replacement needs the table size n")
-        if k >= n:
+        if not k < n:
             raise ValueError(f"sampling without replacement needs k < n, got k={k}, n={n}")
 
 
@@ -93,9 +94,9 @@ def q_error(est: float, truth: float) -> float:
 
     The clamp avoids division by zero; 1.0 means a perfect prediction.
     """
-    if est < 0:
+    if not est >= 0:
         raise ValueError(f"estimate must be non-negative, got {est}")
-    if truth < 0:
+    if not truth >= 0:
         raise ValueError(f"true cardinality must be non-negative, got {truth}")
     e = max(float(est), 1.0)
     t = max(float(truth), 1.0)

@@ -19,7 +19,7 @@ from typing import IO, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .confidence import default_inequalities, evaluate_confidence, evaluate_grid
+from .confidence import default_inequalities, evaluate_grid
 from .exact import exact_confidence
 from .model import PopulationSpec, SampleDesign, SamplingMethod
 from .simulate import SimulationConfig, _check_seed, run_simulation
@@ -38,26 +38,6 @@ TABLE1_CARDINALITIES = (
 TABLE1_SAMPLE_SIZES = (100, 1000, 10000)
 
 
-def fmt9(value: Optional[float]) -> str:
-    """Full-precision cell: 9 significant digits, NA for missing.
-
-    Nine digits are more than a cancelled value holds: a confidence
-    1 - omega - psi of about 1e-10 carries an absolute error of about
-    1e-16, so its last printed digits are rounding noise and may differ
-    between the scalar and the grid path.
-    """
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "NA"
-    return format(value, ".9g")
-
-
-def rounded_cell(value: float) -> str:
-    """Two-decimal display, the `%.2f` cell of `write_table1_csv`: 1.00 is
-    only printed for values above 0.995 (the double nearest 0.995 lies
-    below it, so it rounds down)."""
-    return format(value, ".2f")
-
-
 _CHUNK = 64  # rows formatted per write: bounds the text held at once
 
 
@@ -74,6 +54,13 @@ def cells(values: Iterable, fmt: str) -> list[str]:
     The one cell rule of every table: a string prints as itself (quoted
     when it holds a comma, a quote or a line break), None and NaN print
     NA, and any other value prints as `fmt % value`.
+
+    `%.9g` prints more digits than a cancelled value holds: a confidence
+    1 - omega - psi of about 1e-10 carries an absolute error of about
+    1e-16, so its 8th and 9th printed digits are rounding noise and may
+    differ between the scalar and the grid path. `%.2f` prints 1.00 only
+    above 0.995 (the double nearest 0.995 lies below it, so it rounds
+    down).
     """
     return [
         "NA" if v is None or v != v else _text(v) if isinstance(v, str) else fmt % v
@@ -336,82 +323,3 @@ def figure_series(
 def write_series_csv(records: Sequence[dict], out: IO[str]) -> None:
     """Series records as CSV: 9 significant digits, None and NaN as NA."""
     write_csv(records, _SERIES_CSV, out)
-
-
-@dataclass(frozen=True)
-class ComparisonPoint:
-    method: SamplingMethod
-    n: int
-    c: int
-    k: int
-    q: float
-
-
-def default_comparison_points(
-    lo: float = 0.005, hi: float = 0.98, minimum: int = 50
-) -> list[ComparisonPoint]:
-    """Grid points whose exact success probability sits strictly inside
-    (lo, hi), so the simulation comparison is statistically meaningful."""
-    n = 1_000_000
-    candidates = []
-    for c, k, q, method in itertools.product(
-        (1000, 2000, 5000, 10000, 166666),
-        (100, 300, 1000, 3000, 10000),
-        (1.5, 2.0, 3.0),
-        SamplingMethod,
-    ):
-        pop = PopulationSpec(n=n, cardinality=c)
-        design = SampleDesign(method=method, k=k)
-        exact = exact_confidence(pop, design, q)
-        if lo <= exact <= hi:
-            candidates.append(ComparisonPoint(method, n, c, k, q))
-    if len(candidates) < minimum:
-        raise RuntimeError(
-            f"only {len(candidates)} usable comparison points, need {minimum}"
-        )
-    return candidates
-
-
-def simulation_comparison(
-    points: Sequence[ComparisonPoint], trials: int, seed: int
-) -> list[dict]:
-    """Empirical success rate next to the exact probability and the
-    theoretical bound for each point; `conservatism` is how far the bound
-    sits below what actually happens. Seeds follow `figure_series`."""
-    _check_seed(seed)
-    records = []
-    for index, pt in enumerate(points):
-        pop = PopulationSpec(n=pt.n, cardinality=pt.c)
-        design = SampleDesign(method=pt.method, k=pt.k)
-        exact = exact_confidence(pop, design, pt.q)
-        bound = evaluate_confidence(
-            pt.method, pop.p, pt.k, pt.q, n=pt.n
-        ).confidence
-        summary = run_simulation(SimulationConfig(
-            pop=pop, design=design, q=pt.q, trials=trials,
-            seed=(seed + 1_000_003 * index) % 2**64,
-        ))
-        records.append({
-            "method": pt.method.value, "n": pt.n, "c": pt.c,
-            "k": pt.k, "q": pt.q,
-            "confidence": bound,
-            "exact": exact,
-            "empirical_rate": summary.empirical_rate,
-            "standard_error": summary.standard_error,
-            "successes": summary.successes,
-            "trials": summary.trials,
-            "conservatism": summary.empirical_rate - bound,
-        })
-    return records
-
-
-_COMPARISON_CSV = {
-    "method": "%s", "n": "%d", "c": "%d", "k": "%d", "q": "%.9g", "confidence": "%.9g",
-    "exact": "%.9g", "empirical_rate": "%.9g", "standard_error": "%.9g",
-    "successes": "%d", "trials": "%d", "conservatism": "%.9g",
-}
-COMPARISON_COLUMNS = tuple(_COMPARISON_CSV)
-
-
-def write_comparison_csv(records: Sequence[dict], out: IO[str]) -> None:
-    write_csv(records, _COMPARISON_CSV, out)

@@ -7,6 +7,7 @@ lines as they complete.
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qbounds import (
     estimate_with_bounds,
     evaluate_confidence,
     exact_confidence,
+    figure_series,
     hoeffding_serfling_term,
     load_table,
     min_sample_size,
@@ -30,12 +32,9 @@ from qbounds import (
     table1,
     true_cardinality,
 )
-from qbounds.reports import (
-    default_comparison_points,
-    rounded_cell,
-    simulation_comparison,
-    write_comparison_csv,
-)
+from qbounds.reports import cells, parse_grid_file, write_series_csv
+
+COMPARISON_GRID = Path(__file__).resolve().parent.parent / "scripts" / "comparison_grid.txt"
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -100,7 +99,7 @@ def test_criterion_1_golden_table():
                     assert value > 0.995, (row["c"], key, value)
                 else:
                     assert value <= 0.995, (row["c"], key, value)
-                    assert rounded_cell(value) == want, (row["c"], key, value, want)
+                    assert cells([value], "%.2f")[0] == want, (row["c"], key, value, want)
                 checked += 1
         assert checked == 108
 
@@ -160,9 +159,12 @@ def test_criterion_3_soundness():
 def test_criterion_4_monte_carlo_agreement(tmp_path):
     with _criterion(4, "Monte Carlo agreement and conservatism report"):
         start = time.perf_counter()
-        points = default_comparison_points()
-        assert len(points) >= 50
-        records = simulation_comparison(points, trials=100_000, seed=20240601)
+        spec = parse_grid_file(COMPARISON_GRID.read_text(encoding="utf-8"))
+        series = figure_series(spec, with_exact=True, with_simulation=True,
+                               trials=100_000, seed=20240601)
+        assert len(series) == 150
+        records = [r for r in series if 0.005 <= r["exact"] <= 0.98]
+        assert len(records) >= 50
         for record in records:
             band = 4.0 * record["standard_error"]
             assert abs(record["empirical_rate"] - record["exact"]) <= band, record
@@ -178,13 +180,13 @@ def test_criterion_4_monte_carlo_agreement(tmp_path):
         assert gaps[100] > 0.1 > gaps[10000]
         assert gaps[10000] < 0.01
 
-        report_path = tmp_path / "simulation_comparison.csv"
+        report_path = tmp_path / "series.csv"
         with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
-            write_comparison_csv(records, handle)
+            write_series_csv(series, handle)
         assert report_path.stat().st_size > 0
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"Monte Carlo comparison took {elapsed:.1f}s"
-        print(f"  [monte carlo: {len(records)} points, {elapsed:.1f}s, "
+        print(f"  [monte carlo: {len(records)} of {len(series)} points in range, {elapsed:.1f}s, "
               f"report at {report_path}]")
 
 

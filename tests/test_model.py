@@ -35,6 +35,10 @@ def test_q_error_rejects_negative_inputs():
         q_error(-1, 5)
     with pytest.raises(ValueError):
         q_error(1, -5)
+    with pytest.raises(ValueError, match="^estimate must be non-negative, got nan$"):
+        q_error(math.nan, 10)
+    with pytest.raises(ValueError, match="^true cardinality must be non-negative, got nan$"):
+        q_error(10, math.nan)
 
 
 def test_selectivity_examples():
@@ -50,6 +54,8 @@ def test_population_spec_invariants():
         PopulationSpec(n=5, cardinality=6)
     with pytest.raises(ValueError):
         PopulationSpec(n=5, cardinality=-1)
+    with pytest.raises(ValueError, match="^population size must be >= 1, got nan$"):
+        PopulationSpec(n=math.nan, cardinality=0)
     # p is derived, never stored: no way for C and p to drift
     pop = PopulationSpec(n=3, cardinality=1)
     assert pop.p == 1 / 3
@@ -112,7 +118,7 @@ def _points(draw):
     q = draw(st.sampled_from(_EDGES + [0.5, 1.0, 1e200, sys.float_info.max])
              | st.floats(1.0, 1e6))
     n = draw(st.integers(-2, 10**6))
-    k = draw(st.sampled_from([n - 1, n, n + 1]) | st.integers(-2, 10**6))
+    k = draw(st.sampled_from([n - 1, n, n + 1, math.nan]) | st.integers(-2, 10**6))
     return method, p, k, n, q
 
 
@@ -135,13 +141,15 @@ def _raises(call) -> bool:
 @example((WR, 0.5, 10, 100, math.nan))
 @example((WR, 0.5, 10, 100, math.inf))
 @example((WR, 0.5, -1, 100, 2.0))
+@example((WR, 0.5, math.nan, 100, 2.0))
+@example((WOR, 0.5, math.nan, 100, 2.0))
 def test_one_domain_rule_for_scalar_and_grid(point):
     method, p, k, n, q = point
     scalar = _raises(lambda: evaluate_confidence(method, p, k, q, n=n))
     grid = _raises(lambda: evaluate_grid(p, k, n, q, method is WOR, InequalityKind))
     # evaluate_grid leaves p = 0, the degenerate case, to its callers
     assert grid == (scalar or p == 0.0)
-    if not 1.0 <= q < math.inf or k < 1:
+    if not 1.0 <= q < math.inf or not k >= 1:
         pop = PopulationSpec(n=max(n, 1), cardinality=0)
         with pytest.raises(ValueError):
             exact_confidence(pop, SampleDesign(method, k), q)

@@ -28,16 +28,10 @@ from qbounds import (
 )
 from qbounds.confidence import evaluate_grid
 from qbounds.reports import (
-    COMPARISON_COLUMNS,
     SERIES_COLUMNS,
     TABLE1_CARDINALITIES,
     TABLE1_SAMPLE_SIZES,
     cells,
-    default_comparison_points,
-    fmt9,
-    rounded_cell,
-    simulation_comparison,
-    write_comparison_csv,
     write_csv,
     write_series_csv,
     write_table1_csv,
@@ -46,6 +40,19 @@ from qbounds.terms import WITH_REPLACEMENT_KINDS, WITHOUT_REPLACEMENT_KINDS, Ine
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
+
+
+def _fmt9(value) -> str:
+    """The full-precision cell, one value at a time: 9 significant
+    digits, NA for None and NaN."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return "NA"
+    return format(value, ".9g")
+
+
+def _rounded(value: float) -> str:
+    """The two-decimal cell of one value."""
+    return cells([value], "%.2f")[0]
 
 
 def test_table1_shape_and_defaults():
@@ -60,19 +67,19 @@ def test_table1_shape_and_defaults():
 
 def test_table1_known_cells():
     rows = {row["c"]: row for row in table1()}
-    assert rounded_cell(rows[5000]["r1000"]) == "0.39"
-    assert rounded_cell(rows[166]["r100"]) == "0.00"
-    assert rounded_cell(rows[1000000]["r100"]) == "1.00"
-    assert rounded_cell(rows[1000000]["nr10000"]) == "1.00"
-    assert rounded_cell(rows[166666]["nr100"]) == "0.75"
+    assert _rounded(rows[5000]["r1000"]) == "0.39"
+    assert _rounded(rows[166]["r100"]) == "0.00"
+    assert _rounded(rows[1000000]["r100"]) == "1.00"
+    assert _rounded(rows[1000000]["nr10000"]) == "1.00"
+    assert _rounded(rows[166666]["nr100"]) == "0.75"
 
 
 def test_rounded_cell_rule():
-    assert rounded_cell(0.9951) == "1.00"
-    assert rounded_cell(0.995) == "0.99"   # only strictly above 0.995 prints 1.00
-    assert rounded_cell(0.9949) == "0.99"
-    assert rounded_cell(0.0009) == "0.00"
-    assert rounded_cell(0.124432) == "0.12"
+    assert _rounded(0.9951) == "1.00"
+    assert _rounded(0.995) == "0.99"   # only strictly above 0.995 prints 1.00
+    assert _rounded(0.9949) == "0.99"
+    assert _rounded(0.0009) == "0.00"
+    assert _rounded(0.124432) == "0.12"
     # the rule was once a branch printing 1.00 above 0.995; format(v, ".2f")
     # agrees with it on random values and within 5 ulps of every multiple
     # of 0.005 in [0, 1]
@@ -84,15 +91,13 @@ def test_rounded_cell_rule():
             for _ in range(11):
                 values.append(v)
                 v = math.nextafter(v, 2.0)
-    for v in values:
-        if 0.0 <= v <= 1.0:
-            assert rounded_cell(v) == ("1.00" if v > 0.995 else format(v, ".2f")), v
+    values = [v for v in values if 0.0 <= v <= 1.0]
+    for v, cell in zip(values, cells(values, "%.2f")):
+        assert cell == ("1.00" if v > 0.995 else format(v, ".2f")), v
 
 
-def test_fmt9():
-    assert fmt9(0.39072240102871197) == "0.390722401"
-    assert fmt9(None) == "NA"
-    assert fmt9(math.nan) == "NA"
+def test_full_precision_cell_rule():
+    assert cells([0.39072240102871197, None, math.nan], "%.9g") == ["0.390722401", "NA", "NA"]
 
 
 def test_write_table1_csv():
@@ -106,11 +111,11 @@ def test_write_table1_csv():
     assert lines[1].startswith("166,0.000166,")
     assert ",0.00" in lines[1]
     for row, cells_of in zip(table1(), csv.DictReader(io.StringIO(out.getvalue()))):
-        assert cells_of["c"] == str(row["c"]) and cells_of["p"] == fmt9(row["p"])
+        assert cells_of["c"] == str(row["c"]) and cells_of["p"] == _fmt9(row["p"])
         for k in TABLE1_SAMPLE_SIZES:
             for col in (f"r{k}", f"nr{k}"):
-                assert cells_of[col] == fmt9(row[col])
-                assert cells_of[f"{col}_2dp"] == rounded_cell(row[col])
+                assert cells_of[col] == _fmt9(row[col])
+                assert cells_of[f"{col}_2dp"] == format(row[col], ".2f")
 
 
 def test_grid_spec_validation():
@@ -254,40 +259,38 @@ def test_series_csv_na_literal_for_inapplicable_terms():
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_simulation_seed_is_checked_before_any_point(monkeypatch, seed):
-    """figure_series and simulation_comparison hold their seed to the
-    simulation's rule before they compute a point, instead of reducing
-    each point's seed modulo 2**64."""
+    """figure_series holds its seed to the simulation's rule before it
+    computes a point, instead of reducing each point's seed modulo 2**64."""
     from qbounds import reports
 
     def fail(*args, **kwargs):
         raise AssertionError("a point was computed before the seed check")
 
-    for name in ("evaluate_grid", "exact_confidence", "evaluate_confidence", "run_simulation"):
+    for name in ("evaluate_grid", "exact_confidence", "run_simulation"):
         monkeypatch.setattr(reports, name, fail)
     message = f"seed must be an unsigned 64-bit integer, got {seed}"
     with pytest.raises(ValueError, match=f"^{message}$"):
         figure_series(GridSpec(p=(0.2,), k=(100,), q=(2.0,)), with_simulation=True,
                       trials=10, seed=seed)
-    point = reports.ComparisonPoint(SamplingMethod.WITH_REPLACEMENT, 10**6, 1000, 100, 2.0)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        simulation_comparison([point], trials=10, seed=seed)
 
 
-def test_default_comparison_points_interior():
-    points = default_comparison_points()
-    assert len(points) >= 50
-    records = simulation_comparison(points[:3], trials=2000, seed=5)
+def test_series_exact_and_simulation_cells():
+    spec = GridSpec(c=(1000,), n=(10**6,), k=(1000,), q=(1.5, 2.0))
+    records = figure_series(spec, with_exact=True, with_simulation=True, trials=2000, seed=5)
     out = io.StringIO()
-    write_comparison_csv(records, out)
+    write_series_csv(records, out)
     lines = [line for line in out.getvalue().split("\n") if line]
-    assert len(lines) == 4
+    assert len(lines) == 5
     for record, cells_of in zip(records, csv.DictReader(io.StringIO(out.getvalue()))):
         assert 0.0 <= record["empirical_rate"] <= 1.0
         assert record["exact"] >= record["confidence"] - 1e-12
-        assert list(cells_of) == list(COMPARISON_COLUMNS)
+        assert list(cells_of) == SERIES_COLUMNS
         for col, cell in cells_of.items():
             value = record[col]
-            want = value if col == "method" else str(value) if type(value) is int else fmt9(value)
+            if type(value) is str:
+                want = value
+            else:
+                want = str(value) if type(value) is int else _fmt9(value)
             assert cell == want, col
 
 
@@ -402,7 +405,7 @@ def _write_series_per_cell(records, out) -> None:
             elif col in ("n", "c", "k"):
                 cells.append(str(int(value)))
             else:
-                cells.append(fmt9(value))
+                cells.append(_fmt9(value))
         out.write(",".join(cells) + "\n")
 
 
@@ -501,4 +504,4 @@ def test_write_csv_cell_rule():
 
 @given(st.lists(st.none() | st.floats() | st.integers(-(10**20), 10**20), max_size=200))
 def test_full_precision_cells_match_fmt9(values):
-    assert cells(values, "%.9g") == [fmt9(v) for v in values]
+    assert cells(values, "%.9g") == [_fmt9(v) for v in values]
