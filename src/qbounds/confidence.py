@@ -125,20 +125,19 @@ def evaluate_grid(p, k, n, q, wor, inequalities: Iterable[InequalityKind]) -> Gr
     there. Each point must lie in the domain `model._check_point` states
     for one point: 0 < p <= 1, k >= 1, finite q >= 1, and k < n without
     replacement. p = 0 is rejected too: a caller gives those points their
-    degenerate result itself, as `evaluate_confidence` does. `inequalities`
+    degenerate result itself, as `evaluate_confidence` does. The rule is
+    checked on `k` and `n` as given, and a fractional `k` is used as it is,
+    as on the scalar path. `inequalities`
     is the chosen set for both methods at once: a kind of the other method
     never applies to a point. Terms come from the scalar path's kernels,
     but numpy's exp and log may differ from libm's by an ulp.
     """
     chosen = frozenset(inequalities)
     p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    try:
-        k, n = np.asarray(k, dtype=np.int64), np.asarray(n, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("k and n must be below 2**63") from None
+    k, n = _sizes(k), _sizes(n)
     p, k, n, q, wor = np.broadcast_arrays(p, k, n, q, np.asarray(wor, dtype=bool))
     inside = (p > 0.0) & (p <= 1.0) & (k >= 1) & (q >= 1.0) & (q < np.inf)
-    inside &= ~(wor & (k >= n))
+    inside &= ~wor | (k < n)
     for i in np.flatnonzero(~inside)[:1]:  # the rule's error for the first point outside
         method = SamplingMethod.WITHOUT_REPLACEMENT if wor.flat[i] else SamplingMethod.WITH_REPLACEMENT
         _check_point(method, p.flat[i], k.flat[i], q.flat[i], n.flat[i])
@@ -162,6 +161,18 @@ def evaluate_grid(p, k, n, q, wor, inequalities: Iterable[InequalityKind]) -> Gr
     )
     confidence = np.maximum(0.0, 1.0 - omega - psi)
     return GridBounds(terms=terms, omega=omega, psi=psi, confidence=confidence)
+
+
+def _sizes(values) -> np.ndarray:
+    """Sample or table sizes as given: float64 where any is a float, so a
+    fractional or NaN value is neither truncated nor refused by the cast,
+    else exact int64."""
+    if np.asarray(values).dtype.kind == "f":
+        return np.asarray(values, dtype=np.float64)
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("k and n must be below 2**63") from None
 
 
 def _side_min(values: list[np.ndarray], shape: tuple) -> np.ndarray:

@@ -67,43 +67,70 @@ class BoundTerm:
     probability: float
 
 
-@dataclass(frozen=True)
+_OVER, _UNDER = Side.OVER, Side.UNDER  # an enum member lookup costs as much as a term
+_FIELDS = ("omega", "psi", "confidence", "terms", "omega_source", "psi_source", "degenerate")
+
+
+@dataclass(frozen=True, repr=False, eq=False)
 class BoundResult:
-    """Combined lower-bound confidence with its per-inequality breakdown."""
+    """Combined lower-bound confidence with its per-inequality breakdown.
+
+    `terms` is not stored: each read derives it from the term kernel's
+    values, as a BoundTerm for the over then the under term of each chosen
+    kind in the kernel's order (a NaN probability is an inapplicable term),
+    so a caller that reads only the combined bound never builds one. The
+    repr lists `terms` as a field, and two results are equal when every
+    field is, with two NaN probabilities counted equal.
+    """
 
     omega: float
     psi: float
     confidence: float
-    terms: tuple[BoundTerm, ...]
     omega_source: Optional[InequalityKind] = None
     psi_source: Optional[InequalityKind] = None
     degenerate: bool = False
+    # (kind order, kernel values, chosen kinds), laid out as `_minima` reads them
+    _kernel: tuple = ((), (), frozenset())
+
+    @property
+    def terms(self) -> tuple[BoundTerm, ...]:
+        order, values, kinds = self._kernel
+        pairs = iter(values)
+        return tuple(term for kind, over, under in zip(order, pairs, pairs) if kind in kinds
+                     for term in (BoundTerm(kind, _OVER, over), BoundTerm(kind, _UNDER, under)))
+
+    def _key(self) -> tuple:
+        terms = tuple((t.inequality, t.side, None if t.probability != t.probability
+                       else t.probability) for t in self.terms)
+        return (self.omega, self.psi, self.confidence, terms, self.omega_source,
+                self.psi_source, self.degenerate)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def combine_terms(order: tuple[InequalityKind, ...], values: list, kinds: frozenset) -> BoundResult:
     """The combined bound of a term kernel's values, which hold the over
-    then the under term of each kind in `order`, over the chosen `kinds`,
-    with a BoundTerm per chosen term (a NaN value is an inapplicable term)."""
+    then the under term of each kind in `order`, over the chosen `kinds`
+    (a NaN value is an inapplicable term); its `terms` are derived from
+    the values when read."""
     omega, psi, omega_src, psi_src = _minima(order, values, kinds)
-    terms, pairs = [], iter(values)
-    for kind, over, under in zip(order, pairs, pairs):
-        if kind in kinds:
-            terms += (BoundTerm(kind, Side.OVER, over), BoundTerm(kind, Side.UNDER, under))
-    return BoundResult(
-        omega=omega,
-        psi=psi,
-        confidence=max(0.0, 1.0 - omega - psi),
-        terms=tuple(terms),
-        omega_source=omega_src,
-        psi_source=psi_src,
-    )
+    return BoundResult(omega, psi, max(0.0, 1.0 - omega - psi), omega_src, psi_src, False,
+                       (order, tuple(values), kinds))
 
 
 def degenerate_result() -> BoundResult:
     """Trivial bound for an empty predicate (p = 0): confidence 0, flagged."""
-    return BoundResult(
-        omega=1.0, psi=1.0, confidence=0.0, terms=(), degenerate=True
-    )
+    return BoundResult(omega=1.0, psi=1.0, confidence=0.0, degenerate=True)
 
 
 def _minima(

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -18,6 +19,7 @@ from qbounds import (
     validate_design,
 )
 from qbounds.confidence import evaluate_grid
+from qbounds.terms import WITH_REPLACEMENT_KINDS
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -143,12 +145,29 @@ def _raises(call) -> bool:
 @example((WR, 0.5, -1, 100, 2.0))
 @example((WR, 0.5, math.nan, 100, 2.0))
 @example((WOR, 0.5, math.nan, 100, 2.0))
+@example((WR, 0.1, 1000.7, 10**6, 2.0))  # a fractional k is used, not truncated
+@example((WOR, 0.1, 1000.7, 10**6, 2.0))
+@example((WOR, 0.5, 10, math.nan, 2.0))  # a NaN n gets the rule's message
+@example((WR, 0.5, 10, math.nan, 2.0))  # n plays no part with replacement
 def test_one_domain_rule_for_scalar_and_grid(point):
     method, p, k, n, q = point
     scalar = _raises(lambda: evaluate_confidence(method, p, k, q, n=n))
     grid = _raises(lambda: evaluate_grid(p, k, n, q, method is WOR, InequalityKind))
     # evaluate_grid leaves p = 0, the degenerate case, to its callers
     assert grid == (scalar or p == 0.0)
+    if not grid:
+        # the grid computes at the point as given, as the scalar path does
+        kinds = [kind for kind in InequalityKind
+                 if (kind in WITH_REPLACEMENT_KINDS) == (method is WR)]
+        want = evaluate_confidence(method, p, k, q, n=n, inequalities=kinds).confidence
+        on_grid = evaluate_grid(p, k, n, q, method is WOR, InequalityKind).confidence
+        assert float(on_grid) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    if grid and p != 0.0:
+        # the rule's own message, also for a NaN k or n, not numpy's cast error
+        with pytest.raises(ValueError) as expected:
+            evaluate_confidence(method, p, k, q, n=n)
+        with pytest.raises(ValueError, match="^" + re.escape(str(expected.value)) + "$"):
+            evaluate_grid(p, k, n, q, method is WOR, InequalityKind)
     if not 1.0 <= q < math.inf or not k >= 1:
         pop = PopulationSpec(n=max(n, 1), cardinality=0)
         with pytest.raises(ValueError):

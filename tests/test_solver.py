@@ -1,12 +1,16 @@
+import contextlib
+import dataclasses
 import itertools
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbounds.solver as solver_module
+import qbounds.terms as terms_module
 from qbounds import (
     InequalityKind,
     SamplingMethod,
@@ -16,12 +20,17 @@ from qbounds import (
     min_sample_size,
     q_at_confidence,
     with_replacement,
+    without_replacement,
 )
 from qbounds.confidence import _confidence_at, _method_kinds
 from qbounds.terms import (
+    _SCALAR,
     DEFAULT_WOR_KINDS,
+    DEFAULT_WR_KINDS,
     WITH_REPLACEMENT_KINDS,
     WITHOUT_REPLACEMENT_KINDS,
+    BoundTerm,
+    Side,
     _minima,
 )
 
@@ -124,10 +133,10 @@ def test_solver_monotone_in_target():
     assert answers == sorted(answers)
 
 
-@pytest.fixture
-def steps(monkeypatch):
+@contextlib.contextmanager
+def _recording():
     """Every (k, q) at which a solver evaluates the bound, recorded through
-    the per-solve closure its bisection steps call."""
+    the per-solve closure its steps call."""
     seen = []
     real = solver_module._confidence_at
 
@@ -139,8 +148,14 @@ def steps(monkeypatch):
             return conf(k, q)
         return step
 
-    monkeypatch.setattr(solver_module, "_confidence_at", recording)
-    return seen
+    with mock.patch.object(solver_module, "_confidence_at", recording):
+        yield seen
+
+
+@pytest.fixture
+def steps():
+    with _recording() as seen:
+        yield seen
 
 
 def test_solver_stays_inside_search_box(steps):
@@ -214,26 +229,67 @@ def test_min_sample_size_round_trip_over_wr_domain(p, q, target, kinds, k_max):
         assert answer == 1 or conf(answer - 1) < target
 
 
+def _counted(method, p, n, kinds):
+    """conf(k, q) through evaluate_confidence, and a list that grows by one
+    per evaluation."""
+    made = []
+
+    def conf(k, q):
+        made.append((k, q))
+        return evaluate_confidence(method, p, k, q, n=n, inequalities=kinds).confidence
+    return conf, made
+
+
 def _bisect_to_cap(p, q, target, n, kinds, k_max=solver_module.DEFAULT_K_MAX):
     """The least k in [1, cap] the without-replacement bound accepts, found
     by one bisection over [0, cap] through `evaluate_confidence`, as
     min_sample_size searched before its Hoeffding-Serfling top; and the
     number of bound evaluations that made."""
     cap = min(k_max, n - 1)
-    evaluations = 0
-
-    def conf(k):
-        nonlocal evaluations
-        evaluations += 1
-        return evaluate_confidence(WOR, p, k, q, n=n, inequalities=kinds).confidence
-
-    if (value := conf(cap)) < target:
-        return Unreachable(target, float(cap), value), evaluations
+    conf, made = _counted(WOR, p, n, kinds)
+    if (value := conf(cap, q)) < target:
+        return Unreachable(target, float(cap), value), len(made)
     lo, hi = 0, cap
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if conf(mid) >= target else (mid, hi)
-    return hi, evaluations
+        lo, hi = (lo, mid) if conf(mid, q) >= target else (mid, hi)
+    return hi, len(made)
+
+
+def _bisect_k(method, p, q, target, n, kinds, k_max):
+    """min_sample_size's answer by the plain bisection that defines it: the
+    top of the solver's bracket, then every midpoint, evaluated through
+    evaluate_confidence; and the number of evaluations."""
+    kinds = _method_kinds(method, kinds)
+    conf, made = _counted(method, p, n, kinds)
+    cap = k_max if method is WR else min(k_max, n - 1)
+    lo, hi = (solver_module._bracket(p, q, target, kinds, cap) if method is WR
+              else (0, min(cap, solver_module._serfling_top(p, q, target, kinds, n))))
+    if (value := conf(hi, q)) < target and hi < cap:
+        lo, hi = hi, cap
+        value = conf(hi, q)
+    if value < target:
+        return Unreachable(target, float(cap), value), len(made)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if conf(mid, q) >= target else (mid, hi)
+    return hi, len(made)
+
+
+def _bisect_q(method, p, k, target, n, kinds, q_max):
+    """q_at_confidence's answer by the plain geometric bisection of
+    [1, q_max] that defines it, every midpoint evaluated through
+    evaluate_confidence; and the number of evaluations."""
+    conf, made = _counted(method, p, n, kinds)
+    if (at_cap := conf(k, q_max)) < target:
+        return Unreachable(target, q_max, at_cap), len(made)
+    lo, hi = 1.0, q_max
+    while hi - lo > 1e-9 * hi:
+        mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (lo, mid) if conf(k, mid) >= target else (mid, hi)
+    return hi, len(made)
 
 
 _HS = frozenset({InequalityKind.HOEFFDING_SERFLING})
@@ -260,6 +316,61 @@ _BS = frozenset({InequalityKind.BERNSTEIN_SERFLING})
 def test_min_sample_size_wor_matches_bisection_to_cap(p, q, target, kinds, n, k_max):
     answer = min_sample_size(WOR, p, q, target, n=n, inequalities=kinds, k_max=k_max)
     assert answer == _bisect_to_cap(p, q, target, n, kinds, k_max)[0]
+
+
+_METHOD_KINDS = st.sampled_from([(WR, kinds) for kinds in WR_KIND_SETS]
+                                + [(WOR, kinds) for kinds in WOR_KIND_SETS])
+_P = st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1.0),
+               st.floats(min_value=-9.0, max_value=0.0).map(lambda e: 10.0**e))
+_Q = st.one_of(st.floats(min_value=1.0, max_value=1e300),
+               st.floats(min_value=-4.0, max_value=3.0).map(lambda e: 1.0 + 10.0**e))
+# a few ulps from 0 and from 1, besides the targets above
+_EDGE_TARGETS = st.one_of(_TARGETS, st.integers(min_value=1, max_value=8).map(lambda i: i * 5e-324),
+                          st.integers(min_value=1, max_value=8).map(lambda i: 1.0 - i * 2.0**-53))
+_N = st.one_of(st.integers(min_value=2, max_value=1000),
+               st.floats(min_value=3.0, max_value=12.0).map(lambda e: int(10.0**e)))
+
+
+@given(_METHOD_KINDS, _P, _Q, _EDGE_TARGETS, _N,
+       st.one_of(st.just(solver_module.DEFAULT_K_MAX), st.integers(min_value=1, max_value=10**12)))
+@example((WR, DEFAULT_WR_KINDS), 0.005, 2.0, 0.95, 10**6, 10**9)
+@example((WOR, DEFAULT_WOR_KINDS), 0.005, 2.0, 0.95, 10**6, 10**9)
+@example((WR, WITH_REPLACEMENT_KINDS), 0.5, 1.0002834719775153, 1.0 - 9 * 2.0**-53, 10, 10**9)
+@settings(max_examples=300, deadline=None)
+def test_min_sample_size_matches_plain_bisection(method_kinds, p, q, target, n, k_max):
+    # the answer is the plain bisection's, repr for repr; every evaluated k
+    # is in [1, cap]; and at most four evaluations more are made
+    method, kinds = method_kinds
+    with _recording() as seen:
+        answer = min_sample_size(method, p, q, target, n=n, inequalities=kinds, k_max=k_max)
+    expected, evaluations = _bisect_k(method, p, q, target, n, kinds, k_max)
+    assert repr(answer) == repr(expected)
+    cap = k_max if method is WR else min(k_max, n - 1)
+    assert all(1 <= k <= cap and point_q == q for k, point_q in seen)
+    assert len(seen) <= evaluations + 4
+
+
+@given(_METHOD_KINDS, _P, _EDGE_TARGETS, _N, st.integers(min_value=0, max_value=10**12),
+       st.one_of(st.just(solver_module.DEFAULT_Q_MAX), _Q))
+@example((WR, DEFAULT_WR_KINDS), 0.01, 0.9, 10**6, 999, 10**6)
+@example((WOR, DEFAULT_WOR_KINDS), 0.005, 0.95, 10**6, 3918, 10**6)
+@example((WR, WITH_REPLACEMENT_KINDS), 0.5, 1.0 - 2.0**-53, 10**12, 10**9, 1e300)
+@example((WR, DEFAULT_WR_KINDS), 0.5, 5e-324, 10**6, 99, 10**6)
+@settings(max_examples=300, deadline=None)
+def test_q_at_confidence_matches_plain_bisection(method_kinds, p, target, n, offset, q_max):
+    # the answer is the plain geometric bisection's, repr for repr; every
+    # evaluated q is in [1, q_max] (exp(ln q_max) may be an ulp above it);
+    # and at most six evaluations more are made, or twice the plain count
+    # plus six where the solver bisects again, from the first midpoint
+    method, kinds = method_kinds
+    k = 1 + offset % min(n - 1, 10**9)
+    with _recording() as seen:
+        answer = q_at_confidence(method, p, k, target, n=n, inequalities=kinds, q_max=q_max)
+    expected, evaluations = _bisect_q(method, p, k, target, n, kinds, q_max)
+    assert repr(answer) == repr(expected)
+    assert all(point_k == k and 1.0 <= point_q <= q_max for point_k, point_q in seen)
+    again = (k, math.sqrt(1.0 * q_max)) in seen
+    assert len(seen) <= (2 if again else 1) * evaluations + 6
 
 
 @given(
@@ -325,12 +436,74 @@ def test_per_side_minima_rule():
     assert evaluate_confidence(WOR, 0.3, 50, 1.0, n=100).omega_source is InequalityKind.HOEFFDING_SERFLING
 
 
+@given(
+    _METHOD_KINDS,
+    st.one_of(st.floats(min_value=5e-324, max_value=1.0),
+              st.floats(min_value=-9.0, max_value=0.0).map(lambda e: 10.0**e)),
+    _Q,
+    st.integers(min_value=2, max_value=2**62),
+    st.integers(min_value=0, max_value=2**62),
+)
+@example((WR, WITH_REPLACEMENT_KINDS), 0.01, 2.0, 100, 50)  # Hoeffding's under term is NaN
+@settings(max_examples=300, deadline=None)
+def test_bound_result_derives_terms_from_the_kernel(method_kinds, p, q, n, offset):
+    # terms are the kernel's values as BoundTerms, the chosen kinds in the
+    # kernel's order, over then under; the other fields are the minima
+    method, kinds = method_kinds
+    k = 1 + offset % (n - 1)
+    result = evaluate_confidence(method, p, k, q, n=n, inequalities=kinds)
+    if method is WR:
+        order, values = with_replacement._ORDER, with_replacement._terms(_SCALAR, p, k, q)
+    else:
+        order = without_replacement._ORDER
+        values = without_replacement._terms(_SCALAR, p, k, q, *without_replacement._coefficients(k, n))
+    expected = [(kind, side, values[2 * i + j]) for i, kind in enumerate(order) if kind in kinds
+                for j, side in enumerate(Side)]
+    assert all(type(term) is BoundTerm for term in result.terms)
+    assert [(t.inequality, t.side, repr(t.probability)) for t in result.terms] == [
+        (kind, side, repr(value)) for kind, side, value in expected]
+    omega, psi, omega_source, psi_source = _minima(order, values, kinds)
+    assert (result.omega, result.psi, result.omega_source, result.psi_source) == (
+        omega, psi, omega_source, psi_source)
+    assert result.confidence == max(0.0, 1.0 - omega - psi) and not result.degenerate
+    again = evaluate_confidence(method, p, k, q, n=n, inequalities=kinds)
+    assert again == result and hash(again) == hash(result)
+    assert repr(result) == (
+        f"BoundResult(omega={omega!r}, psi={psi!r}, confidence={result.confidence!r}, "
+        f"terms={result.terms!r}, omega_source={omega_source!r}, psi_source={psi_source!r}, "
+        "degenerate=False)")
+
+
+def test_bound_result_is_immutable_and_builds_terms_when_read(monkeypatch):
+    built = []
+    real = terms_module.BoundTerm
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(terms_module, "BoundTerm", counting)
+    wr = evaluate_confidence(WR, 0.003, 5000, 2.0, inequalities=WITH_REPLACEMENT_KINDS)
+    wor = evaluate_confidence(WOR, 0.003, 5000, 2.0, n=10**6)
+    assert wr.confidence > 0.0 and wor.confidence > 0.0 and built == []
+    assert len(wr.terms) == len(built) == 6
+    degenerate = evaluate_confidence(WR, 0.0, 10, 2.0)
+    assert degenerate.terms == () and degenerate.degenerate and degenerate.confidence == 0.0
+    for field in ("omega", "confidence", "terms", "degenerate", "_kernel"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(wor, field, 0.5)
+    assert wr != wor and wr == evaluate_confidence(WR, 0.003, 5000, 2.0,
+                                                   inequalities=WITH_REPLACEMENT_KINDS)
+
+
 def test_min_sample_size_evaluations(steps):
-    # the rule of thumb's bracket at p = 0.005, q = 2 is ~900 wide: its top
-    # and ten bisection steps; at p = 0 the bound is 0 for every k, and the
-    # top of the bracket, the cap, is the one evaluation
+    # the rule of thumb's bracket at p = 0.005, q = 2 is ~900 wide: its top,
+    # lo + 1, and secant steps on a near-linear ln(1 - conf) that land on
+    # both sides of the answer, where plain bisection takes ten steps; at
+    # p = 0 the bound is 0 for every k, and the top of the bracket, the
+    # cap, is the one evaluation
     assert min_sample_size(WR, 0.005, 2.0, 0.95) == 3919
-    assert len(steps) <= 12
+    assert len(steps) <= 5 < _bisect_k(WR, 0.005, 2.0, 0.95, None, None, 10**9)[1] == 10
     for method in (WR, WOR):
         steps.clear()
         answer = min_sample_size(method, 0.0, 2.0, 0.95, n=10**6)
@@ -339,7 +512,8 @@ def test_min_sample_size_evaluations(steps):
     # without replacement the Hoeffding-Serfling top cuts the [0, cap] bracket
     steps.clear()
     assert min_sample_size(WOR, 0.005, 2.0, 0.95, n=10**6) == 9363
-    assert len(steps) < _bisect_to_cap(0.005, 2.0, 0.95, 10**6, DEFAULT_WOR_KINDS)[1] == 21
+    assert len(steps) <= 6 < _bisect_k(WOR, 0.005, 2.0, 0.95, 10**6, None, 10**9)[1] == 19
+    assert _bisect_to_cap(0.005, 2.0, 0.95, 10**6, DEFAULT_WOR_KINDS)[1] == 21
 
 
 @pytest.mark.parametrize("change", [
@@ -392,8 +566,15 @@ def test_confidence_at_q_one_is_zero(method, p, k, extra, with_hoeffding):
 
 
 def test_q_at_confidence_evaluations(steps):
-    # the bisection starts at q = 1 without evaluating the bound there
+    # the bisection starts at q = 1 without evaluating the bound there, and
+    # the secant narrowing leaves the replayed bisection a few midpoints
     answer = q_at_confidence(WR, 0.01, 1000, 0.9)
     assert steps[0] == (1000, 10**6) and all(k == 1000 for k, _ in steps)
     assert 1.0 not in [q for _, q in steps]
     assert _conf_wr(0.01, 1000, answer) >= 0.9
+    assert len(steps) <= 12 < _bisect_q(WR, 0.01, 1000, 0.9, None, None, 10**6)[1] == 35
+    steps.clear()
+    # the bound saturates near 0.94 in q here, so the secant steps from the
+    # top are short until ITP's projection steps in
+    assert q_at_confidence(WOR, 0.005, 3919, 0.95, n=10**6) == 7.278930633725925
+    assert len(steps) <= 21 < _bisect_q(WOR, 0.005, 3919, 0.95, 10**6, None, 10**6)[1] == 35
