@@ -1,88 +1,46 @@
 """Rigorous Q-error confidence bounds for sampling-based single-table
 cardinality estimation: concentration-inequality lower bounds, exact tail
-probabilities, Monte Carlo validation, and sample-size planning."""
+probabilities, Monte Carlo validation, and sample-size planning.
+
+Each public name is listed once, under its module, and the module is
+imported when one of its names is first read (PEP 562), then bound here,
+so `import qbounds` imports no submodule and the scalar bound and solvers
+import no numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .confidence import default_inequalities, evaluate_confidence
-from .exact import AdmissibleRange, admissible_range, estimate_from_hits, exact_confidence
-from .ingest import (
-    ColumnType,
-    EstimateReport,
-    LoadOptions,
-    Predicate,
-    TableData,
-    estimate_with_bounds,
-    load_table,
-    parse_predicate,
-    true_cardinality,
-)
-from .model import (
-    PopulationSpec,
-    SampleDesign,
-    SamplingMethod,
-    q_error,
-    validate_design,
-)
-from .reports import GridSpec, figure_series, parse_grid_file, table1
-from .simulate import RNG_SCHEME, SimulationConfig, SimulationSummary, run_simulation
-from .solver import Unreachable, min_sample_size, q_at_confidence
-from .terms import BoundResult, BoundTerm, InequalityKind, Side
-from .with_replacement import (
-    bernstein_term,
-    chernoff_term,
-    confidence_wr,
-    hoeffding_term,
-)
-from .without_replacement import (
-    bernstein_serfling_term,
-    confidence_wor,
-    hoeffding_serfling_term,
-    serfling_coefficients,
-)
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("confidence", "default_inequalities evaluate_confidence"),
+        ("exact", "AdmissibleRange admissible_range estimate_from_hits exact_confidence"),
+        ("ingest", "ColumnType EstimateReport LoadOptions Predicate TableData "
+                   "estimate_with_bounds load_table parse_predicate true_cardinality"),
+        ("model", "PopulationSpec SampleDesign SamplingMethod q_error validate_design"),
+        ("reports", "GridSpec figure_series parse_grid_file table1"),
+        ("simulate", "RNG_SCHEME SimulationConfig SimulationSummary run_simulation"),
+        ("solver", "Unreachable min_sample_size q_at_confidence"),
+        ("terms", "BoundResult BoundTerm InequalityKind Side"),
+        ("with_replacement", "bernstein_term chernoff_term confidence_wr hoeffding_term"),
+        ("without_replacement", "bernstein_serfling_term confidence_wor "
+                                "hoeffding_serfling_term serfling_coefficients"),
+    )
+    for name in names.split()
+}
+__all__ = sorted(_EXPORTS)
 
-__all__ = [
-    "AdmissibleRange",
-    "BoundResult",
-    "BoundTerm",
-    "ColumnType",
-    "EstimateReport",
-    "GridSpec",
-    "InequalityKind",
-    "LoadOptions",
-    "PopulationSpec",
-    "Predicate",
-    "RNG_SCHEME",
-    "SampleDesign",
-    "SamplingMethod",
-    "Side",
-    "SimulationConfig",
-    "SimulationSummary",
-    "TableData",
-    "Unreachable",
-    "admissible_range",
-    "bernstein_serfling_term",
-    "bernstein_term",
-    "chernoff_term",
-    "confidence_wor",
-    "confidence_wr",
-    "default_inequalities",
-    "estimate_from_hits",
-    "estimate_with_bounds",
-    "evaluate_confidence",
-    "exact_confidence",
-    "figure_series",
-    "hoeffding_serfling_term",
-    "hoeffding_term",
-    "load_table",
-    "min_sample_size",
-    "parse_grid_file",
-    "parse_predicate",
-    "q_at_confidence",
-    "q_error",
-    "run_simulation",
-    "serfling_coefficients",
-    "table1",
-    "true_cardinality",
-    "validate_design",
-]
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import enum
-import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class SamplingMethod(enum.Enum):
     WITH_REPLACEMENT = "wr"
     WITHOUT_REPLACEMENT = "wor"
+
+    # Identity hash, as `terms.InequalityKind` has: every bound evaluation
+    # looks its method up in `terms._KINDS`, and Enum's own hash is Python.
+    __hash__ = object.__hash__
 
     @classmethod
     def parse(cls, text: str) -> "SamplingMethod":
@@ -63,19 +69,21 @@ def _check_point(
     n: Optional[int] = None,
 ) -> None:
     """The input domain of every query, in one place: 0 < p <= 1, k >= 1,
-    finite q >= 1, and without replacement a table size n with k < n (so
-    n >= 2). None skips a value the caller does not take; p = 0 is the
-    caller's degenerate case and never reaches this check. Each check
-    asks whether a value is inside the domain, and NaN fails every
-    comparison, so it is rejected like any out-of-domain value.
+    q >= 1, k and q at most the largest double (so finite, and no Python
+    int the term kernels cannot turn into a float), and without
+    replacement a table size n with k < n (so n >= 2). None skips a value
+    the caller does not take; p = 0 is the caller's degenerate case and
+    never reaches this check. Each check asks whether a value is inside
+    the domain, and NaN fails every comparison, so it is rejected like any
+    out-of-domain value.
 
-    `confidence.evaluate_grid` applies the same rule to arrays.
+    `reports.evaluate_grid` applies the same rule to arrays.
     """
     if p is not None and not 0.0 < p <= 1.0:
         raise ValueError(f"selectivity must be in (0, 1], got {p}")
-    if k is not None and not k >= 1:
-        raise ValueError(f"sample size must be >= 1, got {k}")
-    if q is not None and not 1.0 <= q < math.inf:
+    if k is not None and not 1 <= k <= _FLOAT_MAX:
+        raise ValueError(f"sample size must be finite and >= 1, got {k}")
+    if q is not None and not 1.0 <= q <= _FLOAT_MAX:
         raise ValueError(f"q must be finite and >= 1, got {q}")
     if method is SamplingMethod.WITHOUT_REPLACEMENT:
         if n is None:

@@ -1,6 +1,10 @@
 """Machine-readable reproductions: the golden confidence table and the
 data series behind the bound-curve figures.
 
+Both read the bound at every point of their grid from `evaluate_grid`,
+one numpy pass over the scalar path's term kernels; a single point is
+cheaper through `confidence.evaluate_confidence`.
+
 Everything lands in CSV through `write_csv`: a fixed header, LF
 newlines, UTF-8, and one rule for every cell (see `cells`): 9
 significant digits in full-precision columns, two decimals in the
@@ -19,9 +23,10 @@ from typing import IO, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .confidence import default_inequalities, evaluate_grid
+from . import with_replacement, without_replacement
+from .confidence import default_inequalities
 from .exact import exact_confidence
-from .model import PopulationSpec, SampleDesign, SamplingMethod
+from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_point
 from .simulate import SimulationConfig, _check_seed, run_simulation
 from .terms import (
     DEFAULT_WOR_KINDS,
@@ -30,6 +35,7 @@ from .terms import (
     InequalityKind,
     Side,
 )
+from .without_replacement import _coefficients
 
 TABLE1_CARDINALITIES = (
     166, 333, 500, 666, 833, 1000, 1666, 3333, 5000, 6666, 8333, 10000,
@@ -80,6 +86,97 @@ def write_csv(records: Sequence[Mapping], columns: Mapping[str, str], out: IO[st
         chunk = records[start:start + _CHUNK]
         rows = zip(*(cells(map(get, chunk), fmt) for get, fmt in getters))
         out.write("".join(",".join(row) + "\n" for row in rows))
+
+
+@dataclass(frozen=True)
+class GridBounds:
+    """The bound at every point of a grid, in the grid's broadcast shape.
+
+    `terms` holds all ten (inequality, side) terms; a term is NaN where
+    it does not apply: the other method's kinds, and the Hoeffding under
+    side at pq <= 1. `omega` and `psi` are the per-side minima over the
+    chosen inequalities (1 where none applies), and `confidence` is
+    max(0, 1 - omega - psi), as `combine_terms` forms them for one point.
+    """
+
+    terms: dict[tuple[InequalityKind, Side], np.ndarray]
+    omega: np.ndarray
+    psi: np.ndarray
+    confidence: np.ndarray
+
+
+def evaluate_grid(p, k, n, q, wor, inequalities: Iterable[InequalityKind]) -> GridBounds:
+    """Every term and the combined bound over broadcast arrays of points.
+
+    `wor` marks the points sampled without replacement; `n` only matters
+    there. Each point must lie in the domain `model._check_point` states
+    for one point: 0 < p <= 1, finite k >= 1, finite q >= 1, and k < n without
+    replacement. p = 0 is rejected too: a caller gives those points their
+    degenerate result itself, as `evaluate_confidence` does. The rule is
+    checked on `k` and `n` as given, and a fractional `k` is used as it is,
+    as on the scalar path. `inequalities`
+    is the chosen set for both methods at once: a kind of the other method
+    never applies to a point. Terms come from the scalar path's kernels,
+    but numpy's exp and log may differ from libm's by an ulp.
+    """
+    chosen = frozenset(inequalities)
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    k, n = _sizes(k), _sizes(n)
+    p, k, n, q, wor = np.broadcast_arrays(p, k, n, q, np.asarray(wor, dtype=bool))
+    inside = (p > 0.0) & (p <= 1.0) & (k >= 1) & (k < np.inf) & (q >= 1.0) & (q < np.inf)
+    inside &= ~wor | (k < n)
+    for i in np.flatnonzero(~inside)[:1]:  # the rule's error for the first point outside
+        method = SamplingMethod.WITHOUT_REPLACEMENT if wor.flat[i] else SamplingMethod.WITH_REPLACEMENT
+        _check_point(method, p.flat[i], k.flat[i], q.flat[i], n.flat[i])
+        raise AssertionError(f"the array rule and model._check_point disagree at {i}")
+
+    terms = {(kind, side): np.full(p.shape, np.nan) for kind in InequalityKind for side in Side}
+    wr = ~wor
+    rho, zeta = _coefficient_arrays(k[wor], n[wor])
+    # Past q ~ 1e154 products overflow to inf; the kernels are formed so
+    # that this only drives exponents to -inf, whose terms are 0.
+    with np.errstate(over="ignore"):
+        for rows, order, values in (
+            (wr, with_replacement._ORDER, with_replacement._terms(np, p[wr], k[wr], q[wr])),
+            (wor, without_replacement._ORDER,
+             without_replacement._terms(np, p[wor], k[wor], q[wor], rho, zeta)),
+        ):
+            for key, value in zip(itertools.product(order, Side), values):
+                terms[key][rows] = value
+    omega, psi = (
+        _side_min([terms[kind, side] for kind in chosen], p.shape) for side in Side
+    )
+    confidence = np.maximum(0.0, 1.0 - omega - psi)
+    return GridBounds(terms=terms, omega=omega, psi=psi, confidence=confidence)
+
+
+def _sizes(values) -> np.ndarray:
+    """Sample or table sizes as given: float64 where any is a float, so a
+    fractional or NaN value is neither truncated nor refused by the cast,
+    else exact int64."""
+    if np.asarray(values).dtype.kind == "f":
+        return np.asarray(values, dtype=np.float64)
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("k and n must be below 2**63") from None
+
+
+def _side_min(values: list[np.ndarray], shape: tuple) -> np.ndarray:
+    """NaN-skipping minimum of the terms; 1 where none applies."""
+    best = np.full(shape, np.nan)
+    for value in values:
+        best = np.fmin(best, value)
+    return np.where(np.isnan(best), 1.0, best)
+
+
+def _coefficient_arrays(k: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho and zeta over 1-d arrays of (k, n), from `_coefficients` once
+    per distinct pair (a grid has few), so they equal the scalar path's."""
+    pairs, inverse = np.unique(np.stack([k, n], axis=1), axis=0, return_inverse=True)
+    table = np.array([_coefficients(a, b) for a, b in pairs.tolist()]).reshape(-1, 2)
+    rho, zeta = table[inverse.reshape(-1)].T
+    return rho, zeta
 
 
 def table1(n: int = 1_000_000, q: float = 2.0) -> list[dict]:

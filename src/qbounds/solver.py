@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Union
 
 from . import with_replacement
 from .confidence import _confidence_at, _method_kinds
-from .model import SamplingMethod, _check_point
+from .model import _FLOAT_MAX, SamplingMethod, _check_point
 from .terms import _SCALAR, InequalityKind
 
 DEFAULT_K_MAX = 10**9
@@ -88,8 +88,8 @@ def min_sample_size(
     is the failing end, where conf is 0.
     """
     _validate_target(target_confidence)
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if not 1 <= k_max <= _FLOAT_MAX:
+        raise ValueError(f"k_max must be finite and >= 1, got {k_max}")
     _check_point(method, None if p == 0.0 else p, 1, q, n)  # k = 1, the least, must be admissible
     wr = method is SamplingMethod.WITH_REPLACEMENT
     kinds = _method_kinds(method, inequalities)
@@ -187,7 +187,7 @@ def q_at_confidence(
 
     at_cap = conf(k, q_max)
     if at_cap < target_confidence:
-        return Unreachable(target_confidence, q_max, at_cap)
+        return Unreachable(target_confidence, float(q_max), at_cap)
 
     # at q = 1 every term is the vacuous 1, so conf is 0 (1 - conf is 2
     # before the clamp): no target in (0, 1) is met there, the known miss

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable, Optional
 
+from .model import SamplingMethod
+
 
 class InequalityKind(enum.Enum):
     CHERNOFF = "chernoff"
@@ -38,6 +40,11 @@ WITHOUT_REPLACEMENT_KINDS = frozenset(
 # Default sets: the always-useful pair per regime; Hoeffding is opt-in.
 DEFAULT_WR_KINDS = frozenset({InequalityKind.CHERNOFF, InequalityKind.BERNSTEIN})
 DEFAULT_WOR_KINDS = WITHOUT_REPLACEMENT_KINDS
+# Per method: the kinds valid for it, and its default set.
+_KINDS = {
+    SamplingMethod.WITH_REPLACEMENT: (WITH_REPLACEMENT_KINDS, DEFAULT_WR_KINDS),
+    SamplingMethod.WITHOUT_REPLACEMENT: (WITHOUT_REPLACEMENT_KINDS, DEFAULT_WOR_KINDS),
+}
 
 
 class Side(enum.Enum):
@@ -155,19 +162,18 @@ def _minima(
             omega_src, psi_src)
 
 
-def _check_kinds(
-    inequalities: Optional[Iterable[InequalityKind]],
-    default: frozenset,
-    allowed: frozenset,
-    regime: str,
+def _method_kinds(
+    method: SamplingMethod, inequalities: Optional[Iterable[InequalityKind]]
 ) -> frozenset:
-    """The chosen inequality set (`default` for None); it must be a
-    non-empty subset of the kinds valid for sampling `regime`."""
+    """The chosen inequality set (the method's default for None); it must be
+    a non-empty subset of the kinds valid for sampling by `method`."""
+    allowed, default = _KINDS[method]
     kinds = default if inequalities is None else frozenset(inequalities)
     if not kinds:
         raise ValueError("inequality set must not be empty")
     invalid = kinds - allowed
     if invalid:
         names = ", ".join(sorted(kind.value for kind in invalid))
+        regime = method.name.lower().replace("_", " ")
         raise ValueError(f"not valid for sampling {regime}: {names}")
     return kinds

@@ -12,16 +12,7 @@ import math
 from typing import Iterable, Optional
 
 from .model import SamplingMethod, _check_point
-from .terms import (
-    _SCALAR,
-    DEFAULT_WR_KINDS,
-    WITH_REPLACEMENT_KINDS,
-    BoundResult,
-    InequalityKind,
-    Side,
-    _check_kinds,
-    combine_terms,
-)
+from .terms import _SCALAR, BoundResult, InequalityKind, Side, _method_kinds, combine_terms
 
 # The kinds of `_exponents`' output, each as its over then its under term.
 _ORDER = (InequalityKind.CHERNOFF, InequalityKind.BERNSTEIN, InequalityKind.HOEFFDING)
@@ -125,8 +116,6 @@ def confidence_wr(
     The default inequality set is {Chernoff, Bernstein}; adding Hoeffding
     can only tighten the result.
     """
-    kinds = _check_kinds(
-        inequalities, DEFAULT_WR_KINDS, WITH_REPLACEMENT_KINDS, "with replacement"
-    )
+    kinds = _method_kinds(SamplingMethod.WITH_REPLACEMENT, inequalities)
     _check_point(SamplingMethod.WITH_REPLACEMENT, p, k, q)
     return combine_terms(_ORDER, _terms(_SCALAR, p, k, q), kinds)

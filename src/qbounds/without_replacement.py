@@ -10,19 +10,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .model import SamplingMethod, _check_point
-from .terms import (
-    _SCALAR,
-    DEFAULT_WOR_KINDS,
-    WITHOUT_REPLACEMENT_KINDS,
-    BoundResult,
-    InequalityKind,
-    Side,
-    _check_kinds,
-    combine_terms,
-)
+from .terms import _SCALAR, BoundResult, InequalityKind, Side, _method_kinds, combine_terms
 
 # The kinds of `_terms`' output, each as its over then its under term.
 _ORDER = (InequalityKind.HOEFFDING_SERFLING, InequalityKind.BERNSTEIN_SERFLING)
@@ -45,15 +34,6 @@ def _coefficients(k: int, n: int) -> tuple[float, float]:
     else:
         rho = (n - k) * (k + 1) / (n * k)
         zeta = 4.0 / 3.0 + math.sqrt((n - k - 1) * (n - k) / ((k + 1) * n))
-    return rho, zeta
-
-
-def _coefficient_arrays(k: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho and zeta over 1-d arrays of (k, n), from `_coefficients` once
-    per distinct pair (a grid has few), so they equal the scalar path's."""
-    pairs, inverse = np.unique(np.stack([k, n], axis=1), axis=0, return_inverse=True)
-    table = np.array([_coefficients(a, b) for a, b in pairs.tolist()]).reshape(-1, 2)
-    rho, zeta = table[inverse.reshape(-1)].T
     return rho, zeta
 
 
@@ -113,9 +93,7 @@ def confidence_wor(
 ) -> BoundResult:
     """Combined lower bound on P(Q-error <= q) for sampling without
     replacement; the default set uses both Serfling-type inequalities."""
-    kinds = _check_kinds(
-        inequalities, DEFAULT_WOR_KINDS, WITHOUT_REPLACEMENT_KINDS, "without replacement"
-    )
+    kinds = _method_kinds(SamplingMethod.WITHOUT_REPLACEMENT, inequalities)
     _check_point(SamplingMethod.WITHOUT_REPLACEMENT, p, k, q, n)
     values = _terms(_SCALAR, p, k, q, *_coefficients(k, n))
     return combine_terms(_ORDER, values, kinds)

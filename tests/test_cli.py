@@ -315,6 +315,18 @@ def test_out_of_domain_input_is_domain_error(capsys, tmp_path, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
+    "bound --method wr --p 0.1 --k 1" + "0" * 400 + " --q 2",
+    "solve-k --method wr --p 0 --q 2 --confidence 0.9 --k-max 1" + "0" * 400,
+])
+def test_sizes_past_the_float_range_are_domain_errors(capsys, argv):
+    assert run(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "must be finite and >= 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     "bound --method wor --p 0.5 --k 10 --rows 100 --q 1e200",
     "bound --method wr --p 0.5 --k 10 --q 1e200 --with-hoeffding",
 ])
@@ -507,3 +519,11 @@ def test_bound_k_just_below_huge_n(capsys):
             "--rows", "100000000000000000", "--q", "2", "--format", "json"]
     assert run(argv) == 0
     assert json.loads(capsys.readouterr().out)["result"]["confidence"] == 1.0
+
+
+def test_figures_on_the_canonical_grid_print_the_reference_series(capsys, tmp_path):
+    # the grid path end to end, byte for byte against the recorded series
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    assert run(["figures", "--grid", str(bench / "canonical_grid.txt"), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "series.csv").read_bytes() == (bench / "reference_series.csv").read_bytes()

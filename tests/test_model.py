@@ -18,7 +18,7 @@ from qbounds import (
     q_error,
     validate_design,
 )
-from qbounds.confidence import evaluate_grid
+from qbounds.reports import evaluate_grid
 from qbounds.terms import WITH_REPLACEMENT_KINDS
 
 WR = SamplingMethod.WITH_REPLACEMENT
@@ -144,6 +144,7 @@ def _raises(call) -> bool:
 @example((WR, 0.5, 10, 100, math.inf))
 @example((WR, 0.5, -1, 100, 2.0))
 @example((WR, 0.5, math.nan, 100, 2.0))
+@example((WR, 0.5, math.inf, 100, 2.0))  # an infinite k is outside the rule too
 @example((WOR, 0.5, math.nan, 100, 2.0))
 @example((WR, 0.1, 1000.7, 10**6, 2.0))  # a fractional k is used, not truncated
 @example((WOR, 0.1, 1000.7, 10**6, 2.0))
@@ -176,3 +177,25 @@ def test_one_domain_rule_for_scalar_and_grid(point):
             admissible_range(pop.n, 0, k, q)
         with pytest.raises(ValueError):
             SimulationConfig(pop=pop, design=SampleDesign(method, k), q=q, trials=10, seed=0)
+
+
+_HUGE = 10**400  # a Python int past the largest double
+
+
+@pytest.mark.parametrize("check", [
+    lambda: evaluate_confidence(WR, 0.1, 10, _HUGE),
+    lambda: evaluate_confidence(WR, 0.1, _HUGE, 2.0),
+    lambda: evaluate_confidence(WOR, 0.1, 10, _HUGE, n=100),
+    lambda: evaluate_confidence(WR, 0.0, _HUGE, 2.0),
+    lambda: exact_confidence(PopulationSpec(n=100, cardinality=10), SampleDesign(WR, 10), _HUGE),
+    lambda: admissible_range(100, 10, 10, _HUGE),
+    lambda: SampleDesign(WR, _HUGE),
+    lambda: SampleDesign(WR, math.inf),
+    lambda: SimulationConfig(pop=PopulationSpec(n=100, cardinality=10),
+                             design=SampleDesign(WR, 10), q=_HUGE, trials=10, seed=0),
+])
+def test_k_and_q_past_the_float_range_are_refused(check):
+    # `10**400 < math.inf` is true, so such an int passed the rule and
+    # then overflowed where the kernels turned it into a float
+    with pytest.raises(ValueError, match="must be finite and >= 1, got "):
+        check()

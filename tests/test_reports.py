@@ -26,7 +26,7 @@ from qbounds import (
     run_simulation,
     table1,
 )
-from qbounds.confidence import evaluate_grid
+from qbounds.reports import evaluate_grid
 from qbounds.reports import (
     SERIES_COLUMNS,
     TABLE1_CARDINALITIES,

@@ -282,7 +282,7 @@ def _bisect_q(method, p, k, target, n, kinds, q_max):
     evaluate_confidence; and the number of evaluations."""
     conf, made = _counted(method, p, n, kinds)
     if (at_cap := conf(k, q_max)) < target:
-        return Unreachable(target, q_max, at_cap), len(made)
+        return Unreachable(target, float(q_max), at_cap), len(made)
     lo, hi = 1.0, q_max
     while hi - lo > 1e-9 * hi:
         mid = math.sqrt(lo * hi)
@@ -578,3 +578,53 @@ def test_q_at_confidence_evaluations(steps):
     # top are short until ITP's projection steps in
     assert q_at_confidence(WOR, 0.005, 3919, 0.95, n=10**6) == 7.278930633725925
     assert len(steps) <= 21 < _bisect_q(WOR, 0.005, 3919, 0.95, 10**6, None, 10**6)[1] == 35
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: q_at_confidence(WR, 0.1, 10, 0.9, q_max=10**400),
+    lambda: q_at_confidence(WR, 0.0, 10, 0.9, q_max=10**400),  # no bound is evaluated at p = 0
+    lambda: q_at_confidence(WR, 0.1, 10**400, 0.9),
+    lambda: min_sample_size(WR, 0.0, 2.0, 0.9, k_max=10**400),
+    lambda: min_sample_size(WR, 0.1, 2.0, 0.9, k_max=10**400),
+    lambda: min_sample_size(WR, 0.1, 2.0, 0.9, k_max=math.inf),
+    lambda: min_sample_size(WR, 0.1, 2.0, 0.9, k_max=math.nan),
+    lambda: min_sample_size(WR, 0.1, 10**400, 0.9),
+])
+def test_solver_limits_past_the_float_range_are_refused(solve):
+    # a Python int past the largest double passed `x < inf` and then
+    # overflowed in float(); the limits are held to the point rule first
+    with pytest.raises(ValueError, match="must be finite and >= 1"):
+        solve()
+
+
+@pytest.mark.parametrize("q_max", [10**6, 2**70, 2.0])
+def test_unreachable_limit_is_a_float(q_max):
+    for answer in (q_at_confidence(WR, 0.0, 10, 0.9, q_max=q_max),
+                   min_sample_size(WR, 0.0, 2.0, 0.9, k_max=q_max)):
+        assert isinstance(answer, Unreachable)
+        assert type(answer.limit) is float and answer.limit == q_max
+
+
+@pytest.mark.parametrize("p, k, target, kinds", [
+    (0.9, 9_371_342_518_210, 0.95, {InequalityKind.CHERNOFF}),
+    (0.9, 4_864_811_814_245, 0.9, {InequalityKind.CHERNOFF, InequalityKind.HOEFFDING}),
+    (0.5, 530_522_841_789, 0.9, {InequalityKind.CHERNOFF, InequalityKind.HOEFFDING}),
+])
+def test_q_at_confidence_bisects_again_where_the_bound_is_not_monotone(monkeypatch, p, k,
+                                                                        target, kinds):
+    # near q = 1 at a huge pk the Chernoff under exponent cancels, so an
+    # end the replay decided without evaluating disagrees with the bound
+    # there, and the plain bisection is run again from (1, q_max)
+    replays = []
+    replay = solver_module._replay
+
+    def spy(conf, k, target, q_max, miss, hit):
+        replays.append((miss, hit))
+        return replay(conf, k, target, q_max, miss, hit)
+
+    monkeypatch.setattr(solver_module, "_replay", spy)
+    answer = q_at_confidence(WR, p, k, target, inequalities=kinds)
+    assert repr(answer) == repr(_bisect_q(WR, p, k, target, None, kinds,
+                                          solver_module.DEFAULT_Q_MAX)[0])
+    assert len(replays) == 2 and replays[0] != (1.0, 10**6)
+    assert replays[1] == (1.0, 10**6)
