@@ -312,7 +312,7 @@ def build_parser() -> _Parser:
     _add_population(solve_q)
     solve_q.add_argument("--k", type=int, required=True)
     solve_q.add_argument("--confidence", type=float, required=True)
-    solve_q.add_argument("--q-max", type=float, default=DEFAULT_Q_MAX)
+    solve_q.add_argument("--q-max", type=float, default=float(DEFAULT_Q_MAX))
     solve_q.add_argument("--with-hoeffding", action="store_true")
     _add_format(solve_q)
     solve_q.set_defaults(func=_cmd_solve_q)

@@ -17,6 +17,7 @@ import itertools
 import math
 import operator
 import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -85,17 +86,21 @@ class LoadOptions:
                              f"and '\\n', got {self.delimiter!r}")
 
 
-def _infer_column(cells: list[str], real: bool = False) -> tuple[ColumnType, Optional[np.ndarray]]:
-    """Integer (unless `real`) if every stripped cell is `[+-]?\\d+`, else
-    real if every cell is a number, else text (values None). numpy parses
-    as int() and float() do, skipping what str.strip() drops but \\x1c-\\x1f;
-    of their grammar only `_` goes beyond this rule, so ids like `1_0` stay text."""
+def _infer_column(cells: list[str], hint: Optional[ColumnType] = None
+                  ) -> tuple[ColumnType, Optional[np.ndarray]]:
+    """Integer (unless hinted real) if every stripped cell is `[+-]?\\d+`, else
+    real if every cell is a number, else text (values None), as is a column
+    hinted text. numpy parses as int() and float() do, skipping what
+    str.strip() drops but \\x1c-\\x1f; of their grammar only `_` goes beyond
+    this rule, so ids like `1_0` stay text."""
+    if hint is ColumnType.TEXT:
+        return ColumnType.TEXT, None
     joined = "".join(cells)
     if "_" not in joined:
         if any(sep in joined for sep in "\x1c\x1d\x1e\x1f"):
             cells = [cell.strip() for cell in cells]
         for col_type, parse in ((ColumnType.INTEGER, _integer_array),
-                                (ColumnType.REAL, _real_array))[real:]:
+                                (ColumnType.REAL, _real_array))[hint is ColumnType.REAL:]:
             try:
                 return col_type, parse(cells)
             except ValueError:
@@ -143,21 +148,37 @@ def _line_no(path: str, delimiter: str, index: int) -> int:
         return next(itertools.islice(records, index, None))[0]
 
 
-def _cells(path: str, delimiter: str) -> np.ndarray:
-    """The raw cells of the non-blank records, split as csv.reader splits them,
-    in a 2-d object array (0 x 0 for a blank file, on which numpy warns). From a path
-    numpy turns a quoted \\r into \\n, so a file with `"` and \\r is read from a handle."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    blank = re.search(rb"[^\r\n]", raw) is None
-    from_handle = b'"' in raw and b"\r" in raw
-    del raw  # free the bytes before numpy reads the file
-    if blank:
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+class _File:
+    """What one read of a file's bytes tells the loader before numpy splits it."""
+
+    def __init__(self, path: str):
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        lead = re.match(rb"[\r\n]*", raw).group()
+        self.path = path
+        self.blank = len(lead) == len(raw)
+        self.blank_lines = len(_LINE_BREAK.findall(lead.decode()))  # before the first record
+        # from a path numpy turns a quoted \r into \n, so such a file is read from a handle
+        self.from_handle = b'"' in raw and b"\r" in raw
+        self.ascii = raw.isascii()
+
+    def split(self, delimiter: str, dtype=object, **kwargs) -> np.ndarray:
+        """np.loadtxt on the file: its records, split as csv.reader splits them."""
+        with (open(self.path, newline="", encoding="utf-8") if self.from_handle
+              else contextlib.nullcontext(self.path)) as source:
+            return np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=None,
+                              encoding="utf-8", quotechar='"', **kwargs)
+
+
+def _cells(file: _File, delimiter: str, max_rows: Optional[int] = None) -> np.ndarray:
+    """The raw cells of the first max_rows (by default all) non-blank records in a
+    2-d object array (0 x 0 for a blank file, on which numpy warns)."""
+    if file.blank:
         return np.empty((0, 0), dtype=object)
-    with (open(path, newline="", encoding="utf-8") if from_handle
-          else contextlib.nullcontext(path)) as source:
-        return np.loadtxt(source, dtype=object, delimiter=delimiter, comments=None, ndmin=2,
-                          encoding="utf-8", quotechar='"')
+    return file.split(delimiter, ndmin=2, max_rows=max_rows)
 
 
 def _columns(path: str, options: LoadOptions, row: Sequence[str]) -> list[str]:
@@ -172,53 +193,123 @@ def _columns(path: str, options: LoadOptions, row: Sequence[str]) -> list[str]:
     return columns
 
 
+def _table(columns: list[str], types: list[ColumnType], data: list) -> TableData:
+    """The table of `data`, which holds an array per numeric column and the raw
+    cells of each text column; the text is coded, and equal stripped cells
+    share one str object."""
+    codes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for i, column in enumerate(data):
+        if types[i] is ColumnType.TEXT:
+            distinct: dict[str, int] = {}
+            raw = {cell: distinct.setdefault(cell.strip(), len(distinct))
+                   for cell in dict.fromkeys(column)}
+            codes[i] = (np.fromiter(map(raw.__getitem__, column), np.intp, len(column)),
+                        np.array(list(distinct), dtype=object))
+            data[i] = codes[i][1][codes[i][0]]
+    return TableData(columns=columns, types=types, data=data, codes=codes)
+
+
+_GUESS_ROWS = 256  # the data rows that guess the column types of the typed load
+_DTYPES = {ColumnType.INTEGER: np.int64, ColumnType.REAL: np.float64, ColumnType.TEXT: object}
+
+
+def _typed_table(file: _File, options: LoadOptions) -> Optional[TableData]:
+    """The table from one np.loadtxt call that parses the numbers while it
+    splits the file. Each column's type is what `_infer_column` and the hints
+    give on the header and the first _GUESS_ROWS data rows.
+
+    numpy refuses, with a ValueError, every later cell that `_text_table`
+    reads otherwise, but in two cases, which return None, as first rows that
+    break a hint or hold an integer past int64 do: an integer column in a
+    file holding a non-ASCII byte (numpy's integer parser takes some
+    non-ASCII characters for digits, and reads `\u0968` as 2360), and a
+    negative zero in a real column (`_real_array` makes the cell `-0` +0.0).
+    skiprows counts lines, not records: the blank lines before the header
+    and the line breaks inside its quoted cells count too."""
+    first = int(options.header)
+    with warnings.catch_warnings():  # numpy warns that blank lines do not count as rows
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        head = _cells(file, options.delimiter, max_rows=first + _GUESS_ROWS)
+    if len(head) <= first:
+        return None
+    columns = _columns(file.path, options, head[0])
+    hints = options.type_hints or {}
+    types = []
+    for i, name in enumerate(columns):
+        hint = hints.get(name)
+        col_type, values = _infer_column(head[first:, i].tolist(), hint)
+        if col_type is ColumnType.TEXT and hint in (ColumnType.INTEGER, ColumnType.REAL) or (
+                values is not None and values.dtype == object):
+            return None
+        types.append(col_type)
+    if ColumnType.INTEGER in types and not file.ascii:
+        return None
+    skip = file.blank_lines + 1 + len(_LINE_BREAK.findall("".join(head[0]))) if first else 0
+    rows = file.split(options.delimiter, skiprows=skip, ndmin=1,
+                      dtype=[(str(i), _DTYPES[t]) for i, t in enumerate(types)])
+    data = [rows[str(i)].tolist() if t is ColumnType.TEXT else np.array(rows[str(i)])
+            for i, t in enumerate(types)]
+    del rows  # free the split before the text is coded
+    if any(t is ColumnType.REAL and np.any((column == 0.0) & np.signbit(column))
+           for t, column in zip(types, data)):
+        return None
+    return _table(columns, types, data)
+
+
+def _text_table(file: _File, options: LoadOptions) -> TableData:
+    """The table from the raw cells of the file, each column's type and values
+    from `_infer_column` on all its cells: the loader's rule, and its path
+    where the typed load cannot follow that rule."""
+    try:
+        cells = _cells(file, options.delimiter)  # a blank line is not a data row
+    except ValueError as error:  # numpy refused the file: bad UTF-8 or a ragged row
+        records = list(_records(file.path, options.delimiter))  # bad UTF-8 raises here
+        m = len(_columns(file.path, options, records[0][1]))
+        no, row = next(((no, row) for no, row in records if len(row) != m), (0, None))
+        raise TableParseError(f"{file.path}: line {no}: expected {m} fields, got {len(row)}"
+                              if row else f"{file.path}: {error}") from None
+    first = int(options.header)  # non-blank records before the first data row
+    if not len(cells):
+        raise TableParseError(f"{file.path}: {'empty file' if options.header else 'no data rows'}")
+    columns = _columns(file.path, options, cells[0])
+    if len(cells) == first:
+        raise TableParseError(f"{file.path}: no data rows")
+
+    hints = options.type_hints or {}
+    types: list[ColumnType] = []
+    data: list = []
+    for i, name in enumerate(columns):
+        column = cells[first:, i].tolist()
+        hint = hints.get(name)
+        col_type, values = _infer_column(column, hint)
+        if col_type is ColumnType.TEXT and hint in (ColumnType.INTEGER, ColumnType.REAL):
+            bad = next(j for j, cell in enumerate(column)
+                       if _infer_column([cell])[0] is ColumnType.TEXT)
+            raise TableParseError(
+                f"{file.path}: line {_line_no(file.path, options.delimiter, first + bad)}: "
+                f"column {name!r} is hinted {hint.value} but holds a non-numeric cell")
+        types.append(col_type)
+        data.append(column if col_type is ColumnType.TEXT else values)
+    return _table(columns, types, data)
+
+
 def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
     """Load a delimited file, inferring integer / real / text per column.
 
     Integer promotes to real when mixed; any non-numeric cell (including a
     blank) degrades the column to text, unless a numeric type hint turns
     that into a parse error instead. Duplicate header names are an error.
-    """
-    try:
-        cells = _cells(path, options.delimiter)  # a blank line is not a data row
-    except ValueError as error:  # numpy refused the file: bad UTF-8 or a ragged row
-        records = list(_records(path, options.delimiter))  # bad UTF-8 raises here
-        m = len(_columns(path, options, records[0][1]))
-        no, row = next(((no, row) for no, row in records if len(row) != m), (0, None))
-        raise TableParseError(f"{path}: line {no}: expected {m} fields, got {len(row)}"
-                              if row else f"{path}: {error}") from None
-    first = int(options.header)  # non-blank records before the first data row
-    if not len(cells):
-        raise TableParseError(f"{path}: {'empty file' if options.header else 'no data rows'}")
-    columns = _columns(path, options, cells[0])
-    if len(cells) == first:
-        raise TableParseError(f"{path}: no data rows")
 
-    hints = options.type_hints or {}
-    types: list[ColumnType] = []
-    data: list[np.ndarray] = []
-    codes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for i, name in enumerate(columns):
-        column = cells[first:, i].tolist()
-        hint = hints.get(name)
-        col_type, values = ((ColumnType.TEXT, None) if hint is ColumnType.TEXT
-                            else _infer_column(column, real=hint is ColumnType.REAL))
-        if col_type is ColumnType.TEXT and hint in (ColumnType.INTEGER, ColumnType.REAL):
-            bad = next(j for j, cell in enumerate(column)
-                       if _infer_column([cell])[0] is ColumnType.TEXT)
-            raise TableParseError(
-                f"{path}: line {_line_no(path, options.delimiter, first + bad)}: column {name!r} "
-                f"is hinted {hint.value} but holds a non-numeric cell")
-        if col_type is ColumnType.TEXT:  # equal stripped cells share one str object
-            distinct: dict[str, int] = {}
-            raw = {cell: distinct.setdefault(cell.strip(), len(distinct))
-                   for cell in dict.fromkeys(column)}
-            codes[i] = (np.fromiter(map(raw.__getitem__, column), np.intp, len(column)),
-                        np.array(list(distinct), dtype=object))
-            values = codes[i][1][codes[i][0]]
-        types.append(col_type)
-        data.append(values)
-    return TableData(columns=columns, types=types, data=data, codes=codes)
+    numpy parses the numbers while it splits the file (`_typed_table`);
+    where it cannot follow this rule, the file is read as text cells
+    (`_text_table`), which also names any fault.
+    """
+    file = _File(path)
+    try:
+        table = _typed_table(file, options)
+    except ValueError:  # numpy refused a cell or the file, or the header repeats a name
+        table = None
+    return _text_table(file, options) if table is None else table
 
 
 # Predicate language ---------------------------------------------------------

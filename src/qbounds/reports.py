@@ -183,6 +183,7 @@ def table1(n: int = 1_000_000, q: float = 2.0) -> list[dict]:
     """Confidence that the Q-error is at most q, for the 18 standard
     cardinalities at sample sizes 100 / 1000 / 10000, with (R) and without
     (NR) replacement."""
+    _check_point(None, None, None, q)
     for c in TABLE1_CARDINALITIES:
         if c > n:
             raise ValueError(f"cardinality {c} exceeds table size {n}")
@@ -255,8 +256,8 @@ class GridSpec:
                 raise ValueError(f"axis {name} must not be empty")
         if self.p is not None and any(not 0.0 <= v <= 1.0 for v in self.p):
             raise ValueError("p axis values must lie in [0, 1]")
-        if any(not (math.isfinite(v) and v >= 1.0) for v in self.q):
-            raise ValueError("q axis values must be finite and >= 1")
+        for q in self.q:
+            _check_point(None, None, None, q)
         for name in ("k", "n"):
             if any(not 1 <= v < 2**63 for v in getattr(self, name)):
                 raise ValueError(f"{name} axis values must lie in [1, 2**63)")
@@ -345,9 +346,10 @@ def figure_series(
 
     Points that violate preconditions are emitted with a degenerate or
     invalid status instead of being dropped. The bound columns come from
-    one `evaluate_grid` call over the whole grid. Point i of the
-    simulation draws under seed `(seed + 1_000_003 * i) % 2**64`, where
-    `seed` must itself be an unsigned 64-bit integer.
+    one `evaluate_grid` call over the whole grid. The simulation draws the
+    i-th point whose status is not invalid (from 0, in record order) under
+    seed `(seed + 1_000_003 * i) % 2**64`, where `seed` must itself be an
+    unsigned 64-bit integer; an invalid point takes no seed.
     """
     _check_seed(seed)
     if spec.p is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ class SimulationConfig:
     q: float
     trials: int
     seed: int
-    keep_q_errors: bool = False
 
     def __post_init__(self) -> None:
         _check_point(self.design.method, None, self.design.k, self.q, self.pop.n)
@@ -59,7 +57,6 @@ class SimulationSummary:
     trials: int
     empirical_rate: float
     standard_error: float
-    q_errors: Optional[np.ndarray] = None
 
 
 def block_generator(seed: int, block_index: int) -> np.random.Generator:
@@ -79,8 +76,6 @@ def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
     rng = admissible_range(n, c, k, cfg.q)
 
     successes = 0
-    q_errors: list[np.ndarray] = []
-    truth = float(max(c, 1))
     n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
     for b in range(n_blocks):
         size = min(_BLOCK, cfg.trials - b * _BLOCK)
@@ -92,9 +87,6 @@ def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
         else:
             hits = np.full(size, k if c else 0)
         successes += int(np.count_nonzero((hits >= rng.lo) & (hits <= rng.hi)))
-        if cfg.keep_q_errors:
-            est = np.maximum(hits * (n / k), 1.0)
-            q_errors.append(np.maximum(truth / est, est / truth))
 
     rate = successes / cfg.trials
     return SimulationSummary(
@@ -102,5 +94,4 @@ def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
         trials=cfg.trials,
         empirical_rate=rate,
         standard_error=math.sqrt(rate * (1.0 - rate) / cfg.trials),
-        q_errors=np.concatenate(q_errors) if q_errors else None,
     )

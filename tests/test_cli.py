@@ -126,6 +126,19 @@ def test_solve_q_unreachable_exits_zero(capsys):
     assert payload["result"]["confidence_at_limit"] < 0.999
 
 
+def test_solve_q_echoes_the_default_q_max_as_the_float_it_parses(capsys):
+    # argparse applies type=float to string defaults only: the default is a
+    # float itself, so the echo reads as it does when --q-max is given
+    argv = ["solve-q", "--method", "wr", "--p", "0.005", "--k", "10",
+            "--confidence", "0.999", "--format", "json"]
+    outputs = []
+    for extra in ([], ["--q-max", "1000000"]):
+        assert run(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert '"q_max": 1000000.0' in outputs[0]
+
+
 def test_exact_subcommand(capsys):
     code = run(["exact", "--method", "wr", "--cardinality", "5000",
                 "--rows", "1000000", "--k", "1000", "--q", "2", "--format", "json"])

@@ -177,6 +177,32 @@ def test_load_table_integer_cells_of_a_real_column(tmp_path):
     assert list(map(repr, table.data[1].tolist())) == ["0.0", "1.0", "2.0"]
 
 
+@pytest.mark.parametrize("last, types, values", [
+    ("1.5,2,x", ["real", "real", "text"], [1.5, 2.0, "x"]),
+    ("x,2,y", ["text", "real", "text"], ["x", 2.0, "y"]),
+    (f"{2**63},2,y", ["integer", "real", "text"], [2**63, 2.0, "y"]),
+    ("1,-0,y", ["integer", "real", "text"], [1, 0.0, "y"]),
+    ("२,2,y", ["integer", "real", "text"], [2, 2.0, "y"]),
+])
+def test_load_table_falls_back_only_past_a_broken_guess(tmp_path, monkeypatch, last, types,
+                                                        values):
+    # numpy parses a clean table's numbers while it splits the file; a last
+    # row that breaks the typed load's guess sends the file to the text path
+    calls = []
+    text_table = ingest._text_table
+    monkeypatch.setattr(ingest, "_text_table", lambda *args: calls.append(args) or text_table(*args))
+    rows = "".join(f"{i},{i / 4},t{i % 7}\n" for i in range(2 * ingest._GUESS_ROWS))
+    clean = load_table(_write(tmp_path, "i,r,t\n" + rows))
+    assert not calls
+    assert [t.value for t in clean.types] == ["integer", "real", "text"]
+    assert [a.dtype for a in clean.data] == [np.int64, np.float64, object]
+    assert all(a.flags.c_contiguous for a in clean.data)
+    table = load_table(_write(tmp_path, "i,r,t\n" + rows + last + "\n", name="late.csv"))
+    assert len(calls) == 1
+    assert [t.value for t in table.types] == types
+    assert [repr(a.tolist()[-1]) for a in table.data] == list(map(repr, values))
+
+
 _INT_CELLS = st.one_of(
     st.integers(-10**25, 10**25).map(str),
     st.integers(0, 10**25).map(lambda v: f"+{v}"),
@@ -194,6 +220,19 @@ _OTHER_CELLS = st.one_of(
 )
 
 
+# cells that break the typed load's guess of a column's type or value when
+# they come after the rows it guesses on: a real, a blank, `_`, an integer
+# past int64, -0 in a real column, Unicode digits (numpy's integer parser
+# reads \u0968 as 2360) and \x1c/\x1f padding
+_LATE_CELLS = st.sampled_from(["1.5", "", "1_0", "1_0.5", str(2**63), "-0", "\u0663",
+                               "\u0968", "\u2460", "\x1c5", "5\x1f"])
+
+
+def _long(cells: list, last):
+    """The cells repeated over the rows the typed load guesses on, then `last`."""
+    return [cells[j % len(cells)] for j in range(ingest._GUESS_ROWS)] + [last]
+
+
 @st.composite
 def _columns(draw):
     n = draw(st.integers(1, 12))
@@ -205,6 +244,9 @@ def _columns(draw):
     m = draw(st.integers(1, 3))
     columns = [draw(st.lists(draw(st.sampled_from(flavours)), min_size=n, max_size=n))
                for _ in range(m)]
+    if draw(st.integers(0, 3)) == 0:  # a long column whose last row may break the guess
+        columns = [_long(column, draw(st.one_of(_LATE_CELLS, _INT_CELLS, _REAL_CELLS)))
+                   for column in columns]
     hints = [draw(st.sampled_from([None, "integer", "real", "text"])) for _ in range(m)]
     padding = draw(st.sampled_from(["", " ", "\t"]))
     return [[padding + cell + padding for cell in column] for column in columns], hints
@@ -216,7 +258,8 @@ def test_load_table_matches_cell_by_cell_reference(spec):
     """The vectorized loader gives the types, values (sign of zero and nan
     included) and hint errors of the original per-cell parser on columns of
     signed, `_`-separated, Unicode-digit, non-finite, blank, quoted and mixed
-    cells, under every type hint."""
+    cells, under every type hint, also where a cell past the rows the typed
+    load guesses on breaks its guess."""
     columns, hints = spec
     names = [f"c{i}" for i in range(len(columns))]
     with tempfile.TemporaryDirectory() as tmp:
@@ -271,7 +314,9 @@ def _delimited_files(draw):
     padded cells over a few column flavours, sometimes a ragged row, blank
     and whitespace-only lines, `\n`, `\r\n` and `\r` endings; in a quoted
     file some cells are RFC 4180 quoted and may hold the delimiter, a line
-    break (`\n`, `\r\n` or a lone `\r`) or a doubled quote."""
+    break (`\n`, `\r\n` or a lone `\r`) or a doubled quote. A long file
+    repeats its data lines over the rows the typed load guesses on, then
+    ends in a row that may break the guess or be ragged."""
     delimiter = draw(st.sampled_from(_DELIMITERS))
     header = draw(st.booleans())
     quoted = draw(st.booleans())
@@ -297,6 +342,11 @@ def _delimited_files(draw):
         return cell
 
     lines = [delimiter.join(map(cell_text, row)) for row in rows]
+    if n and draw(st.integers(0, 3)) == 0:  # a long file whose last row may break the guess
+        last = [draw(st.one_of(_LATE_CELLS, column)) for column in columns]
+        if draw(st.integers(0, 4)) == 0:  # ragged
+            last = last[:-1] if draw(st.booleans()) else last + ["9"]
+        lines = lines[:header] + _long(lines[header:], delimiter.join(map(cell_text, last)))
     for _ in range(draw(st.integers(0, 2))):  # blank and whitespace-only lines
         at = draw(st.integers(0, len(lines)))
         lines.insert(at, draw(st.sampled_from(["", "", " ", "\t"])))

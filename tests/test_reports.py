@@ -147,6 +147,17 @@ def test_grid_spec_validation():
             GridSpec(**axes)
 
 
+@pytest.mark.parametrize("q", [10**400, 0.5, math.inf, math.nan])
+def test_grid_q_outside_its_domain_is_the_point_rule_error(q):
+    # the q axis and table1's q are checked by model._check_point: a Python
+    # int past the float range is a ValueError, not numpy's OverflowError
+    message = f"^q must be finite and >= 1, got {q}$"
+    with pytest.raises(ValueError, match=message):
+        GridSpec(k=(1,), q=(2.0, q), p=(0.1,))
+    with pytest.raises(ValueError, match=message):
+        table1(q=q)
+
+
 def test_parse_grid_file():
     spec = parse_grid_file(
         """
@@ -255,6 +266,23 @@ def test_series_csv_na_literal_for_inapplicable_terms():
     from qbounds import evaluate_confidence
     want = evaluate_confidence(WR, 0.3, 100, 2.0).confidence
     assert float(cols["confidence"]) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_simulation_seed_counts_only_points_that_are_not_invalid(seed):
+    # k = 2000 >= n is invalid and takes no seed: the next point draws under
+    # `seed`, and the one after under seed + 1_000_003, modulo 2**64
+    spec = GridSpec(c=(50,), n=(1000,), k=(2000, 500, 100), q=(1.5,), methods=(WOR,))
+    records = figure_series(spec, with_simulation=True, trials=400, seed=seed)
+    assert [r["status"] for r in records] == ["invalid", "ok", "ok"]
+    assert records[0]["empirical_rate"] is None
+    for i, record in enumerate(records[1:]):
+        summary = run_simulation(SimulationConfig(
+            pop=PopulationSpec(n=1000, cardinality=50),
+            design=SampleDesign(method=WOR, k=record["k"]), q=1.5, trials=400,
+            seed=(seed + 1_000_003 * i) % 2**64))
+        assert record["empirical_rate"] == summary.empirical_rate
+        assert record["standard_error"] == summary.standard_error
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

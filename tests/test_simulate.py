@@ -7,7 +7,10 @@ from qbounds import (
     SampleDesign,
     SamplingMethod,
     SimulationConfig,
+    admissible_range,
+    estimate_from_hits,
     exact_confidence,
+    q_error,
     run_simulation,
     simulate,
 )
@@ -65,25 +68,52 @@ def test_agrees_with_exact_probability():
             np.sqrt(summary.empirical_rate * (1 - summary.empirical_rate) / summary.trials))
 
 
-def test_q_errors_optional_retention():
-    cfg = _cfg(10**6, 5000, 1000, 2.0, trials=500, seed=5)
-    assert run_simulation(cfg).q_errors is None
-    kept = run_simulation(_cfg(10**6, 5000, 1000, 2.0, trials=500, seed=5, keep_q_errors=True))
-    assert kept.q_errors is not None and len(kept.q_errors) == 500
-    assert np.all(kept.q_errors >= 1.0)
-    # success counting and the retained metric describe the same event
-    assert kept.successes == int(np.count_nonzero(kept.q_errors <= 2.0))
+def _recorded_hits(monkeypatch) -> list:
+    """The hit counts run_simulation draws, one array per block, as it draws them."""
+    drawn = []
+    make = simulate.block_generator
+
+    class Recorder:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def binomial(self, *args, **kwargs):
+            drawn.append(self.gen.binomial(*args, **kwargs))
+            return drawn[-1]
+
+        def hypergeometric(self, *args, **kwargs):
+            drawn.append(self.gen.hypergeometric(*args, **kwargs))
+            return drawn[-1]
+
+    monkeypatch.setattr(simulate, "block_generator", lambda seed, b: Recorder(make(seed, b)))
+    return drawn
 
 
-def test_wor_draws_respect_population_composition():
-    # n=10, C=3, k=8: hit counts can only be 1..3, which map to the
-    # q-error values {2.4, 1.2, 1.25}; anything else would mean drawing
-    # more satisfying (or non-satisfying) rows than the table holds
-    summary = run_simulation(_cfg(10, 3, 8, 1.0, trials=5000, seed=9,
-                                  method=WOR, keep_q_errors=True))
-    allowed = {2.4, 1.2, 1.25}
-    got = set(np.round(np.unique(summary.q_errors), 9).tolist())
-    assert got <= allowed
+@pytest.mark.parametrize("method", [WR, WOR])
+def test_successes_are_the_hit_counts_in_the_admissible_range(monkeypatch, method):
+    # a trial succeeds when its estimate's Q-error is at most q: the hit
+    # count lies in exact.admissible_range, over every block
+    drawn = _recorded_hits(monkeypatch)
+    summary = run_simulation(_cfg(10**6, 5000, 1000, 2.0, trials=5000, seed=5, method=method))
+    hits = np.concatenate(drawn)
+    assert len(drawn) == 2 and len(hits) == 5000
+    admissible = admissible_range(10**6, 5000, 1000, 2.0)
+    assert summary.successes == sum(x in admissible for x in hits.tolist())
+    assert summary.successes == sum(
+        q_error(estimate_from_hits(10**6, 1000, x), 5000) <= 2.0 for x in hits.tolist())
+
+
+def test_wor_draws_respect_population_composition(monkeypatch):
+    # n=10, C=3, k=8: hit counts can only be 1..3, whose Q-errors are 2.4,
+    # 1.2 and 1.25; anything else would mean drawing more satisfying (or
+    # non-satisfying) rows than the table holds
+    drawn = _recorded_hits(monkeypatch)
+    summary = run_simulation(_cfg(10, 3, 8, 1.25, trials=5000, seed=9, method=WOR))
+    hits = np.concatenate(drawn)
+    assert set(hits.tolist()) <= {1, 2, 3}
+    admissible = admissible_range(10, 3, 8, 1.25)
+    assert [x in admissible for x in (1, 2, 3)] == [False, True, True]
+    assert summary.successes == int(np.count_nonzero(hits >= 2))
 
 
 def test_config_validation():
@@ -129,7 +159,5 @@ def test_wor_fixed_hit_counts_simulate_at_any_n(monkeypatch, n, c):
     """C = 0 and C = n fix the hit count at 0 and k: accepted at any n,
     and counted without numpy's hypergeometric draw."""
     monkeypatch.setattr(simulate, "block_generator", lambda seed, block: _NoDraws())
-    summary = run_simulation(_cfg(n, c, 100, 2.0, trials=5000, seed=1, method=WOR,
-                                  keep_q_errors=True))
-    assert summary.successes == summary.trials == 5000
-    assert np.all(summary.q_errors == 1.0)
+    summary = run_simulation(_cfg(n, c, 100, 1.0, trials=5000, seed=1, method=WOR))
+    assert summary.successes == summary.trials == 5000  # every Q-error is 1
