@@ -245,8 +245,11 @@ def _typed_table(file: _File, options: LoadOptions) -> Optional[TableData]:
     if ColumnType.INTEGER in types and not file.ascii:
         return None
     skip = file.blank_lines + 1 + len(_LINE_BREAK.findall("".join(head[0]))) if first else 0
-    rows = file.split(options.delimiter, skiprows=skip, ndmin=1,
-                      dtype=[(str(i), _DTYPES[t]) for i, t in enumerate(types)])
+    with warnings.catch_warnings():  # older numpy reads a cell such as 1.5 in an integer
+        # field via float, truncated, with a DeprecationWarning; as an error it is a ValueError
+        warnings.simplefilter("error", DeprecationWarning)
+        rows = file.split(options.delimiter, skiprows=skip, ndmin=1,
+                          dtype=[(str(i), _DTYPES[t]) for i, t in enumerate(types)])
     data = [rows[str(i)].tolist() if t is ColumnType.TEXT else np.array(rows[str(i)])
             for i, t in enumerate(types)]
     del rows  # free the split before the text is coded

@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import oracles
@@ -201,6 +202,30 @@ def test_load_table_falls_back_only_past_a_broken_guess(tmp_path, monkeypatch, l
     assert len(calls) == 1
     assert [t.value for t in table.types] == types
     assert [repr(a.tolist()[-1]) for a in table.data] == list(map(repr, values))
+
+
+def test_load_table_turns_a_deprecated_integer_parse_into_the_fallback(tmp_path, monkeypatch):
+    # older numpy reads `1.5` in an integer field via float, truncated to 1,
+    # and warns with a DeprecationWarning; as an error, its loader raises a
+    # ValueError from it, which sends the file to the text path
+    loadtxt = np.loadtxt
+
+    def older_loadtxt(source, dtype=object, **kwargs):
+        if not isinstance(dtype, list):
+            return loadtxt(source, dtype=dtype, **kwargs)
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+        except DeprecationWarning as warning:
+            raise ValueError("could not convert string '1.5' to int64") from warning
+        floats = [(name, np.float64 if t is np.int64 else t) for name, t in dtype]
+        return loadtxt(source, dtype=floats, **kwargs).astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", older_loadtxt)
+    rows = "".join(f"{i},t{i % 7}\n" for i in range(ingest._GUESS_ROWS))
+    table = load_table(_write(tmp_path, "i,t\n" + rows + "1.5,x\n"))
+    assert table.types == [ColumnType.REAL, ColumnType.TEXT]
+    assert table.data[0].tolist()[-1] == 1.5
 
 
 _INT_CELLS = st.one_of(
