@@ -3,14 +3,17 @@ data series behind the bound-curve figures.
 
 Both read the bound at every point of their grid from `evaluate_grid`,
 one numpy pass over the scalar path's term kernels; a single point is
-cheaper through `confidence.evaluate_confidence`.
+cheaper through `confidence.evaluate_confidence`. The figure series stays
+in those numpy columns (`Series`): a record is built only when it is read.
 
 Everything lands in CSV through `write_csv`: a fixed header, LF
 newlines, UTF-8, and one rule for every cell (see `cells`): 9
 significant digits in full-precision columns, two decimals in the
 table's rounded columns, the literal NA for missing values and
-inapplicable terms. Rendering to images is out of scope; these files are
-meant for external plotting.
+inapplicable terms. A float64 or int64 column is printed one distinct
+value at a time; everything else cell by cell, through the same rule.
+Rendering to images is out of scope; these files are meant for external
+plotting.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Optional, Sequence
+from typing import IO, Optional
 
 import numpy as np
 
@@ -44,7 +48,10 @@ TABLE1_CARDINALITIES = (
 TABLE1_SAMPLE_SIZES = (100, 1000, 10000)
 
 
-_CHUNK = 64  # rows formatted per write: bounds the text held at once
+_CHUNK = 4096  # rows formatted per write: bounds the text held at once
+
+# columns printed one distinct value at a time, told apart by bit pattern
+_BY_BITS = (np.dtype(np.float64), np.dtype(np.int64))
 
 
 def _text(value: str) -> str:
@@ -74,17 +81,33 @@ def cells(values: Iterable, fmt: str) -> list[str]:
     ]
 
 
+def _column_cells(column, fmt: str) -> list[str]:
+    """`cells(column, fmt)`, with each distinct value of a float64 or int64
+    array printed once. Values are told apart by their bit pattern, so -0.0
+    and 0.0 stay apart (they print differently), as does each NaN."""
+    if isinstance(column, np.ndarray) and column.dtype in _BY_BITS:
+        distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        printed = np.array(cells(distinct.view(column.dtype).tolist(), fmt), dtype=object)
+        return printed[inverse.reshape(-1)].tolist()
+    return cells(column, fmt)
+
+
 def write_csv(records: Sequence[Mapping], columns: Mapping[str, str], out: IO[str]) -> None:
     """Write `records` as CSV: `columns` maps each header, in order, to the
     `%`-format of its cells (`%s` text, `%d` integer, `%.9g` full
     precision, `%.2f` two decimals); each record needs every header as a
-    key. Rows are formatted column by column, a bounded chunk at a time.
+    key. Rows are formatted column by column, a bounded chunk at a time;
+    a `Series` is printed from its columns and builds no record.
     """
     out.write(",".join(cells(columns, "%s")) + "\n")
-    getters = [(operator.itemgetter(name), fmt) for name, fmt in columns.items()]
+    names, fmts = list(columns), list(columns.values())
     for start in range(0, len(records), _CHUNK):
-        chunk = records[start:start + _CHUNK]
-        rows = zip(*(cells(map(get, chunk), fmt) for get, fmt in getters))
+        if isinstance(records, Series):
+            block = [records.column(name)[start:start + _CHUNK] for name in names]
+        else:
+            chunk = records[start:start + _CHUNK]
+            block = [[record[name] for record in chunk] for name in names]
+        rows = zip(*map(_column_cells, block, fmts))
         out.write("".join(",".join(row) + "\n" for row in rows))
 
 
@@ -231,6 +254,52 @@ _SERIES_CSV = {
 SERIES_COLUMNS = list(_SERIES_CSV)
 
 
+class Series(Sequence):
+    """The figure-series records, kept as numpy columns and built when read.
+
+    Indexing, slicing and iteration build one dict per grid point, keyed by
+    `SERIES_COLUMNS` in order: `int` n, c and k, `float` p and q, and None
+    where a term does not apply to the point's method or a column was not
+    asked for. A term that applies but is undefined (Hoeffding's under
+    term at pq <= 1) is NaN. A slice is a list of records. `write_csv`
+    prints the columns themselves and builds no record.
+    """
+
+    def __init__(self, values: dict[str, np.ndarray], present: dict[str, np.ndarray]):
+        self._values = values  # one 1-d array per column, NaN where a record holds None
+        self._present = present  # rows holding a value, for columns that may hold None
+        self._size = len(values["method"])
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._records(index)
+        i = operator.index(index)
+        if not -self._size <= i < self._size:
+            raise IndexError("series index out of range")
+        i %= self._size
+        return self._records(slice(i, i + 1))[0]
+
+    def __iter__(self):
+        for start in range(0, self._size, _CHUNK):
+            yield from self._records(slice(start, start + _CHUNK))
+
+    def column(self, name: str) -> np.ndarray:
+        """One column's values, NaN in the rows whose record holds None."""
+        return self._values[name]
+
+    def _records(self, rows: slice) -> list[dict]:
+        columns = []
+        for name in SERIES_COLUMNS:
+            values = self._values[name][rows]
+            if name in self._present:
+                values = np.where(self._present[name][rows], values, None)
+            columns.append(values.tolist())
+        return [dict(zip(SERIES_COLUMNS, row)) for row in zip(*columns)]
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axes of a figure-series sweep. Exactly one of p / c drives the
@@ -251,7 +320,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if (self.p is None) == (self.c is None):
             raise ValueError("exactly one of the p and c axes must be given")
-        for name in ("k", "q", "n", "methods"):
+        for name in ("p" if self.p is not None else "c", "k", "q", "n", "methods"):
             if not getattr(self, name):
                 raise ValueError(f"axis {name} must not be empty")
         if self.p is not None and any(not 0.0 <= v <= 1.0 for v in self.p):
@@ -302,10 +371,11 @@ def parse_grid_file(text: str) -> GridSpec:
     """Parse the key=value grid file format.
 
     Keys: p | c | k | q | n | method | include_hoeffding. Values are a
-    comma list (100,1000), lin:LO:HI:COUNT, or log:LO:HI:COUNT. '#' starts
-    a comment.
+    comma list (100,1000), lin:LO:HI:COUNT, or log:LO:HI:COUNT, and each
+    key may be given once. '#' starts a comment.
     """
     fields: dict = {}
+    given: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -314,6 +384,9 @@ def parse_grid_file(text: str) -> GridSpec:
             raise ValueError(f"grid file line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
+        if key in given:
+            raise ValueError(f"grid file line {lineno}: key {key!r} given twice")
+        given.add(key)
         if key in ("p", "q"):
             fields[key] = tuple(_parse_axis_values(value))
         elif key in ("c", "k", "n"):
@@ -340,13 +413,15 @@ def figure_series(
     with_simulation: bool = False,
     trials: int = 1000,
     seed: int = 0,
-) -> list[dict]:
+) -> Series:
     """One record per grid point with every per-inequality term, the
     combined confidence, and optional exact / simulation columns.
 
+    The records come as a `Series`: numpy columns from one `evaluate_grid`
+    call over the whole grid, a record built only when it is read, and
+    each distinct value of a column printed once by `write_series_csv`.
     Points that violate preconditions are emitted with a degenerate or
-    invalid status instead of being dropped. The bound columns come from
-    one `evaluate_grid` call over the whole grid. The simulation draws the
+    invalid status instead of being dropped. The simulation draws the
     i-th point whose status is not invalid (from 0, in record order) under
     seed `(seed + 1_000_003 * i) % 2**64`, where `seed` must itself be an
     unsigned 64-bit integer; an invalid point takes no seed.
@@ -359,66 +434,69 @@ def figure_series(
     n_axis, c_axis, p_axis = zip(*sel)
     # rows in itertools.product(n, p or c, k, q, methods) order
     shape = (len(sel), len(spec.k), len(spec.q), len(spec.methods))
-    size = math.prod(shape)
 
-    def spread(values, axis: int, dtype=object) -> np.ndarray:
+    def spread(values, axis: int, dtype) -> np.ndarray:
         """One axis's values at every grid point, in product order."""
-        column = np.empty(len(values), dtype=dtype)
-        column[:] = values
         dims = [1] * len(shape)
         dims[axis] = -1
-        return np.broadcast_to(column.reshape(dims), shape).ravel()
+        return np.broadcast_to(np.array(values, dtype=dtype).reshape(dims), shape).ravel()
 
     p, n = spread(p_axis, 0, np.float64), spread(n_axis, 0, np.int64)
     k, q = spread(spec.k, 1, np.int64), spread(spec.q, 2, np.float64)
+    # p * n rounds up to 2**63 at p = 1 and the largest n
+    c = spread(c_axis, 0, np.int64 if max(c_axis) < 2**63 else object)
     wor = spread([m is SamplingMethod.WITHOUT_REPLACEMENT for m in spec.methods], 3, bool)
     invalid = wor & (k >= n)
     degenerate = ~invalid & (p == 0.0)
     ok = ~invalid & ~degenerate
+    valid = ~invalid
     chosen = default_inequalities(SamplingMethod.WITH_REPLACEMENT, spec.include_hoeffding)
     bounds = evaluate_grid(p[ok], k[ok], n[ok], q[ok], wor[ok], chosen | DEFAULT_WOR_KINDS)
 
-    records = [dict.fromkeys(SERIES_COLUMNS) for _ in range(size)]
+    status = np.full(p.size, "ok", dtype=object)
+    status[degenerate] = "degenerate"
+    status[invalid] = "invalid"
+    method = spread([m.value for m in spec.methods], 3, object)
+    values = {"method": method, "n": n, "c": c, "p": p, "k": k, "q": q, "status": status}
+    present: dict[str, np.ndarray] = {}
 
-    def fill(col: str, values, rows=None) -> None:
-        """Set one column on every record, or on the rows marked."""
-        targets = records if rows is None else [records[i] for i in np.flatnonzero(rows).tolist()]
-        for record, value in zip(targets, values):
-            record[col] = value
+    def put(name: str, rows: np.ndarray, computed) -> None:
+        """A float column: `computed` in the rows marked, None in the others."""
+        values[name] = np.full(p.size, np.nan)
+        values[name][rows] = computed
+        present[name] = rows
 
-    fill("method", spread([m.value for m in spec.methods], 3).tolist())
-    fill("n", spread(n_axis, 0).tolist())
-    fill("c", spread(c_axis, 0).tolist())
-    fill("p", spread(p_axis, 0).tolist())
-    fill("k", spread(spec.k, 1).tolist())
-    fill("q", spread(spec.q, 2).tolist())
-    for status, rows in (("ok", ok), ("degenerate", degenerate), ("invalid", invalid)):
-        fill("status", itertools.repeat(status), rows)
-    for (kind, side), values in bounds.terms.items():
+    for (kind, side), term in bounds.terms.items():
         applies = ok & (wor == (kind in WITHOUT_REPLACEMENT_KINDS))
-        fill(f"{kind.value}_{side.value}", values[applies[ok]].tolist(), applies)
-    fill("omega", bounds.omega.tolist(), ok)
-    fill("psi", bounds.psi.tolist(), ok)
-    fill("confidence", bounds.confidence.tolist(), ok)
-    fill("confidence", itertools.repeat(0.0), degenerate)
+        put(f"{kind.value}_{side.value}", applies, term[applies[ok]])
+    put("omega", ok, bounds.omega)
+    put("psi", ok, bounds.psi)
+    confidence = np.zeros(p.size)  # a degenerate point's confidence is 0
+    confidence[ok] = bounds.confidence
+    put("confidence", valid, confidence[valid])
 
+    exact, rate, error = [], [], []
     if with_exact or with_simulation:
-        valid = (record for record in records if record["status"] != "invalid")
-        for index, record in enumerate(valid):
-            pop = PopulationSpec(n=record["n"], cardinality=record["c"])
-            design = SampleDesign(method=SamplingMethod(record["method"]), k=record["k"])
+        points = zip(*(values[name][valid].tolist() for name in ("method", "n", "c", "k", "q")))
+        for index, (method_i, n_i, c_i, k_i, q_i) in enumerate(points):
+            pop = PopulationSpec(n=n_i, cardinality=c_i)
+            design = SampleDesign(method=SamplingMethod(method_i), k=k_i)
             if with_exact:
-                record["exact"] = exact_confidence(pop, design, record["q"])
+                exact.append(exact_confidence(pop, design, q_i))
             if with_simulation:
                 summary = run_simulation(SimulationConfig(
-                    pop=pop, design=design, q=record["q"], trials=trials,
+                    pop=pop, design=design, q=q_i, trials=trials,
                     seed=(seed + 1_000_003 * index) % 2**64,
                 ))
-                record["empirical_rate"] = summary.empirical_rate
-                record["standard_error"] = summary.standard_error
-    return records
+                rate.append(summary.empirical_rate)
+                error.append(summary.standard_error)
+    nothing = np.zeros(p.size, dtype=bool)
+    for name, computed in (("exact", exact), ("empirical_rate", rate), ("standard_error", error)):
+        put(name, valid if computed else nothing, computed)
+    return Series(values, present)
 
 
 def write_series_csv(records: Sequence[dict], out: IO[str]) -> None:
-    """Series records as CSV: 9 significant digits, None and NaN as NA."""
+    """Series records as CSV: 9 significant digits, None and NaN as NA;
+    a `Series` is printed from its columns, each distinct value once."""
     write_csv(records, _SERIES_CSV, out)

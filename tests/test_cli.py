@@ -540,3 +540,38 @@ def test_figures_on_the_canonical_grid_print_the_reference_series(capsys, tmp_pa
     assert run(["figures", "--grid", str(bench / "canonical_grid.txt"), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert (tmp_path / "series.csv").read_bytes() == (bench / "reference_series.csv").read_bytes()
+
+
+_DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    (["table1"], "table1.csv"),
+    (["table1", "--rows", "3000000", "--q", "3.5"], "table1_rows3000000_q3.5.csv"),
+])
+def test_table1_prints_the_recorded_csv(capsys, argv, recorded):
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (_DATA / recorded).read_text(encoding="utf-8")
+
+
+def test_figures_with_exact_on_the_canonical_grid_print_the_recorded_series(capsys, tmp_path):
+    grid = Path(__file__).resolve().parents[1] / "perfbench" / "canonical_grid.txt"
+    assert run(["figures", "--grid", str(grid), "--with-exact", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    recorded = (_DATA / "canonical_series_exact.csv").read_bytes()
+    assert (tmp_path / "series.csv").read_bytes() == recorded
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p =\nk = 10\nq = 2", "axis p must not be empty"),
+    ("c = \nn = 100\nk = 10\nq = 2", "axis c must not be empty"),
+    ("p = 0.1\nk = 10\nq = 2\nk = 20", "grid file line 4: key 'k' given twice"),
+    ("p = 0.1\nmethod = wr\nk = 10\nq = 2\nMETHOD = wor", "grid file line 5: key 'method' given twice"),
+])
+def test_figures_bad_grid_file_is_domain_error(capsys, tmp_path, text, message):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(text + "\n", encoding="utf-8")
+    assert run(["figures", "--grid", str(grid), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import sys
 import warnings
@@ -26,6 +27,7 @@ from qbounds import (
     run_simulation,
     table1,
 )
+from qbounds import reports
 from qbounds.reports import evaluate_grid
 from qbounds.reports import (
     SERIES_COLUMNS,
@@ -36,7 +38,13 @@ from qbounds.reports import (
     write_series_csv,
     write_table1_csv,
 )
-from qbounds.terms import WITH_REPLACEMENT_KINDS, WITHOUT_REPLACEMENT_KINDS, InequalityKind, Side
+from qbounds.terms import (
+    DEFAULT_WOR_KINDS,
+    WITH_REPLACEMENT_KINDS,
+    WITHOUT_REPLACEMENT_KINDS,
+    InequalityKind,
+    Side,
+)
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -179,6 +187,21 @@ def test_parse_grid_file():
     assert spec.n == (1_000_000,)
     assert spec.methods == (WR,)
     assert spec.include_hoeffding
+
+
+def test_grid_spec_refuses_an_empty_selectivity_axis():
+    with pytest.raises(ValueError, match="^axis p must not be empty$"):
+        GridSpec(p=(), k=(10,), q=(2.0,))
+    with pytest.raises(ValueError, match="^axis c must not be empty$"):
+        GridSpec(c=(), k=(10,), q=(2.0,))
+
+
+def test_parse_grid_file_refuses_a_key_given_twice():
+    # the second k would otherwise win, silently dropping the first
+    with pytest.raises(ValueError, match="^grid file line 4: key 'k' given twice$"):
+        parse_grid_file("p = 0.1\nk = 10\nq = 2\nk = 20")
+    with pytest.raises(ValueError, match="^grid file line 3: key 'p' given twice$"):
+        parse_grid_file("P = 0.1\nk = 10 # one\np = 0.2\nq = 2")
 
 
 def test_parse_grid_file_errors():
@@ -533,3 +556,154 @@ def test_write_csv_cell_rule():
 @given(st.lists(st.none() | st.floats() | st.integers(-(10**20), 10**20), max_size=200))
 def test_full_precision_cells_match_fmt9(values):
     assert cells(values, "%.9g") == [_fmt9(v) for v in values]
+
+
+def _eager_series(spec, with_exact=False, with_simulation=False, trials=1000, seed=0):
+    """The series as a list of dicts filled field by field from one
+    `evaluate_grid` call over the ok points: the records a `Series` must
+    build when read, types included."""
+    if spec.p is not None:
+        sel = [(n, int(round(float(v) * n)), float(v)) for n in spec.n for v in spec.p]
+    else:
+        sel = [(n, int(c), c / n) for n in spec.n for c in spec.c]
+    records, ok = [], []
+    for (n, c, p), k, q, method in itertools.product(sel, spec.k, spec.q, spec.methods):
+        record = dict.fromkeys(SERIES_COLUMNS)
+        record.update(method=method.value, n=n, c=c, p=p, k=k, q=q)
+        if method is WOR and k >= n:
+            record["status"] = "invalid"
+        elif p == 0.0:
+            record.update(status="degenerate", confidence=0.0)
+        else:
+            record["status"] = "ok"
+            ok.append(record)
+        records.append(record)
+    if ok:
+        chosen = default_inequalities(WR, spec.include_hoeffding) | DEFAULT_WOR_KINDS
+        bounds = evaluate_grid(*([r[key] for r in ok] for key in ("p", "k", "n", "q")),
+                               [r["method"] == WOR.value for r in ok], chosen)
+        terms = {key: values.tolist() for key, values in bounds.terms.items()}
+        combined = {name: getattr(bounds, name).tolist() for name in ("omega", "psi", "confidence")}
+        for i, record in enumerate(ok):
+            wor = record["method"] == WOR.value
+            for (kind, side), values in terms.items():
+                if (kind in WITHOUT_REPLACEMENT_KINDS) == wor:
+                    record[f"{kind.value}_{side.value}"] = values[i]
+            record.update({name: values[i] for name, values in combined.items()})
+    valid = [record for record in records if record["status"] != "invalid"]
+    for index, record in enumerate(valid):
+        pop = PopulationSpec(n=record["n"], cardinality=record["c"])
+        design = SampleDesign(method=SamplingMethod(record["method"]), k=record["k"])
+        if with_exact:
+            record["exact"] = exact_confidence(pop, design, record["q"])
+        if with_simulation:
+            summary = run_simulation(SimulationConfig(
+                pop=pop, design=design, q=record["q"], trials=trials,
+                seed=(seed + 1_000_003 * index) % 2**64,
+            ))
+            record["empirical_rate"] = summary.empirical_rate
+            record["standard_error"] = summary.standard_error
+    return records
+
+
+def _assert_same_records(got, want) -> None:
+    """Equal records: the same keys in the same order, and values of the
+    same type and value, a NaN only where the other holds a NaN."""
+    assert type(got) is list and len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is dict and list(a) == list(b)
+        for key, expected in b.items():
+            assert type(a[key]) is type(expected), key
+            assert a[key] == expected or (a[key] != a[key] and expected != expected), key
+
+
+@given(_grids(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_series_records_equal_the_eager_records(spec, data):
+    series = figure_series(spec)
+    want = _eager_series(spec)
+    assert len(series) == len(want)
+    _assert_same_records(list(series), want)
+    index = data.draw(st.integers(-len(want), len(want) - 1))
+    _assert_same_records([series[index]], [want[index]])
+    rows = data.draw(st.slices(len(want)))
+    _assert_same_records(series[rows], want[rows])
+    for outside in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            series[outside]
+    # the columns print as the records do, cell by cell
+    by_column, by_record = io.StringIO(), io.StringIO()
+    write_series_csv(series, by_column)
+    write_series_csv(want, by_record)
+    assert by_column.getvalue() == by_record.getvalue()
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 4096])
+def test_series_read_and_printed_across_chunks(monkeypatch, chunk):
+    spec = GridSpec(c=(0, 50, 600), n=(1000,), k=(2000, 500, 100), q=(1.0, 1.5, 2.0),
+                    include_hoeffding=True)
+    want = _eager_series(spec, with_exact=True)
+    monkeypatch.setattr(reports, "_CHUNK", chunk)
+    series = figure_series(spec, with_exact=True)
+    _assert_same_records(list(series), want)
+    by_column, per_cell = io.StringIO(), io.StringIO()
+    write_series_csv(series, by_column)
+    _write_series_per_cell(want, per_cell)
+    assert by_column.getvalue() == per_cell.getvalue()
+
+
+@pytest.mark.parametrize("with_exact, with_simulation", [(True, False), (False, True), (True, True)])
+def test_series_exact_and_simulation_records_equal_the_eager_records(with_exact, with_simulation):
+    # k = 2000 >= n is invalid without replacement and takes no seed
+    spec = GridSpec(c=(0, 50, 600), n=(1000,), k=(2000, 500, 100), q=(1.5, 2.0))
+    args = dict(with_exact=with_exact, with_simulation=with_simulation, trials=300, seed=2**64 - 1)
+    _assert_same_records(list(figure_series(spec, **args)), _eager_series(spec, **args))
+
+
+def _nan(sign: int, payload: int) -> float:
+    """The NaN of this sign bit and (nonzero) mantissa payload."""
+    return np.array([sign << 63 | 0x7FF << 52 | payload], dtype=np.uint64).view(np.float64)[0]
+
+
+@st.composite
+def _printed_columns(draw):
+    """A column and a format: float64 and int64 arrays, whose distinct
+    values are printed once, and lists and other arrays, printed cell by
+    cell."""
+    floats = (
+        st.floats()
+        | st.sampled_from([0.0, -0.0, math.inf, -math.inf, 0.995, 1e16, 5e-324])
+        | st.builds(_nan, st.integers(0, 1), st.integers(1, 2**52 - 1))
+    )
+    ints = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -1, 2**63 - 1, -(2**63)])
+    text = st.text(st.sampled_from('a,"\n\rNA x'), max_size=6)
+    kind = draw(st.sampled_from(
+        ["float64", "int64", "ints past int64", "bool and int", "np.float64", "text"]
+    ))
+    if kind == "float64":
+        column = np.array(draw(st.lists(floats, max_size=40)), dtype=np.float64)
+        return column, draw(st.sampled_from(["%.9g", "%.2f", "%s"]))
+    if kind == "int64":
+        column = np.array(draw(st.lists(ints, max_size=40)), dtype=np.int64)
+        return column, draw(st.sampled_from(["%d", "%s", "%.9g"]))
+    if kind == "ints past int64":
+        big = st.integers(-(10**30), 10**30) | st.sampled_from([2**63, -(2**63) - 1, 2**64])
+        return draw(st.lists(big | st.none(), max_size=40)), draw(st.sampled_from(["%d", "%s"]))
+    if kind == "bool and int":
+        values = draw(st.lists(st.booleans() | st.integers(-2, 2), max_size=40))
+        return draw(st.sampled_from([values, np.array(values, dtype=object)])), "%s"
+    if kind == "np.float64":
+        values = [np.float64(v) for v in draw(st.lists(floats, max_size=40))]
+        return values, draw(st.sampled_from(["%.9g", "%.2f", "%s"]))
+    values = draw(st.lists(text | st.none(), max_size=40))
+    return draw(st.sampled_from([values, np.array(values, dtype=object)])), "%s"
+
+
+@given(_printed_columns())
+@example((np.array([-0.0, 0.0, 0.0, -0.0]), "%s"))
+@example((np.array([0.0, -0.0]), "%.9g"))
+@example((np.array([_nan(1, 1), math.nan, math.inf, -math.inf, _nan(0, 5)]), "%.9g"))
+@example(([True, 1, False, 0, np.True_], "%s"))
+def test_column_printer_equals_the_cell_rule(case):
+    column, fmt = case
+    assert reports._column_cells(column, fmt) == [cells([v], fmt)[0] for v in column]
