@@ -79,11 +79,16 @@ class LoadOptions:
     header: bool = True
     type_hints: Optional[dict[str, ColumnType]] = None
 
-    def __post_init__(self):  # `"` opens a quoted cell and a line break ends a record
+    def __post_init__(self):
+        # `"` opens a quoted cell and a line break ends a record
         if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1) \
                 or self.delimiter in '"\r\n':
             raise ValueError("the delimiter must be one character other than '\"', '\\r' "
                              f"and '\\n', got {self.delimiter!r}")
+        for name, hint in (self.type_hints or {}).items():
+            if not isinstance(hint, ColumnType):
+                raise ValueError(f"the type hint of column {name!r} must be a ColumnType, "
+                                 f"got {hint!r}")
 
 
 def _infer_column(cells: list[str], hint: Optional[ColumnType] = None
@@ -166,19 +171,16 @@ class _File:
         self.ascii = raw.isascii()
 
     def split(self, delimiter: str, dtype=object, **kwargs) -> np.ndarray:
-        """np.loadtxt on the file: its records, split as csv.reader splits them."""
+        """np.loadtxt on the (non-blank) file: its records, split as csv.reader
+        splits them. numpy warns that blank lines do not count toward max_rows.
+        Older numpy reads a cell such as 1.5 in an integer field via float,
+        truncated, with a DeprecationWarning; as an error it is a ValueError."""
         with (open(self.path, newline="", encoding="utf-8") if self.from_handle
-              else contextlib.nullcontext(self.path)) as source:
+              else contextlib.nullcontext(self.path)) as source, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Input line", UserWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             return np.loadtxt(source, dtype=dtype, delimiter=delimiter, comments=None,
                               encoding="utf-8", quotechar='"', **kwargs)
-
-
-def _cells(file: _File, delimiter: str, max_rows: Optional[int] = None) -> np.ndarray:
-    """The raw cells of the first max_rows (by default all) non-blank records in a
-    2-d object array (0 x 0 for a blank file, on which numpy warns)."""
-    if file.blank:
-        return np.empty((0, 0), dtype=object)
-    return file.split(delimiter, ndmin=2, max_rows=max_rows)
 
 
 def _columns(path: str, options: LoadOptions, row: Sequence[str]) -> list[str]:
@@ -209,91 +211,17 @@ def _table(columns: list[str], types: list[ColumnType], data: list) -> TableData
     return TableData(columns=columns, types=types, data=data, codes=codes)
 
 
-_GUESS_ROWS = 256  # the data rows that guess the column types of the typed load
-_DTYPES = {ColumnType.INTEGER: np.int64, ColumnType.REAL: np.float64, ColumnType.TEXT: object}
+_GUESS_ROWS = 256  # the data rows that guess each column's dtype
 
 
-def _typed_table(file: _File, options: LoadOptions) -> Optional[TableData]:
-    """The table from one np.loadtxt call that parses the numbers while it
-    splits the file. Each column's type is what `_infer_column` and the hints
-    give on the header and the first _GUESS_ROWS data rows.
-
-    numpy refuses, with a ValueError, every later cell that `_text_table`
-    reads otherwise, but in two cases, which return None, as first rows that
-    break a hint or hold an integer past int64 do: an integer column in a
-    file holding a non-ASCII byte (numpy's integer parser takes some
-    non-ASCII characters for digits, and reads `\u0968` as 2360), and a
-    negative zero in a real column (`_real_array` makes the cell `-0` +0.0).
-    skiprows counts lines, not records: the blank lines before the header
-    and the line breaks inside its quoted cells count too."""
-    first = int(options.header)
-    with warnings.catch_warnings():  # numpy warns that blank lines do not count as rows
-        warnings.filterwarnings("ignore", "Input line", UserWarning)
-        head = _cells(file, options.delimiter, max_rows=first + _GUESS_ROWS)
-    if len(head) <= first:
-        return None
-    columns = _columns(file.path, options, head[0])
-    hints = options.type_hints or {}
-    types = []
-    for i, name in enumerate(columns):
-        hint = hints.get(name)
-        col_type, values = _infer_column(head[first:, i].tolist(), hint)
-        if col_type is ColumnType.TEXT and hint in (ColumnType.INTEGER, ColumnType.REAL) or (
-                values is not None and values.dtype == object):
-            return None
-        types.append(col_type)
-    if ColumnType.INTEGER in types and not file.ascii:
-        return None
-    skip = file.blank_lines + 1 + len(_LINE_BREAK.findall("".join(head[0]))) if first else 0
-    with warnings.catch_warnings():  # older numpy reads a cell such as 1.5 in an integer
-        # field via float, truncated, with a DeprecationWarning; as an error it is a ValueError
-        warnings.simplefilter("error", DeprecationWarning)
-        rows = file.split(options.delimiter, skiprows=skip, ndmin=1,
-                          dtype=[(str(i), _DTYPES[t]) for i, t in enumerate(types)])
-    data = [rows[str(i)].tolist() if t is ColumnType.TEXT else np.array(rows[str(i)])
-            for i, t in enumerate(types)]
-    del rows  # free the split before the text is coded
-    if any(t is ColumnType.REAL and np.any((column == 0.0) & np.signbit(column))
-           for t, column in zip(types, data)):
-        return None
-    return _table(columns, types, data)
-
-
-def _text_table(file: _File, options: LoadOptions) -> TableData:
-    """The table from the raw cells of the file, each column's type and values
-    from `_infer_column` on all its cells: the loader's rule, and its path
-    where the typed load cannot follow that rule."""
-    try:
-        cells = _cells(file, options.delimiter)  # a blank line is not a data row
-    except ValueError as error:  # numpy refused the file: bad UTF-8 or a ragged row
-        records = list(_records(file.path, options.delimiter))  # bad UTF-8 raises here
-        m = len(_columns(file.path, options, records[0][1]))
-        no, row = next(((no, row) for no, row in records if len(row) != m), (0, None))
-        raise TableParseError(f"{file.path}: line {no}: expected {m} fields, got {len(row)}"
-                              if row else f"{file.path}: {error}") from None
-    first = int(options.header)  # non-blank records before the first data row
-    if not len(cells):
-        raise TableParseError(f"{file.path}: {'empty file' if options.header else 'no data rows'}")
-    columns = _columns(file.path, options, cells[0])
-    if len(cells) == first:
-        raise TableParseError(f"{file.path}: no data rows")
-
-    hints = options.type_hints or {}
-    types: list[ColumnType] = []
-    data: list = []
-    for i, name in enumerate(columns):
-        column = cells[first:, i].tolist()
-        hint = hints.get(name)
-        col_type, values = _infer_column(column, hint)
-        if col_type is ColumnType.TEXT and hint in (ColumnType.INTEGER, ColumnType.REAL):
-            bad = next(j for j, cell in enumerate(column)
-                       if _infer_column([cell])[0] is ColumnType.TEXT)
-            raise TableParseError(
-                f"{file.path}: line {_line_no(file.path, options.delimiter, first + bad)}: "
-                f"column {name!r} is hinted {hint.value} but holds a non-numeric cell")
-        types.append(col_type)
-        data.append(column if col_type is ColumnType.TEXT else values)
-    return _table(columns, types, data)
+def _fault(file: _File, options: LoadOptions, error: ValueError) -> TableParseError:
+    """The error of a file numpy refused: bad UTF-8 (raised here), a repeated
+    header name or a ragged row, named by csv.reader, else numpy's message."""
+    records = list(_records(file.path, options.delimiter))  # bad UTF-8 raises here
+    m = len(_columns(file.path, options, records[0][1]))
+    no, row = next(((no, row) for no, row in records if len(row) != m), (0, None))
+    return TableParseError(f"{file.path}: line {no}: expected {m} fields, got {len(row)}"
+                           if row else f"{file.path}: {error}")
 
 
 def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
@@ -301,18 +229,85 @@ def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
 
     Integer promotes to real when mixed; any non-numeric cell (including a
     blank) degrades the column to text, unless a numeric type hint turns
-    that into a parse error instead. Duplicate header names are an error.
+    that into a parse error instead. Duplicate header names, and a hint
+    naming no column, are errors.
 
-    numpy parses the numbers while it splits the file (`_typed_table`);
-    where it cannot follow this rule, the file is read as text cells
-    (`_text_table`), which also names any fault.
+    `_infer_column` and the hints guess each column's type on the header and
+    the first _GUESS_ROWS data rows. One np.loadtxt call then splits the file
+    into an int64, float64 or object (raw cells) field per column, so numpy
+    parses the numbers while it splits. A column is raw cells where numpy
+    cannot follow the rule: text, an integer past int64 in the first rows, an
+    integer column in a file holding a non-ASCII byte (numpy's integer parser
+    takes some non-ASCII characters for digits, and reads `\u0968` as 2360),
+    and a real column holding a negative zero, which the split finds and
+    repeats (`_real_array` makes the cell `-0` +0.0). numpy refuses, with a
+    ValueError, every later cell that breaks the guess; then every column is
+    raw cells. `_infer_column` types each raw-cell column on all its cells,
+    and finds a cell that breaks a hint; `_fault` names why numpy refused
+    the split of raw cells.
     """
     file = _File(path)
+    first = int(options.header)  # non-blank records before the first data row
+    if file.blank:
+        raise TableParseError(f"{path}: {'empty file' if options.header else 'no data rows'}")
     try:
-        table = _typed_table(file, options)
-    except ValueError:  # numpy refused a cell or the file, or the header repeats a name
-        table = None
-    return _text_table(file, options) if table is None else table
+        head = file.split(options.delimiter, ndmin=2, max_rows=first + _GUESS_ROWS)
+    except ValueError as error:  # bad UTF-8 or a ragged row, which the whole file holds too
+        raise _fault(file, options, error) from None
+    columns = _columns(path, options, head[0])
+    if len(head) == first:
+        raise TableParseError(f"{path}: no data rows")
+
+    hints = options.type_hints or {}
+    guesses = [_infer_column(head[first:, i].tolist(), hints.get(name))
+               for i, name in enumerate(columns)]
+    dtypes = [np.float64 if t is ColumnType.REAL else
+              np.int64 if t is ColumnType.INTEGER and values.dtype != object and file.ascii
+              else object for t, values in guesses]
+    # skiprows counts lines, not records: the blank lines before the header and
+    # the line breaks inside its quoted cells count too
+    skip = file.blank_lines + 1 + len(_LINE_BREAK.findall("".join(head[0]))) if first else 0
+    while True:
+        try:
+            rows = file.split(options.delimiter, skiprows=skip, ndmin=1,
+                              dtype=[(str(i), t) for i, t in enumerate(dtypes)])
+        except ValueError as error:
+            if all(t is object for t in dtypes):
+                raise _fault(file, options, error) from None
+            dtypes = [object] * len(columns)
+            continue
+        # copies of the numeric fields, so that no view keeps the split alive
+        numbers = {i: np.array(rows[str(i)]) for i, t in enumerate(dtypes) if t is not object}
+        zeros = [i for i, values in numbers.items()
+                 if values.dtype == np.float64 and np.any((values == 0.0) & np.signbit(values))]
+        if not zeros:
+            break
+        for i in zeros:
+            dtypes[i] = object
+    missing = [name for name in hints if name not in columns]
+    if missing:
+        raise TableParseError(f"{path}: column {missing[0]!r} is hinted "
+                              f"{hints[missing[0]].value} but the file has no such column")
+
+    types: list[ColumnType] = []
+    data: list = []
+    for i, (name, (col_type, _)) in enumerate(zip(columns, guesses)):
+        values = numbers.get(i)
+        if values is None:  # raw cells, typed by the rule on all of them
+            cells = rows[str(i)].tolist()
+            hint = hints.get(name) or (col_type if col_type is ColumnType.TEXT else None)
+            col_type, values = _infer_column(cells, hint)
+            if col_type is ColumnType.TEXT and hint in (ColumnType.INTEGER, ColumnType.REAL):
+                bad = next(j for j, cell in enumerate(cells)
+                           if _infer_column([cell])[0] is ColumnType.TEXT)
+                raise TableParseError(
+                    f"{path}: line {_line_no(path, options.delimiter, first + bad)}: "
+                    f"column {name!r} is hinted {hint.value} but holds a non-numeric cell")
+            values = cells if col_type is ColumnType.TEXT else values
+        types.append(col_type)
+        data.append(values)
+    del rows  # free the split before the text is coded
+    return _table(columns, types, data)
 
 
 # Predicate language ---------------------------------------------------------

@@ -304,7 +304,8 @@ class Series(Sequence):
 class GridSpec:
     """Axes of a figure-series sweep. Exactly one of p / c drives the
     selectivity axis; with a p axis, exact and simulation columns use the
-    nearest integer cardinality round(p * n)."""
+    nearest integer cardinality round(p * n), at most n (p * n rounds up in
+    floats past 2**53)."""
 
     k: tuple[int, ...]
     q: tuple[float, ...]
@@ -428,7 +429,7 @@ def figure_series(
     """
     _check_seed(seed)
     if spec.p is not None:
-        sel = [(n, int(round(float(v) * n)), float(v)) for n in spec.n for v in spec.p]
+        sel = [(n, min(round(float(v) * n), n), float(v)) for n in spec.n for v in spec.p]
     else:
         sel = [(n, int(c), c / n) for n in spec.n for c in spec.c]
     n_axis, c_axis, p_axis = zip(*sel)
@@ -443,8 +444,7 @@ def figure_series(
 
     p, n = spread(p_axis, 0, np.float64), spread(n_axis, 0, np.int64)
     k, q = spread(spec.k, 1, np.int64), spread(spec.q, 2, np.float64)
-    # p * n rounds up to 2**63 at p = 1 and the largest n
-    c = spread(c_axis, 0, np.int64 if max(c_axis) < 2**63 else object)
+    c = spread(c_axis, 0, np.int64)
     wor = spread([m is SamplingMethod.WITHOUT_REPLACEMENT for m in spec.methods], 3, bool)
     invalid = wor & (k >= n)
     degenerate = ~invalid & (p == 0.0)

@@ -180,6 +180,9 @@ def reference_table(path, delimiter=",", header=True, hints=None):
     for line, row in records:
         if len(row) != len(names):
             raise ValueError(f"line {line}: expected {len(names)} fields, got {len(row)}")
+    for name, hint in hints.items():
+        if name not in names:
+            raise ValueError(f"column {name!r} is hinted {hint} but the file has no such column")
     columns = []
     for i, name in enumerate(names):
         hint = hints.get(name)

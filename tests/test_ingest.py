@@ -178,40 +178,70 @@ def test_load_table_integer_cells_of_a_real_column(tmp_path):
     assert list(map(repr, table.data[1].tolist())) == ["0.0", "1.0", "2.0"]
 
 
-@pytest.mark.parametrize("last, types, values", [
-    ("1.5,2,x", ["real", "real", "text"], [1.5, 2.0, "x"]),
-    ("x,2,y", ["text", "real", "text"], ["x", 2.0, "y"]),
-    (f"{2**63},2,y", ["integer", "real", "text"], [2**63, 2.0, "y"]),
-    ("1,-0,y", ["integer", "real", "text"], [1, 0.0, "y"]),
-    ("२,2,y", ["integer", "real", "text"], [2, 2.0, "y"]),
+def test_load_options_refuse_a_type_hint_that_is_not_a_column_type():
+    with pytest.raises(ValueError, match="^the type hint of column 'a' must be a ColumnType, "
+                                         "got 'real'$"):
+        LoadOptions(type_hints={"a": "real"})
+
+
+def test_load_table_refuses_a_type_hint_naming_no_column(tmp_path):
+    path = _write(tmp_path, "a,b\n1,x\n2,y\n")
+    message = f"{path}: column 'c' is hinted real but the file has no such column"
+    with pytest.raises(TableParseError, match="^" + re.escape(message) + "$"):
+        load_table(path, LoadOptions(type_hints={"a": ColumnType.INTEGER, "c": ColumnType.REAL}))
+    # a hint names a column by its stripped header cell, or col0, col1, ... without a header
+    assert load_table(path, LoadOptions(type_hints={"a": ColumnType.REAL})).types[0] \
+        is ColumnType.REAL
+    with pytest.raises(TableParseError, match="column 'a' is hinted text but the file"):
+        load_table(path, LoadOptions(header=False, type_hints={"a": ColumnType.TEXT}))
+
+
+_I, _R, _O = np.dtype(np.int64), np.dtype(np.float64), np.dtype(object)
+
+
+@pytest.mark.parametrize("last, splits, types, values", [
+    (None, [[_I, _R, _O]], ["integer", "real", "text"], [511, 127.75, "t0"]),
+    ("1.5,2,x", [[_I, _R, _O], [_O, _O, _O]], ["real", "real", "text"], [1.5, 2.0, "x"]),
+    ("x,2,y", [[_I, _R, _O], [_O, _O, _O]], ["text", "real", "text"], ["x", 2.0, "y"]),
+    (f"{2**63},2,y", [[_I, _R, _O], [_O, _O, _O]], ["integer", "real", "text"],
+     [2**63, 2.0, "y"]),
+    ("1,-0,y", [[_I, _R, _O], [_I, _O, _O]], ["integer", "real", "text"], [1, 0.0, "y"]),
+    ("\u0968,2,y", [[_O, _R, _O]], ["integer", "real", "text"], [2, 2.0, "y"]),
 ])
-def test_load_table_falls_back_only_past_a_broken_guess(tmp_path, monkeypatch, last, types,
-                                                        values):
-    # numpy parses a clean table's numbers while it splits the file; a last
-    # row that breaks the typed load's guess sends the file to the text path
-    calls = []
-    text_table = ingest._text_table
-    monkeypatch.setattr(ingest, "_text_table", lambda *args: calls.append(args) or text_table(*args))
+def test_load_table_splits_as_raw_cells_only_what_numpy_cannot_parse(tmp_path, monkeypatch, last,
+                                                                     splits, types, values):
+    # after the head, one split parses a clean table's numbers; an integer
+    # column of a non-ASCII file is raw cells from the start, a real column
+    # holding -0 is split again as raw cells, and a later cell numpy refuses
+    # splits every column as raw cells
+    dtypes = []
+    loadtxt = np.loadtxt
+
+    def recording_loadtxt(source, dtype, **kwargs):
+        dtypes.append(np.dtype(dtype))
+        return loadtxt(source, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
     rows = "".join(f"{i},{i / 4},t{i % 7}\n" for i in range(2 * ingest._GUESS_ROWS))
-    clean = load_table(_write(tmp_path, "i,r,t\n" + rows))
-    assert not calls
-    assert [t.value for t in clean.types] == ["integer", "real", "text"]
-    assert [a.dtype for a in clean.data] == [np.int64, np.float64, object]
-    assert all(a.flags.c_contiguous for a in clean.data)
-    table = load_table(_write(tmp_path, "i,r,t\n" + rows + last + "\n", name="late.csv"))
-    assert len(calls) == 1
+    table = load_table(_write(tmp_path, "i,r,t\n" + rows + (f"{last}\n" if last else "")))
+    assert dtypes[0] == _O  # the header and the rows that guess the dtypes
+    assert [[dtype[name] for name in dtype.names] for dtype in dtypes[1:]] == splits
     assert [t.value for t in table.types] == types
+    assert [a.dtype for a in table.data] == [_O if isinstance(v, int) and v >= 2**63 else
+                                            _I if isinstance(v, int) else
+                                            _R if isinstance(v, float) else _O for v in values]
+    assert all(a.flags.c_contiguous for a in table.data)
     assert [repr(a.tolist()[-1]) for a in table.data] == list(map(repr, values))
 
 
 def test_load_table_turns_a_deprecated_integer_parse_into_the_fallback(tmp_path, monkeypatch):
     # older numpy reads `1.5` in an integer field via float, truncated to 1,
     # and warns with a DeprecationWarning; as an error, its loader raises a
-    # ValueError from it, which sends the file to the text path
+    # ValueError from it, which splits every column as raw cells
     loadtxt = np.loadtxt
 
     def older_loadtxt(source, dtype=object, **kwargs):
-        if not isinstance(dtype, list):
+        if not isinstance(dtype, list) or all(t is not np.int64 for _, t in dtype):
             return loadtxt(source, dtype=dtype, **kwargs)
         try:
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",

@@ -266,6 +266,20 @@ def test_figure_series_billion_row_grid():
         assert 0.0 <= record["confidence"] <= 1.0
 
 
+@pytest.mark.parametrize("with_exact", [False, True])
+def test_figure_series_cardinality_is_at_most_n_at_the_largest_n(with_exact):
+    # p * n rounds up to 2**63 in floats at p = 1 and n = 2**63 - 1
+    n = 2**63 - 1
+    records = figure_series(GridSpec(p=(1.0,), n=(n,), k=(10,), q=(2.0,)), with_exact=with_exact)
+    assert [(r["n"], r["c"], r["status"]) for r in records] == [(n, n, "ok")] * 2
+    # every sample is all hits, so the estimate is exact
+    assert [r["exact"] for r in records] == [1.0 if with_exact else None] * 2
+    out = io.StringIO()
+    write_series_csv(records, out)
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    assert [row["c"] for row in rows] == [str(n)] * 2
+
+
 def test_figure_series_with_exact_and_simulation():
     spec = GridSpec(c=(5000,), n=(10**6,), k=(1000,), q=(2.0,), methods=(WR,))
     records = figure_series(spec, with_exact=True, with_simulation=True,
