@@ -77,7 +77,6 @@ class TableData:
 class LoadOptions:
     delimiter: str = ","
     header: bool = True
-    type_hints: Optional[dict[str, ColumnType]] = None
 
     def __post_init__(self):
         # `"` opens a quoted cell and a line break ends a record
@@ -85,27 +84,19 @@ class LoadOptions:
                 or self.delimiter in '"\r\n':
             raise ValueError("the delimiter must be one character other than '\"', '\\r' "
                              f"and '\\n', got {self.delimiter!r}")
-        for name, hint in (self.type_hints or {}).items():
-            if not isinstance(hint, ColumnType):
-                raise ValueError(f"the type hint of column {name!r} must be a ColumnType, "
-                                 f"got {hint!r}")
 
 
-def _infer_column(cells: list[str], hint: Optional[ColumnType] = None
-                  ) -> tuple[ColumnType, Optional[np.ndarray]]:
-    """Integer (unless hinted real) if every stripped cell is `[+-]?\\d+`, else
-    real if every cell is a number, else text (values None), as is a column
-    hinted text. numpy parses as int() and float() do, skipping what
-    str.strip() drops but \\x1c-\\x1f; of their grammar only `_` goes beyond
-    this rule, so ids like `1_0` stay text."""
-    if hint is ColumnType.TEXT:
-        return ColumnType.TEXT, None
+def _infer_column(cells: list[str]) -> tuple[ColumnType, Optional[np.ndarray]]:
+    """Integer if every stripped cell is `[+-]?\\d+`, else real if every cell
+    is a number, else text (values None). numpy parses as int() and float()
+    do, skipping what str.strip() drops but \\x1c-\\x1f; of their grammar only
+    `_` goes beyond this rule, so ids like `1_0` stay text."""
     joined = "".join(cells)
     if "_" not in joined:
         if any(sep in joined for sep in "\x1c\x1d\x1e\x1f"):
             cells = [cell.strip() for cell in cells]
         for col_type, parse in ((ColumnType.INTEGER, _integer_array),
-                                (ColumnType.REAL, _real_array))[hint is ColumnType.REAL:]:
+                                (ColumnType.REAL, _real_array)):
             try:
                 return col_type, parse(cells)
             except ValueError:
@@ -147,12 +138,6 @@ def _records(path: str, delimiter: str) -> Iterator[tuple[int, list[str]]]:
         csv.field_size_limit(limit)
 
 
-def _line_no(path: str, delimiter: str, index: int) -> int:
-    """Line number of the index-th non-blank record."""
-    with contextlib.closing(_records(path, delimiter)) as records:
-        return next(itertools.islice(records, index, None))[0]
-
-
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
@@ -183,15 +168,15 @@ class _File:
                               encoding="utf-8", quotechar='"', **kwargs)
 
 
-def _columns(path: str, options: LoadOptions, row: Sequence[str]) -> list[str]:
-    """Names of the columns of the first non-blank record: its stripped cells
-    under a header, which must not repeat, else col0, col1, ..."""
+def _columns(path: str, options: LoadOptions, row: Sequence[str], line: int) -> list[str]:
+    """Names of the columns of the first non-blank record, which is on line
+    `line`: its stripped cells under a header, which must not repeat, else
+    col0, col1, ..."""
     columns = ([cell.strip() for cell in row] if options.header
                else [f"col{i}" for i in range(len(row))])
     duplicates = [name for i, name in enumerate(columns) if name in columns[:i]]
     if duplicates:
-        raise TableParseError(f"{path}: line {_line_no(path, options.delimiter, 0)}: "
-                              f"duplicate column name {duplicates[0]!r}")
+        raise TableParseError(f"{path}: line {line}: duplicate column name {duplicates[0]!r}")
     return columns
 
 
@@ -218,7 +203,7 @@ def _fault(file: _File, options: LoadOptions, error: ValueError) -> TableParseEr
     """The error of a file numpy refused: bad UTF-8 (raised here), a repeated
     header name or a ragged row, named by csv.reader, else numpy's message."""
     records = list(_records(file.path, options.delimiter))  # bad UTF-8 raises here
-    m = len(_columns(file.path, options, records[0][1]))
+    m = len(_columns(file.path, options, records[0][1], records[0][0]))
     no, row = next(((no, row) for no, row in records if len(row) != m), (0, None))
     return TableParseError(f"{file.path}: line {no}: expected {m} fields, got {len(row)}"
                            if row else f"{file.path}: {error}")
@@ -228,23 +213,21 @@ def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
     """Load a delimited file, inferring integer / real / text per column.
 
     Integer promotes to real when mixed; any non-numeric cell (including a
-    blank) degrades the column to text, unless a numeric type hint turns
-    that into a parse error instead. Duplicate header names, and a hint
-    naming no column, are errors.
+    blank) degrades the column to text. Duplicate header names are errors.
 
-    `_infer_column` and the hints guess each column's type on the header and
-    the first _GUESS_ROWS data rows. One np.loadtxt call then splits the file
-    into an int64, float64 or object (raw cells) field per column, so numpy
-    parses the numbers while it splits. A column is raw cells where numpy
-    cannot follow the rule: text, an integer past int64 in the first rows, an
-    integer column in a file holding a non-ASCII byte (numpy's integer parser
-    takes some non-ASCII characters for digits, and reads `\u0968` as 2360),
-    and a real column holding a negative zero, which the split finds and
-    repeats (`_real_array` makes the cell `-0` +0.0). numpy refuses, with a
-    ValueError, every later cell that breaks the guess; then every column is
-    raw cells. `_infer_column` types each raw-cell column on all its cells,
-    and finds a cell that breaks a hint; `_fault` names why numpy refused
-    the split of raw cells.
+    `_infer_column` guesses each column's type on the first _GUESS_ROWS data
+    rows. One np.loadtxt call then splits the file into an int64, float64 or
+    object (raw cells) field per column, so numpy parses the numbers while it
+    splits. A column is raw cells where numpy cannot follow the rule: text,
+    an integer past int64 in the first rows, an integer column in a file
+    holding a non-ASCII byte (numpy's integer parser takes some non-ASCII
+    characters for digits, and reads `\u0968` as 2360), and a real column
+    holding a negative zero, which the split finds and repeats (`_real_array`
+    makes the cell `-0` +0.0). numpy refuses, with a ValueError, every later
+    cell that breaks the guess; then every column is raw cells.
+    `_infer_column` types each raw-cell column on all its cells but one that
+    is text in the first rows; `_fault` names why numpy refused the split of
+    raw cells.
     """
     file = _File(path)
     first = int(options.header)  # non-blank records before the first data row
@@ -254,13 +237,11 @@ def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
         head = file.split(options.delimiter, ndmin=2, max_rows=first + _GUESS_ROWS)
     except ValueError as error:  # bad UTF-8 or a ragged row, which the whole file holds too
         raise _fault(file, options, error) from None
-    columns = _columns(path, options, head[0])
+    columns = _columns(path, options, head[0], file.blank_lines + 1)
     if len(head) == first:
         raise TableParseError(f"{path}: no data rows")
 
-    hints = options.type_hints or {}
-    guesses = [_infer_column(head[first:, i].tolist(), hints.get(name))
-               for i, name in enumerate(columns)]
+    guesses = [_infer_column(head[first:, i].tolist()) for i in range(len(columns))]
     dtypes = [np.float64 if t is ColumnType.REAL else
               np.int64 if t is ColumnType.INTEGER and values.dtype != object and file.ascii
               else object for t, values in guesses]
@@ -284,25 +265,15 @@ def load_table(path: str, options: LoadOptions = LoadOptions()) -> TableData:
             break
         for i in zeros:
             dtypes[i] = object
-    missing = [name for name in hints if name not in columns]
-    if missing:
-        raise TableParseError(f"{path}: column {missing[0]!r} is hinted "
-                              f"{hints[missing[0]].value} but the file has no such column")
 
     types: list[ColumnType] = []
     data: list = []
-    for i, (name, (col_type, _)) in enumerate(zip(columns, guesses)):
+    for i, (col_type, _) in enumerate(guesses):
         values = numbers.get(i)
         if values is None:  # raw cells, typed by the rule on all of them
             cells = rows[str(i)].tolist()
-            hint = hints.get(name) or (col_type if col_type is ColumnType.TEXT else None)
-            col_type, values = _infer_column(cells, hint)
-            if col_type is ColumnType.TEXT and hint in (ColumnType.INTEGER, ColumnType.REAL):
-                bad = next(j for j, cell in enumerate(cells)
-                           if _infer_column([cell])[0] is ColumnType.TEXT)
-                raise TableParseError(
-                    f"{path}: line {_line_no(path, options.delimiter, first + bad)}: "
-                    f"column {name!r} is hinted {hint.value} but holds a non-numeric cell")
+            if col_type is not ColumnType.TEXT:  # text in the first rows is text
+                col_type, values = _infer_column(cells)
             values = cells if col_type is ColumnType.TEXT else values
         types.append(col_type)
         data.append(values)

@@ -138,29 +138,22 @@ def parse_cell(text):
         return "text", text
 
 
-def reference_column(cells, hint=None):
-    """(type, values) of one column of stripped cells, or a ValueError whose
-    argument is the index of the first non-numeric cell of a column hinted
-    "integer" or "real"."""
+def reference_column(cells):
+    """(type, values) of one column of stripped cells."""
     parsed = [parse_cell(cell) for cell in cells]
     kinds = {kind for kind, _ in parsed}
-    if hint == "text":
-        return "text", list(cells)
     if "text" in kinds:
-        if hint in ("integer", "real"):
-            raise ValueError(next(i for i, (kind, _) in enumerate(parsed) if kind == "text"))
         return "text", list(cells)
-    if "real" in kinds or hint == "real":
+    if "real" in kinds:
         return "real", [float(value) for _, value in parsed]
     return "integer", [value for _, value in parsed]
 
 
-def reference_table(path, delimiter=",", header=True, hints=None):
+def reference_table(path, delimiter=",", header=True):
     """(column names, [(type, values)]) of a delimited file as the loader
     originally read it: csv.reader's records, blank ones skipped, every
     cell stripped, each column through `reference_column`. A file the
     loader rejects raises ValueError with the text after the path."""
-    hints = hints or {}
     with open(path, newline="", encoding="utf-8") as handle:
         records = [(line, row)
                    for line, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1)
@@ -180,15 +173,5 @@ def reference_table(path, delimiter=",", header=True, hints=None):
     for line, row in records:
         if len(row) != len(names):
             raise ValueError(f"line {line}: expected {len(names)} fields, got {len(row)}")
-    for name, hint in hints.items():
-        if name not in names:
-            raise ValueError(f"column {name!r} is hinted {hint} but the file has no such column")
-    columns = []
-    for i, name in enumerate(names):
-        hint = hints.get(name)
-        try:
-            columns.append(reference_column([row[i].strip() for _, row in records], hint))
-        except ValueError as exc:
-            raise ValueError(f"line {records[exc.args[0]][0]}: column {name!r} is hinted "
-                             f"{hint} but holds a non-numeric cell") from None
-    return names, columns
+    return names, [reference_column([row[i].strip() for _, row in records])
+                   for i in range(len(names))]

@@ -330,6 +330,11 @@ def test_out_of_domain_input_is_domain_error(capsys, tmp_path, argv, message):
 @pytest.mark.parametrize("argv", [
     "bound --method wr --p 0.1 --k 1" + "0" * 400 + " --q 2",
     "solve-k --method wr --p 0 --q 2 --confidence 0.9 --k-max 1" + "0" * 400,
+    "simulate --method wr --cardinality 5 --rows 1" + "0" * 400
+    + " --k 10 --q 2 --trials 10 --seed 1",
+    "solve-k --method wor --cardinality 5 --rows 1" + "0" * 400 + " --q 2 --confidence 0.9",
+    "bound --method wr --cardinality 5 --rows 1" + "0" * 400 + " --k 10 --q 2",
+    "bound --method wor --p 0.5 --k 10 --rows 1" + "0" * 400 + " --q 2",
 ])
 def test_sizes_past_the_float_range_are_domain_errors(capsys, argv):
     assert run(argv.split()) == 1

@@ -97,18 +97,14 @@ def test_load_table_long_quoted_cell_loads_as_its_quote_free_form(tmp_path):
     assert csv.field_size_limit() == limit
 
 
-@pytest.mark.parametrize("rows, hints, fault", [
-    ("\n\n2\n", None, "line 4: expected 2 fields, got 1"),
-    ("\nz,y\n", {"a": ColumnType.INTEGER},
-     "line 3: column 'a' is hinted integer but holds a non-numeric cell"),
-])
-def test_load_table_error_after_long_quoted_cell_names_the_fault(tmp_path, rows, hints, fault):
+def test_load_table_error_after_long_quoted_cell_names_the_fault(tmp_path):
     # csv.reader, which names an error's line, reads past a cell over its
     # limit as numpy does, and the process-wide limit is restored after
     limit = csv.field_size_limit()
-    path = _write(tmp_path, 'a,b\n1,"' + "x" * 200_000 + '"' + rows)
-    with pytest.raises(TableParseError, match="^" + re.escape(f"{path}: {fault}") + "$"):
-        load_table(path, LoadOptions(type_hints=hints))
+    path = _write(tmp_path, 'a,b\n1,"' + "x" * 200_000 + '"\n\n2\n')
+    message = f"{path}: line 4: expected 2 fields, got 1"
+    with pytest.raises(TableParseError, match="^" + re.escape(message) + "$"):
+        load_table(path)
     assert csv.field_size_limit() == limit
 
 
@@ -135,13 +131,6 @@ def test_load_table_blank_cell_degrades_to_text(tmp_path):
     table = load_table(path)
     assert table.types == [ColumnType.TEXT, ColumnType.TEXT]
     assert table.data[0].tolist() == ["1", "", "3"]
-
-
-def test_load_table_numeric_hint_rejects_blank(tmp_path):
-    path = _write(tmp_path, "a,b\n1,x\n,y\n3,z\n")
-    options = LoadOptions(type_hints={"a": ColumnType.INTEGER})
-    with pytest.raises(TableParseError, match="line 3"):
-        load_table(path, options)
 
 
 def test_load_table_no_header_and_delimiter(tmp_path):
@@ -171,29 +160,11 @@ def test_load_table_integer_beyond_int64(tmp_path):
 
 def test_load_table_integer_cells_of_a_real_column(tmp_path):
     # an integer cell is converted as the integer it is: -0 is +0.0
-    path = _write(tmp_path, f"a,b\n-0,-0\n-0.0,1\n{2**53 + 1},2\n")
-    table = load_table(path, LoadOptions(type_hints={"b": ColumnType.REAL}))
+    path = _write(tmp_path, f"a,b\n-0,-0\n-0.0,1\n{2**53 + 1},2.5\n")
+    table = load_table(path)
     assert table.types == [ColumnType.REAL, ColumnType.REAL]
     assert list(map(repr, table.data[0].tolist())) == ["0.0", "-0.0", repr(float(2**53 + 1))]
-    assert list(map(repr, table.data[1].tolist())) == ["0.0", "1.0", "2.0"]
-
-
-def test_load_options_refuse_a_type_hint_that_is_not_a_column_type():
-    with pytest.raises(ValueError, match="^the type hint of column 'a' must be a ColumnType, "
-                                         "got 'real'$"):
-        LoadOptions(type_hints={"a": "real"})
-
-
-def test_load_table_refuses_a_type_hint_naming_no_column(tmp_path):
-    path = _write(tmp_path, "a,b\n1,x\n2,y\n")
-    message = f"{path}: column 'c' is hinted real but the file has no such column"
-    with pytest.raises(TableParseError, match="^" + re.escape(message) + "$"):
-        load_table(path, LoadOptions(type_hints={"a": ColumnType.INTEGER, "c": ColumnType.REAL}))
-    # a hint names a column by its stripped header cell, or col0, col1, ... without a header
-    assert load_table(path, LoadOptions(type_hints={"a": ColumnType.REAL})).types[0] \
-        is ColumnType.REAL
-    with pytest.raises(TableParseError, match="column 'a' is hinted text but the file"):
-        load_table(path, LoadOptions(header=False, type_hints={"a": ColumnType.TEXT}))
+    assert list(map(repr, table.data[1].tolist())) == ["0.0", "1.0", "2.5"]
 
 
 _I, _R, _O = np.dtype(np.int64), np.dtype(np.float64), np.dtype(object)
@@ -302,20 +273,18 @@ def _columns(draw):
     if draw(st.integers(0, 3)) == 0:  # a long column whose last row may break the guess
         columns = [_long(column, draw(st.one_of(_LATE_CELLS, _INT_CELLS, _REAL_CELLS)))
                    for column in columns]
-    hints = [draw(st.sampled_from([None, "integer", "real", "text"])) for _ in range(m)]
     padding = draw(st.sampled_from(["", " ", "\t"]))
-    return [[padding + cell + padding for cell in column] for column in columns], hints
+    return [[padding + cell + padding for cell in column] for column in columns]
 
 
 @given(_columns())
 @settings(max_examples=300, deadline=None)
-def test_load_table_matches_cell_by_cell_reference(spec):
-    """The vectorized loader gives the types, values (sign of zero and nan
-    included) and hint errors of the original per-cell parser on columns of
-    signed, `_`-separated, Unicode-digit, non-finite, blank, quoted and mixed
-    cells, under every type hint, also where a cell past the rows the typed
-    load guesses on breaks its guess."""
-    columns, hints = spec
+def test_load_table_matches_cell_by_cell_reference(columns):
+    """The vectorized loader gives the types and values (sign of zero and nan
+    included) of the original per-cell parser on columns of signed,
+    `_`-separated, Unicode-digit, non-finite, blank, quoted and mixed cells,
+    also where a cell past the rows the typed load guesses on breaks its
+    guess."""
     names = [f"c{i}" for i in range(len(columns))]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.csv")
@@ -323,17 +292,8 @@ def test_load_table_matches_cell_by_cell_reference(spec):
             writer = csv.writer(handle)
             writer.writerow(names)
             writer.writerows(zip(*columns))
-        options = LoadOptions(type_hints={
-            name: ColumnType(hint) for name, hint in zip(names, hints) if hint})
-        expected = []
-        for column, hint in zip(columns, hints):
-            try:
-                expected.append(oracles.reference_column([c.strip() for c in column], hint))
-            except ValueError as exc:
-                with pytest.raises(TableParseError, match=f"line {exc.args[0] + 2}:"):
-                    load_table(path, options)
-                return
-        table = load_table(path, options)
+        expected = [oracles.reference_column([c.strip() for c in column]) for column in columns]
+        table = load_table(path)
     for (kind, values), col_type, array in zip(expected, table.types, table.data):
         assert col_type.value == kind
         assert list(map(repr, array.tolist())) == list(map(repr, values))
@@ -365,7 +325,7 @@ _PADDED_FILE = "i,r,t\n" + "".join(f"{c}1{c},{c}1.5{c},{c}x{c}\n" for c in _WHIT
 
 @st.composite
 def _delimited_files(draw):
-    """(text, delimiter, header, hints) of a file drawn line by line: rows of
+    """(text, delimiter, header) of a file drawn line by line: rows of
     padded cells over a few column flavours, sometimes a ragged row, blank
     and whitespace-only lines, `\n`, `\r\n` and `\r` endings; in a quoted
     file some cells are RFC 4180 quoted and may hold the delimiter, a line
@@ -408,30 +368,27 @@ def _delimited_files(draw):
     text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
     if text and draw(st.booleans()):
         text = text.rstrip("\r\n")
-    keys = [name.strip() for name in names] if header else [f"col{i}" for i in range(m)]
-    hints = {key: draw(st.sampled_from([None, "integer", "real", "text"])) for key in keys}
-    return text, delimiter, header, {key: hint for key, hint in hints.items() if hint}
+    return text, delimiter, header
 
 
 @given(_delimited_files())
-@example((_PADDED_FILE, ",", True, {}))
-@example((_PADDED_FILE.replace("x", '"x"'), ",", True, {}))
-@example(('i,t\r\n1,"a\rb"\r\n2,"c\r\nd"\r\n3,e\r\n', ",", True, {}))
+@example((_PADDED_FILE, ",", True))
+@example((_PADDED_FILE.replace("x", '"x"'), ",", True))
+@example(('i,t\r\n1,"a\rb"\r\n2,"c\r\nd"\r\n3,e\r\n', ",", True))
 @settings(max_examples=400, deadline=None)
 def test_load_table_matches_csv_reader_reference(spec):
     """Quote-free files and quoted ones, read from the path or, when they
     hold `"` and `\\r`, from a newline="" handle, load to the types, values,
     dtypes, codes and TableParseError text of the original csv.reader
-    loader, for every delimiter, both header settings and every type hint."""
-    text, delimiter, header, hints = spec
-    options = LoadOptions(delimiter=delimiter, header=header,
-                          type_hints={name: ColumnType(hint) for name, hint in hints.items()})
+    loader, for every delimiter and both header settings."""
+    text, delimiter, header = spec
+    options = LoadOptions(delimiter=delimiter, header=header)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.csv")
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         try:
-            names, expected = oracles.reference_table(path, delimiter, header, hints)
+            names, expected = oracles.reference_table(path, delimiter, header)
         except ValueError as exc:
             with pytest.raises(TableParseError) as info:
                 load_table(path, options)
@@ -579,14 +536,17 @@ def test_numeric_comparisons_are_exact(tmp_path, cells, literals):
             assert true_cardinality(table, predicate) == want, (op, literal)
 
 
-@pytest.mark.parametrize("hint", [None, ColumnType.TEXT])
-def test_text_comparisons_match_per_row_strings(tmp_path, hint):
+@pytest.mark.parametrize("cells", [
+    ["b_1", "a", "", "it's", "b_1", "é", "A", "a", "b_1", "10"],
+    # numeric in the rows that guess the type, text from one cell past them
+    [str(i % 5) for i in range(ingest._GUESS_ROWS)] + ["007", "7", "x", "7"],
+], ids=["text", "text_past_the_guess"])
+def test_text_comparisons_match_per_row_strings(tmp_path, cells):
     """= and != on a text column (compared through its integer codes) count
     what per-row string comparison counts, for literals the column holds,
     one it does not, the blank cell and case variants."""
-    cells = ["b_1", "a", "", "it's", "b_1", "é", "A", "a", "b_1", "10"]
     path = _write(tmp_path, "t,u\n" + "".join(f"{cell},0\n" for cell in cells))
-    table = load_table(path, LoadOptions(type_hints={"t": hint} if hint else None))
+    table = load_table(path)
     assert table.types == [ColumnType.TEXT, ColumnType.INTEGER]
     assert table.data[0].dtype == object and table.data[0].tolist() == cells
     for literal in sorted(set(cells)) + ["absent", "B_1", "a "]:

@@ -149,6 +149,7 @@ def _raises(call) -> bool:
 @example((WR, 0.1, 1000.7, 10**6, 2.0))  # a fractional k is used, not truncated
 @example((WOR, 0.1, 1000.7, 10**6, 2.0))
 @example((WOR, 0.5, 10, math.nan, 2.0))  # a NaN n gets the rule's message
+@example((WOR, 0.5, 10, math.inf, 2.0))  # an infinite n is outside the rule
 @example((WR, 0.5, 10, math.nan, 2.0))  # n plays no part with replacement
 def test_one_domain_rule_for_scalar_and_grid(point):
     method, p, k, n, q = point
@@ -193,6 +194,10 @@ _HUGE = 10**400  # a Python int past the largest double
     lambda: SampleDesign(WR, math.inf),
     lambda: SimulationConfig(pop=PopulationSpec(n=100, cardinality=10),
                              design=SampleDesign(WR, 10), q=_HUGE, trials=10, seed=0),
+    lambda: PopulationSpec(n=_HUGE, cardinality=5),
+    lambda: evaluate_confidence(WOR, 0.1, 10, 2.0, n=_HUGE),
+    lambda: evaluate_confidence(WOR, 0.1, 10, 2.0, n=math.inf),
+    lambda: admissible_range(_HUGE, 5, 10, 2.0),
 ])
 def test_k_and_q_past_the_float_range_are_refused(check):
     # `10**400 < math.inf` is true, so such an int passed the rule and

@@ -215,6 +215,11 @@ def test_parse_grid_file_errors():
         parse_grid_file("k 100")
     with pytest.raises(ValueError):
         parse_grid_file("p = log:0:1:5\nk = 10\nq = 2")
+    with pytest.raises(ValueError, match="log axis endpoints must be positive"):
+        parse_grid_file("p = log:0:1:1\nk = 10\nq = 2")
+    for axis in ("lin:inf:5:1", "lin:1:inf:2", "log:1:nan:1", "lin:1e308:-1e308:1"):
+        with pytest.raises(ValueError, match="range axis endpoints and their span must be finite"):
+            parse_grid_file(f"k = 10\nq = {axis}")
     with pytest.raises(ValueError):
         parse_grid_file("k = inf\nq = 2\np = 0.1")
     with pytest.raises(ValueError):
