@@ -1,16 +1,24 @@
 """Seeded Monte Carlo simulation of the sampling estimator.
 
 Trials are grouped into fixed-size blocks; block b draws from a Philox
-counter stream keyed by (seed, b), so results are bit-identical whether
-blocks run sequentially or in parallel and aggregation is a plain sum.
-The sampled estimate (`ingest.estimate_with_bounds`) draws its rows from
-block 0 of the same scheme, under the same seed rule. The scheme
-identifier is exported for output metadata.
+counter stream keyed by (seed, b), and aggregation is a plain sum of
+integer hit counts. A run of more than one block draws its blocks on the
+calling thread plus helper threads, one thread per CPU the process may
+use and never more than there are blocks; numpy's array draws release
+the GIL, so the threads draw at once. A one-block run stays on the
+calling thread. Every block's draws depend on (seed, b) alone, so the
+results, and every output byte, are the same for any thread count or
+order. The sampled estimate (`ingest.estimate_with_bounds`) draws its
+rows from block 0 of the same scheme, under the same seed rule. The
+scheme identifier is exported for output metadata.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +33,17 @@ _BLOCK = 4096
 _HYPERGEOMETRIC_LIMIT = 10**9
 
 
+def _is_integer(value) -> bool:
+    """Python and numpy integers; not bool, and no other type (2.5, 1e4, "7")."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     pop: PopulationSpec
@@ -34,6 +53,11 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name, value in (("population size", self.pop.n),
+                            ("cardinality", self.pop.cardinality),
+                            ("sample size", self.design.k), ("trials", self.trials)):
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer to simulate, got {value}")
         _check_point(self.design.method, None, self.design.k, self.q, self.pop.n)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -47,7 +71,7 @@ class SimulationConfig:
 
 def _check_seed(seed: int) -> None:
     """The seed rule of every seeded draw: an unsigned 64-bit integer."""
-    if not 0 <= seed < 2**64:
+    if not (_is_integer(seed) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
@@ -65,29 +89,70 @@ def block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
     """Repeat the draw-and-estimate experiment and count Q-error successes.
 
     Success of a trial with hit count x means q_error(n*x/k, C) <= q,
     which is exactly membership of x in the admissible hit-count range.
+    Each thread takes the next block index from one shared iterator and
+    sums its own blocks' successes; the helpers are joined before this
+    returns, and an error in any block is raised here.
     """
     n, c, k = cfg.pop.n, cfg.pop.cardinality, cfg.design.k
     p = cfg.pop.p
     rng = admissible_range(n, c, k, cfg.q)
-
-    successes = 0
     n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
-    for b in range(n_blocks):
-        size = min(_BLOCK, cfg.trials - b * _BLOCK)
-        gen = block_generator(cfg.seed, b)
-        if cfg.design.method is SamplingMethod.WITH_REPLACEMENT:
-            hits = gen.binomial(k, p, size=size)
-        elif 0 < c < n:
-            hits = gen.hypergeometric(c, n - c, k, size=size)
-        else:
-            hits = np.full(size, k if c else 0)
-        successes += int(np.count_nonzero((hits >= rng.lo) & (hits <= rng.hi)))
+    blocks = iter(range(n_blocks))
+    lock = threading.Lock()
+    sums: list[int] = []
+    errors: list[BaseException] = []
 
+    def drain() -> None:
+        """Draw blocks until none is left (or a thread has failed)."""
+        total = 0
+        try:
+            while True:
+                # one block index each, and block_generator called by one
+                # thread at a time, so a wrapper of it needs no lock of its own
+                with lock:
+                    b = None if errors else next(blocks, None)
+                    if b is None:
+                        break
+                    gen = block_generator(cfg.seed, b)
+                size = min(_BLOCK, cfg.trials - b * _BLOCK)
+                if cfg.design.method is SamplingMethod.WITH_REPLACEMENT:
+                    hits = gen.binomial(k, p, size=size)
+                elif 0 < c < n:
+                    hits = gen.hypergeometric(c, n - c, k, size=size)
+                else:
+                    hits = np.full(size, k if c else 0)
+                total += int(np.count_nonzero((hits >= rng.lo) & (hits <= rng.hi)))
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+        sums.append(total)
+
+    helpers: list[threading.Thread] = []
+    try:  # a helper that started is joined even if the next one cannot start
+        for _ in range(min(_cpu_count(), n_blocks) - 1):
+            helper = threading.Thread(target=drain)
+            helper.start()
+            helpers.append(helper)
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+    successes = sum(sums)
     rate = successes / cfg.trials
     return SimulationSummary(
         successes=successes,

@@ -747,7 +747,7 @@ def test_estimate_with_bounds_checks_assume_p_first(small_table, monkeypatch, as
                                  SampleDesign(method=WR, k=10), seed=0, assume_p=assume_p)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_estimate_with_bounds_checks_seed_first(small_table, monkeypatch, seed):
     # the rule and message of the simulation's seed, checked before any
     # scan or draw

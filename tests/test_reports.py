@@ -327,7 +327,7 @@ def test_simulation_seed_counts_only_points_that_are_not_invalid(seed):
         assert record["standard_error"] == summary.standard_error
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_simulation_seed_is_checked_before_any_point(monkeypatch, seed):
     """figure_series holds its seed to the simulation's rule before it
     computes a point, instead of reducing each point's seed modulo 2**64."""
