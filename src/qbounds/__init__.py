@@ -19,9 +19,9 @@ _EXPORTS = {
         ("exact", "AdmissibleRange admissible_range estimate_from_hits exact_confidence"),
         ("ingest", "ColumnType EstimateReport LoadOptions Predicate TableData "
                    "estimate_with_bounds load_table parse_predicate true_cardinality"),
-        ("model", "PopulationSpec SampleDesign SamplingMethod q_error validate_design"),
+        ("model", "PopulationSpec RNG_SCHEME SampleDesign SamplingMethod q_error validate_design"),
         ("reports", "GridSpec figure_series parse_grid_file table1"),
-        ("simulate", "RNG_SCHEME SimulationConfig SimulationSummary run_simulation"),
+        ("simulate", "SimulationConfig SimulationSummary run_simulation"),
         ("solver", "Unreachable min_sample_size q_at_confidence"),
         ("terms", "BoundResult BoundTerm InequalityKind Side"),
         ("with_replacement", "bernstein_term chernoff_term confidence_wr hoeffding_term"),

@@ -1,10 +1,12 @@
 """Command-line frontend.
 
 Exit codes: 0 success (including unreachable solver targets, which are a
-result, not an error), 1 domain or usage errors, 2 I/O errors. Text and
-csv print one flat record of the query, the result and the terms in the
-cells of `reports.cells` with `%s` (str()), so text, csv and json show
-identical values for the same invocation.
+result, not an error), 1 domain or usage errors, 2 I/O errors. Text
+prints the result and the terms, one name and value a line; csv prints
+one flat record of the query, the result and the terms, a header line
+and a row line. Both print each value in the cells of `model.cells` with
+`%s` (str()), so text, csv and json show identical values for the same
+invocation.
 """
 
 from __future__ import annotations
@@ -15,25 +17,12 @@ import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
-from .confidence import default_inequalities, evaluate_confidence
-from .exact import admissible_range, exact_confidence
-from .ingest import LoadOptions, estimate_with_bounds, load_table, parse_predicate
-from .model import PopulationSpec, SampleDesign, SamplingMethod
-from .reports import (
-    cells,
-    figure_series,
-    parse_grid_file,
-    table1,
-    write_csv,
-    write_series_csv,
-    write_table1_csv,
-)
-from .simulate import RNG_SCHEME, SimulationConfig, SimulationSummary, run_simulation
-from .solver import DEFAULT_K_MAX, DEFAULT_Q_MAX, Unreachable, min_sample_size, q_at_confidence
-from .terms import BoundTerm
+from .model import RNG_SCHEME, PopulationSpec, SampleDesign, SamplingMethod, _check_n, cells
+from .solver import DEFAULT_K_MAX, DEFAULT_Q_MAX
 
 
 class UsageError(ValueError):
@@ -45,46 +34,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _add_format(parser) -> None:
-    parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-
-def _add_population(parser) -> None:
-    parser.add_argument("--p", type=float, default=None, help="selectivity in [0, 1]")
-    parser.add_argument("--cardinality", type=int, default=None,
-                        help="rows satisfying the predicate")
-    parser.add_argument("--rows", type=int, default=None,
-                        help="table row count n (required for --method wor)")
-
-
-def _resolve_population(args) -> tuple[float, Optional[int]]:
-    p_given = args.p
-    c_given = args.cardinality
-    n_given = args.rows
-    if p_given is not None and c_given is not None:
-        raise UsageError("give either --p or --cardinality/--rows, not both")
-    if c_given is not None:
-        if n_given is None:
-            raise UsageError("--cardinality needs --rows")
-        pop = PopulationSpec(n=n_given, cardinality=c_given)
-        return pop.p, n_given
-    if p_given is None:
-        raise UsageError("population missing: give --p or --cardinality with --rows")
-    return p_given, n_given
-
-
-def _method(args) -> SamplingMethod:
-    return SamplingMethod.parse(args.method)
-
-
-def _require_n_for_wor(method: SamplingMethod, n: Optional[int]) -> None:
-    if method is SamplingMethod.WITHOUT_REPLACEMENT and n is None:
-        raise UsageError("--method wor needs --rows")
-
-
-def _emit(args, query: dict, result: dict, terms: Sequence[BoundTerm] = ()) -> None:
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+def _emit(args, query: dict, result: dict, terms) -> None:
+    if args.format == "json":
         payload = {
             "query": query,
             "result": result,
@@ -102,125 +53,121 @@ def _emit(args, query: dict, result: dict, terms: Sequence[BoundTerm] = ()) -> N
         print(json.dumps(payload, indent=2, allow_nan=False))
         return
     by_term = {f"{t.inequality.value}_{t.side.value}": t.probability for t in terms}
-    if fmt == "csv":
+    if args.format == "csv":
         record = {**query, **result, **by_term}
-        write_csv([record], dict.fromkeys(record, "%s"), sys.stdout)
+        print(",".join(cells(record, "%s")))
+        print(",".join(cells(record.values(), "%s")))
     else:
         shown = {**result, **{f"term {name}": value for name, value in by_term.items()}}
         for key, cell in zip(shown, cells(shown.values(), "%s")):
             print(key, cell)
 
 
-# Subcommand handlers --------------------------------------------------------
+def _check(args) -> None:
+    """The steps the commands share, each where its arguments are: the
+    method; the population, from --p or from --cardinality with --rows,
+    and --rows held to `PopulationSpec`'s rule for n with either method;
+    --rows for sampling without replacement; the default inequalities."""
+    if "method" in args:
+        args.sampling = SamplingMethod(args.method)
+    if "cardinality" in args:
+        p = getattr(args, "p", None)
+        if p is not None and args.cardinality is not None:
+            raise UsageError("give either --p or --cardinality/--rows, not both")
+        if args.cardinality is not None:
+            if args.rows is None:
+                raise UsageError("--cardinality needs --rows")
+            args.pop = PopulationSpec(n=args.rows, cardinality=args.cardinality)
+            p = args.pop.p
+        elif p is None:
+            raise UsageError("population missing: give --p or --cardinality with --rows")
+        elif args.rows is not None:
+            _check_n(args.rows)
+        args.p, args.n = p, args.rows
+        if args.sampling is SamplingMethod.WITHOUT_REPLACEMENT and args.n is None:
+            raise UsageError("--method wor needs --rows")
+    if "with_hoeffding" in args:
+        from .confidence import default_inequalities
+
+        args.kinds = default_inequalities(args.sampling, with_hoeffding=args.with_hoeffding)
 
 
-def _cmd_bound(args) -> int:
-    method = _method(args)
-    p, n = _resolve_population(args)
-    _require_n_for_wor(method, n)
-    kinds = default_inequalities(method, with_hoeffding=args.with_hoeffding)
-    result = evaluate_confidence(method, p, args.k, args.q, n=n, inequalities=kinds)
-    query = {
-        "command": "bound", "method": method.value, "p": p, "n": n,
-        "k": args.k, "q": args.q, "with_hoeffding": args.with_hoeffding,
-    }
-    payload = {
+# Each command's call imports what it calls when it runs, so `bound` and the
+# solvers load no numpy, and a function wrapped in its module after this
+# module was imported is the one called. It returns the result and the
+# terms to print, or None once it has written its output itself.
+
+
+def _bound(args):
+    from .confidence import evaluate_confidence
+
+    result = evaluate_confidence(
+        args.sampling, args.p, args.k, args.q, n=args.n, inequalities=args.kinds
+    )
+    return {
         "confidence": result.confidence,
         "omega": result.omega,
         "psi": result.psi,
         "degenerate": result.degenerate,
         "omega_source": result.omega_source.value if result.omega_source else None,
         "psi_source": result.psi_source.value if result.psi_source else None,
-    }
-    _emit(args, query, payload, result.terms)
-    return 0
+    }, result.terms
 
 
-def _solver_result_payload(answer, key: str) -> dict:
+def _solved(answer, key: str):
+    from .solver import Unreachable
+
     if isinstance(answer, Unreachable):
         return {
             "unreachable": True,
             key: None,
             "limit": answer.limit,
             "confidence_at_limit": answer.confidence_at_limit,
-        }
-    return {"unreachable": False, key: answer, "limit": None, "confidence_at_limit": None}
+        }, ()
+    return {"unreachable": False, key: answer, "limit": None, "confidence_at_limit": None}, ()
 
 
-def _cmd_solve_k(args) -> int:
-    method = _method(args)
-    p, n = _resolve_population(args)
-    _require_n_for_wor(method, n)
-    kinds = default_inequalities(method, with_hoeffding=args.with_hoeffding)
-    answer = min_sample_size(
-        method, p, args.q, args.confidence, n=n, inequalities=kinds, k_max=args.k_max
-    )
-    query = {
-        "command": "solve-k", "method": method.value, "p": p, "n": n,
-        "q": args.q, "confidence": args.confidence, "k_max": args.k_max,
-        "with_hoeffding": args.with_hoeffding,
-    }
-    _emit(args, query, _solver_result_payload(answer, "k"))
-    return 0
+def _solve_k(args):
+    from .solver import min_sample_size
+
+    return _solved(min_sample_size(args.sampling, args.p, args.q, args.confidence, n=args.n,
+                                   inequalities=args.kinds, k_max=args.k_max), "k")
 
 
-def _cmd_solve_q(args) -> int:
-    method = _method(args)
-    p, n = _resolve_population(args)
-    _require_n_for_wor(method, n)
-    kinds = default_inequalities(method, with_hoeffding=args.with_hoeffding)
-    answer = q_at_confidence(
-        method, p, args.k, args.confidence, n=n, inequalities=kinds, q_max=args.q_max
-    )
-    query = {
-        "command": "solve-q", "method": method.value, "p": p, "n": n,
-        "k": args.k, "confidence": args.confidence, "q_max": args.q_max,
-        "with_hoeffding": args.with_hoeffding,
-    }
-    _emit(args, query, _solver_result_payload(answer, "q"))
-    return 0
+def _solve_q(args):
+    from .solver import q_at_confidence
+
+    return _solved(q_at_confidence(args.sampling, args.p, args.k, args.confidence, n=args.n,
+                                   inequalities=args.kinds, q_max=args.q_max), "q")
 
 
-def _cmd_exact(args) -> int:
-    method = _method(args)
-    pop = PopulationSpec(n=args.rows, cardinality=args.cardinality)
-    design = SampleDesign(method=method, k=args.k)
-    value = exact_confidence(pop, design, args.q)
-    rng = admissible_range(pop.n, pop.cardinality, design.k, args.q)
-    query = {
-        "command": "exact", "method": method.value, "cardinality": pop.cardinality,
-        "rows": pop.n, "k": args.k, "q": args.q,
-    }
-    _emit(args, query, {
-        "exact_confidence": value,
-        "admissible_lo": rng.lo,
-        "admissible_hi": rng.hi,
-    })
-    return 0
+def _exact(args):
+    from .exact import admissible_range, exact_confidence
+
+    design = SampleDesign(method=args.sampling, k=args.k)
+    value = exact_confidence(args.pop, design, args.q)
+    rng = admissible_range(args.pop.n, args.pop.cardinality, design.k, args.q)
+    return {"exact_confidence": value, "admissible_lo": rng.lo, "admissible_hi": rng.hi}, ()
 
 
-def _cmd_simulate(args) -> int:
-    method = _method(args)
-    pop = PopulationSpec(n=args.rows, cardinality=args.cardinality)
-    design = SampleDesign(method=method, k=args.k)
-    summary: SimulationSummary = run_simulation(SimulationConfig(
-        pop=pop, design=design, q=args.q, trials=args.trials, seed=args.seed,
+def _simulate(args):
+    from .simulate import SimulationConfig, run_simulation
+
+    summary = run_simulation(SimulationConfig(
+        pop=args.pop, design=SampleDesign(method=args.sampling, k=args.k), q=args.q,
+        trials=args.trials, seed=args.seed,
     ))
-    query = {
-        "command": "simulate", "method": method.value, "cardinality": pop.cardinality,
-        "rows": pop.n, "k": args.k, "q": args.q, "trials": args.trials,
-        "seed": args.seed,
-    }
-    _emit(args, query, {
+    return {
         "successes": summary.successes,
         "trials": summary.trials,
         "empirical_rate": summary.empirical_rate,
         "standard_error": summary.standard_error,
-    })
-    return 0
+    }, ()
 
 
-def _cmd_table1(args) -> int:
+def _table1(args) -> None:
+    from .reports import table1, write_table1_csv
+
     rows = table1(n=args.rows, q=args.q)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -228,10 +175,11 @@ def _cmd_table1(args) -> int:
         print(args.out)
     else:
         write_table1_csv(rows, sys.stdout)
-    return 0
 
 
-def _cmd_figures(args) -> int:
+def _figures(args) -> None:
+    from .reports import figure_series, parse_grid_file, write_series_csv
+
     with open(args.grid, encoding="utf-8") as handle:
         spec = parse_grid_file(handle.read())
     records = figure_series(
@@ -246,26 +194,23 @@ def _cmd_figures(args) -> int:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         write_series_csv(records, handle)
     print(path)
-    return 0
 
 
-def _cmd_estimate(args) -> int:
-    method = _method(args)
+def _estimate(args):
+    from .ingest import LoadOptions, estimate_with_bounds, load_table, parse_predicate
+
     qs = [float(part) for part in args.q.split(",") if part.strip()]
+    if not qs:
+        raise UsageError("--q needs at least one q value")
     if len(set(qs)) < len(qs):
         raise UsageError(f"--q lists a value twice: {args.q}")
     options = LoadOptions(delimiter=args.delimiter, header=not args.no_header)
     table = load_table(args.input, options)
     predicate = parse_predicate(args.predicate)
-    design = SampleDesign(method=method, k=args.k)
+    design = SampleDesign(method=args.sampling, k=args.k)
     report = estimate_with_bounds(
         table, predicate, design, qs=qs, seed=args.seed, assume_p=args.assume_p
     )
-    query = {
-        "command": "estimate", "input": args.input, "predicate": args.predicate,
-        "method": method.value, "k": args.k, "seed": args.seed,
-        "assume_p": args.assume_p,
-    }
     result = {
         "n": report.n,
         "hits": report.hits,
@@ -277,8 +222,101 @@ def _cmd_estimate(args) -> int:
     }
     for entry in report.per_q:  # q's shortest round-trip form, less a trailing .0
         result[f"confidence_q{repr(entry.q).removesuffix('.0')}"] = entry.confidence
-    _emit(args, query, result)
-    return 0
+    return result, ()
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its help line, its arguments in order as (flag,
+    `add_argument` keywords), the query keys it echoes from the checked
+    arguments after its name, and its call."""
+
+    help: str
+    arguments: tuple
+    echo: tuple
+    call: Callable
+
+
+def _required(flag: str, kind) -> tuple:
+    return flag, {"type": kind, "required": True}
+
+
+def _switch(flag: str) -> tuple:
+    return flag, {"action": "store_true"}
+
+
+_METHOD = ("--method", {"required": True, "choices": ("wr", "wor")})
+_POPULATION = (
+    ("--p", {"type": float, "help": "selectivity in [0, 1]"}),
+    ("--cardinality", {"type": int, "help": "rows satisfying the predicate"}),
+    ("--rows", {"type": int, "help": "table row count n (required for --method wor)"}),
+)
+_FORMAT = ("--format", {"choices": ("text", "csv", "json"), "default": "text"})
+_HOEFFDING = _switch("--with-hoeffding")
+
+COMMANDS = {
+    "bound": _Command(
+        "confidence that Q-error <= q",
+        (_METHOD, *_POPULATION, _required("--k", int), _required("--q", float), _HOEFFDING,
+         _FORMAT),
+        ("method", "p", "n", "k", "q", "with_hoeffding"),
+        _bound,
+    ),
+    "solve-k": _Command(
+        "least sample size for a target",
+        (_METHOD, *_POPULATION, _required("--q", float), _required("--confidence", float),
+         ("--k-max", {"type": int, "default": DEFAULT_K_MAX}), _HOEFFDING, _FORMAT),
+        ("method", "p", "n", "q", "confidence", "k_max", "with_hoeffding"),
+        _solve_k,
+    ),
+    "solve-q": _Command(
+        "best q guaranteed at a confidence",
+        (_METHOD, *_POPULATION, _required("--k", int), _required("--confidence", float),
+         ("--q-max", {"type": float, "default": float(DEFAULT_Q_MAX)}), _HOEFFDING, _FORMAT),
+        ("method", "p", "n", "k", "confidence", "q_max", "with_hoeffding"),
+        _solve_q,
+    ),
+    "exact": _Command(
+        "exact P(Q-error <= q) by tail summation",
+        (_METHOD, _required("--cardinality", int), _required("--rows", int),
+         _required("--k", int), _required("--q", float), _FORMAT),
+        ("method", "cardinality", "rows", "k", "q"),
+        _exact,
+    ),
+    "simulate": _Command(
+        "seeded Monte Carlo of the estimator",
+        (_METHOD, _required("--cardinality", int), _required("--rows", int),
+         _required("--k", int), _required("--q", float), _required("--trials", int),
+         _required("--seed", int), _FORMAT),
+        ("method", "cardinality", "rows", "k", "q", "trials", "seed"),
+        _simulate,
+    ),
+    "table1": _Command(
+        "golden 18-row confidence table",
+        (("--rows", {"type": int, "default": 1_000_000}),
+         ("--q", {"type": float, "default": 2.0}), ("--out", {})),
+        (),
+        _table1,
+    ),
+    "figures": _Command(
+        "bound-curve data series for plotting",
+        (("--grid", {"required": True, "help": "key=value grid file"}),
+         ("--out", {"required": True, "help": "output directory"}),
+         _switch("--with-exact"), _switch("--with-simulation"),
+         ("--trials", {"type": int, "default": 1000}), ("--seed", {"type": int, "default": 0})),
+        (),
+        _figures,
+    ),
+    "estimate": _Command(
+        "sample a CSV table and estimate",
+        (("--input", {"required": True}), ("--predicate", {"required": True}), _METHOD,
+         _required("--k", int), ("--q", {"default": "2", "help": "comma list of q values"}),
+         ("--seed", {"type": int, "default": 0}), ("--assume-p", {"type": float}),
+         ("--delimiter", {"default": ","}), _switch("--no-header"), _FORMAT),
+        ("input", "predicate", "method", "k", "seed", "assume_p"),
+        _estimate,
+    ),
+}
 
 
 @functools.cache
@@ -287,91 +325,23 @@ def build_parser() -> _Parser:
     unchanged, and building all subcommands costs more than a short command."""
     parser = _Parser(prog="qbounds", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    bound = sub.add_parser("bound", help="confidence that Q-error <= q")
-    bound.add_argument("--method", required=True, choices=("wr", "wor"))
-    _add_population(bound)
-    bound.add_argument("--k", type=int, required=True)
-    bound.add_argument("--q", type=float, required=True)
-    bound.add_argument("--with-hoeffding", action="store_true")
-    _add_format(bound)
-    bound.set_defaults(func=_cmd_bound)
-
-    solve_k = sub.add_parser("solve-k", help="least sample size for a target")
-    solve_k.add_argument("--method", required=True, choices=("wr", "wor"))
-    _add_population(solve_k)
-    solve_k.add_argument("--q", type=float, required=True)
-    solve_k.add_argument("--confidence", type=float, required=True)
-    solve_k.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
-    solve_k.add_argument("--with-hoeffding", action="store_true")
-    _add_format(solve_k)
-    solve_k.set_defaults(func=_cmd_solve_k)
-
-    solve_q = sub.add_parser("solve-q", help="best q guaranteed at a confidence")
-    solve_q.add_argument("--method", required=True, choices=("wr", "wor"))
-    _add_population(solve_q)
-    solve_q.add_argument("--k", type=int, required=True)
-    solve_q.add_argument("--confidence", type=float, required=True)
-    solve_q.add_argument("--q-max", type=float, default=float(DEFAULT_Q_MAX))
-    solve_q.add_argument("--with-hoeffding", action="store_true")
-    _add_format(solve_q)
-    solve_q.set_defaults(func=_cmd_solve_q)
-
-    exact = sub.add_parser("exact", help="exact P(Q-error <= q) by tail summation")
-    exact.add_argument("--method", required=True, choices=("wr", "wor"))
-    exact.add_argument("--cardinality", type=int, required=True)
-    exact.add_argument("--rows", type=int, required=True)
-    exact.add_argument("--k", type=int, required=True)
-    exact.add_argument("--q", type=float, required=True)
-    _add_format(exact)
-    exact.set_defaults(func=_cmd_exact)
-
-    simulate = sub.add_parser("simulate", help="seeded Monte Carlo of the estimator")
-    simulate.add_argument("--method", required=True, choices=("wr", "wor"))
-    simulate.add_argument("--cardinality", type=int, required=True)
-    simulate.add_argument("--rows", type=int, required=True)
-    simulate.add_argument("--k", type=int, required=True)
-    simulate.add_argument("--q", type=float, required=True)
-    simulate.add_argument("--trials", type=int, required=True)
-    simulate.add_argument("--seed", type=int, required=True)
-    _add_format(simulate)
-    simulate.set_defaults(func=_cmd_simulate)
-
-    table1_cmd = sub.add_parser("table1", help="golden 18-row confidence table")
-    table1_cmd.add_argument("--rows", type=int, default=1_000_000)
-    table1_cmd.add_argument("--q", type=float, default=2.0)
-    table1_cmd.add_argument("--out", default=None)
-    table1_cmd.set_defaults(func=_cmd_table1)
-
-    figures = sub.add_parser("figures", help="bound-curve data series for plotting")
-    figures.add_argument("--grid", required=True, help="key=value grid file")
-    figures.add_argument("--out", required=True, help="output directory")
-    figures.add_argument("--with-exact", action="store_true")
-    figures.add_argument("--with-simulation", action="store_true")
-    figures.add_argument("--trials", type=int, default=1000)
-    figures.add_argument("--seed", type=int, default=0)
-    figures.set_defaults(func=_cmd_figures)
-
-    estimate = sub.add_parser("estimate", help="sample a CSV table and estimate")
-    estimate.add_argument("--input", required=True)
-    estimate.add_argument("--predicate", required=True)
-    estimate.add_argument("--method", required=True, choices=("wr", "wor"))
-    estimate.add_argument("--k", type=int, required=True)
-    estimate.add_argument("--q", default="2", help="comma list of q values")
-    estimate.add_argument("--seed", type=int, default=0)
-    estimate.add_argument("--assume-p", type=float, default=None)
-    estimate.add_argument("--delimiter", default=",")
-    estimate.add_argument("--no-header", action="store_true")
-    _add_format(estimate)
-    estimate.set_defaults(func=_cmd_estimate)
-
+    for name, command in COMMANDS.items():
+        child = sub.add_parser(name, help=command.help)
+        for flag, options in command.arguments:
+            child.add_argument(flag, **options)
     return parser
 
 
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        command = COMMANDS[args.subcommand]
+        _check(args)
+        answer = command.call(args)
+        if answer is not None:
+            query = {"command": args.subcommand, **{key: getattr(args, key) for key in command.echo}}
+            _emit(args, query, *answer)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

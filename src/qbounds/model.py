@@ -1,13 +1,18 @@
-"""Shared domain types: population, sample design, and the Q-error metric."""
+"""Shared domain types: population, sample design, and the Q-error metric;
+the one cell rule of every printed table, and the id of the simulation's
+random number scheme, which every JSON output names."""
 
 from __future__ import annotations
 
 import enum
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 _FLOAT_MAX = sys.float_info.max
+
+# the simulation's scheme (see `simulate`), named here so output metadata needs no numpy
+RNG_SCHEME = "philox4x64-block4096-v2"
 
 
 class SamplingMethod(enum.Enum):
@@ -38,10 +43,7 @@ class PopulationSpec:
     cardinality: int
 
     def __post_init__(self) -> None:
-        if not self.n >= 1:
-            raise ValueError(f"population size must be >= 1, got {self.n}")
-        if not self.n <= _FLOAT_MAX:
-            raise ValueError(f"population size must be finite and >= 1, got {self.n}")
+        _check_n(self.n)
         if not 0 <= self.cardinality <= self.n:
             raise ValueError(
                 f"cardinality must be in [0, {self.n}], got {self.cardinality}"
@@ -61,6 +63,14 @@ class SampleDesign:
 
     def __post_init__(self) -> None:
         _check_point(None, None, self.k, None)
+
+
+def _check_n(n: int) -> None:
+    """The rule for a table size n: 1 <= n <= the largest double."""
+    if not n >= 1:
+        raise ValueError(f"population size must be >= 1, got {n}")
+    if not n <= _FLOAT_MAX:
+        raise ValueError(f"population size must be finite and >= 1, got {n}")
 
 
 def _check_point(
@@ -113,3 +123,30 @@ def q_error(est: float, truth: float) -> float:
     e = max(float(est), 1.0)
     t = max(float(truth), 1.0)
     return max(t / e, e / t)
+
+
+def _text(value: str) -> str:
+    """A string cell as itself, quoted per RFC 4180 when it must be."""
+    if "," in value or '"' in value or "\n" in value or "\r" in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def cells(values: Iterable, fmt: str) -> list[str]:
+    """The printed cells of one column whose `%`-format is `fmt`.
+
+    The one cell rule of every table: a string prints as itself (quoted
+    when it holds a comma, a quote or a line break), None and NaN print
+    NA, and any other value prints as `fmt % value`.
+
+    `%.9g` prints more digits than a cancelled value holds: a confidence
+    1 - omega - psi of about 1e-10 carries an absolute error of about
+    1e-16, so its 8th and 9th printed digits are rounding noise and may
+    differ between the scalar and the grid path. `%.2f` prints 1.00 only
+    above 0.995 (the double nearest 0.995 lies below it, so it rounds
+    down).
+    """
+    return [
+        "NA" if v is None or v != v else _text(v) if isinstance(v, str) else fmt % v
+        for v in values
+    ]

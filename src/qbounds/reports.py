@@ -7,7 +7,7 @@ cheaper through `confidence.evaluate_confidence`. The figure series stays
 in those numpy columns (`Series`): a record is built only when it is read.
 
 Everything lands in CSV through `write_csv`: a fixed header, LF
-newlines, UTF-8, and one rule for every cell (see `cells`): 9
+newlines, UTF-8, and one rule for every cell (see `model.cells`): 9
 significant digits in full-precision columns, two decimals in the
 table's rounded columns, the literal NA for missing values and
 inapplicable terms. A float64 or int64 column is printed one distinct
@@ -30,7 +30,7 @@ import numpy as np
 from . import with_replacement, without_replacement
 from .confidence import default_inequalities
 from .exact import exact_confidence
-from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_point
+from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_point, cells
 from .simulate import SimulationConfig, _check_seed, run_simulation
 from .terms import (
     DEFAULT_WOR_KINDS,
@@ -52,33 +52,6 @@ _CHUNK = 4096  # rows formatted per write: bounds the text held at once
 
 # columns printed one distinct value at a time, told apart by bit pattern
 _BY_BITS = (np.dtype(np.float64), np.dtype(np.int64))
-
-
-def _text(value: str) -> str:
-    """A string cell as itself, quoted per RFC 4180 when it must be."""
-    if "," in value or '"' in value or "\n" in value or "\r" in value:
-        return '"' + value.replace('"', '""') + '"'
-    return value
-
-
-def cells(values: Iterable, fmt: str) -> list[str]:
-    """The printed cells of one column whose `%`-format is `fmt`.
-
-    The one cell rule of every table: a string prints as itself (quoted
-    when it holds a comma, a quote or a line break), None and NaN print
-    NA, and any other value prints as `fmt % value`.
-
-    `%.9g` prints more digits than a cancelled value holds: a confidence
-    1 - omega - psi of about 1e-10 carries an absolute error of about
-    1e-16, so its 8th and 9th printed digits are rounding noise and may
-    differ between the scalar and the grid path. `%.2f` prints 1.00 only
-    above 0.995 (the double nearest 0.995 lies below it, so it rounds
-    down).
-    """
-    return [
-        "NA" if v is None or v != v else _text(v) if isinstance(v, str) else fmt % v
-        for v in values
-    ]
 
 
 def _column_cells(column, fmt: str) -> list[str]:

@@ -10,7 +10,8 @@ calling thread. Every block's draws depend on (seed, b) alone, so the
 results, and every output byte, are the same for any thread count or
 order. The sampled estimate (`ingest.estimate_with_bounds`) draws its
 rows from block 0 of the same scheme, under the same seed rule. The
-scheme identifier is exported for output metadata.
+scheme's identifier, `RNG_SCHEME`, is set in `model`, so output metadata
+names it without numpy.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import admissible_range
-from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_point
+from .model import RNG_SCHEME, PopulationSpec, SampleDesign, SamplingMethod, _check_point
 
-RNG_SCHEME = "philox4x64-block4096-v2"
 _BLOCK = 4096
 # numpy's hypergeometric draw refuses C or n - C at or above this; C = 0
 # and C = n need no draw (the hit count is 0 or k)

@@ -344,6 +344,28 @@ def test_sizes_past_the_float_range_are_domain_errors(capsys, argv):
     assert "must be finite and >= 1" in captured.err
 
 
+@pytest.mark.parametrize("method", ["wr", "wor"])
+@pytest.mark.parametrize("rows, message", [
+    ("-5", "population size must be >= 1, got -5"),
+    ("0", "population size must be >= 1, got 0"),
+    pytest.param("1" + "0" * 400, "population size must be finite and >= 1, got 1" + "0" * 400,
+                 id="1e400"),
+])
+@pytest.mark.parametrize("command", [
+    "bound --k 10 --q 2",
+    "solve-k --q 2 --confidence 0.9",
+    "solve-q --k 10 --confidence 0.9",
+])
+def test_rows_outside_the_table_size_rule_are_domain_errors(capsys, command, rows, message, method):
+    # --rows with --p is held to PopulationSpec's rule for n with either method,
+    # though sampling with replacement does not read n
+    argv = command.split() + ["--method", method, "--p", "0.5", "--rows", rows]
+    assert run(argv + ["--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     "bound --method wor --p 0.5 --k 10 --rows 100 --q 1e200",
     "bound --method wr --p 0.5 --k 10 --q 1e200 --with-hoeffding",
@@ -445,6 +467,17 @@ def test_estimate_missing_input_is_io_error(capsys, tmp_path):
     code = run(["estimate", "--input", str(tmp_path / "nope.csv"),
                 "--predicate", "a = 1", "--method", "wr", "--k", "5"])
     assert code == 2
+
+
+@pytest.mark.parametrize("qs", ["", ",", " , "])
+def test_estimate_without_a_q_value_is_usage_error(capsys, tmp_path, qs):
+    table = tmp_path / "t.csv"
+    table.write_text("a\n" + "".join(f"{i}\n" for i in range(20)), encoding="utf-8")
+    assert run(["estimate", "--input", str(table), "--predicate", "a < 5", "--method", "wr",
+                "--k", "5", "--q", qs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --q needs at least one q value\n"
 
 
 def test_estimate_bad_predicate_is_usage_error(capsys, tmp_path):

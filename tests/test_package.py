@@ -1,5 +1,6 @@
 """The package's one export list, each name resolved on first read, and a
-scalar bound and solvers that run without numpy."""
+scalar bound and solvers, in the library and on the command line, that run
+without numpy."""
 
 import json
 import os
@@ -85,13 +86,18 @@ print(json.dumps({key: [repr(v) for v in value] for key, value in answers.items(
 """
 
 
-def test_scalar_bound_and_solvers_run_without_numpy():
+def _run_without_numpy(code: str, *args: str) -> dict:
+    """The JSON that `code` prints, run in a new interpreter with numpy blocked."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    answers = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_scalar_bound_and_solvers_run_without_numpy():
+    answers = _run_without_numpy(_WITHOUT_NUMPY)
     wr, wor = SamplingMethod.WITH_REPLACEMENT, SamplingMethod.WITHOUT_REPLACEMENT
     assert answers["bound"] == [
         repr(qbounds.evaluate_confidence(wr, 0.005, 3919, 2.0).confidence),
@@ -103,3 +109,39 @@ def test_scalar_bound_and_solvers_run_without_numpy():
     ]
     assert answers["k"] == ["3919", "9363"]
     assert answers["q"] == ["1.9999194421699238", "7.278930633725925"]
+
+
+_CLI_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from qbounds.cli import run
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    outputs.append([code, out.getvalue(), err.getvalue()])
+loaded = sorted(name for name in sys.modules if name.startswith("qbounds."))
+print(json.dumps({"outputs": outputs, "loaded": loaded}))
+"""
+
+_SCALAR_COMMANDS = [
+    "bound --method wr --p 0.005 --k 3919 --q 2 --with-hoeffding",
+    "bound --method wor --cardinality 5000 --rows 1000000 --k 3919 --q 2",
+    "solve-k --method wr --cardinality 5000 --rows 1000000 --q 2 --confidence 0.95",
+    "solve-q --method wor --cardinality 5000 --rows 1000000 --k 3919 --confidence 0.95",
+]
+
+
+def test_scalar_commands_run_without_numpy(capsys):
+    from qbounds.cli import run
+
+    argvs = [command.split() + ["--format", fmt]
+             for command in _SCALAR_COMMANDS for fmt in ("text", "csv", "json")]
+    answers = _run_without_numpy(_CLI_WITHOUT_NUMPY, json.dumps(argvs))
+    modules = {f"qbounds.{name}" for name in ("exact", "simulate", "ingest", "reports")}
+    assert not set(answers["loaded"]) & modules
+    for argv, output in zip(argvs, answers["outputs"], strict=True):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert output == [0, captured.out, captured.err] and code == 0, argv
