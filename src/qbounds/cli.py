@@ -199,7 +199,12 @@ def _figures(args) -> None:
 def _estimate(args):
     from .ingest import LoadOptions, estimate_with_bounds, load_table, parse_predicate
 
-    qs = [float(part) for part in args.q.split(",") if part.strip()]
+    qs = []
+    for part in filter(str.strip, args.q.split(",")):
+        try:
+            qs.append(float(part))
+        except ValueError:
+            raise UsageError(f"--q lists {part.strip()!r}, which is not a number: {args.q}") from None
     if not qs:
         raise UsageError("--q needs at least one q value")
     if len(set(qs)) < len(qs):

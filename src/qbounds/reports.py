@@ -10,8 +10,10 @@ Everything lands in CSV through `write_csv`: a fixed header, LF
 newlines, UTF-8, and one rule for every cell (see `model.cells`): 9
 significant digits in full-precision columns, two decimals in the
 table's rounded columns, the literal NA for missing values and
-inapplicable terms. A float64 or int64 column is printed one distinct
-value at a time; everything else cell by cell, through the same rule.
+inapplicable terms. A float64 or int64 column prints its distinct values
+(told apart by bit pattern) with one `%` call, and an object column of
+`str` alone (method, status) each distinct string once; everything else
+is printed cell by cell, through the same rule.
 Rendering to images is out of scope; these files are meant for external
 plotting.
 """
@@ -30,7 +32,7 @@ import numpy as np
 from . import with_replacement, without_replacement
 from .confidence import default_inequalities
 from .exact import exact_confidence
-from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_point, cells
+from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_n, _check_point, cells
 from .simulate import SimulationConfig, _check_seed, run_simulation
 from .terms import (
     DEFAULT_WOR_KINDS,
@@ -56,12 +58,30 @@ _BY_BITS = (np.dtype(np.float64), np.dtype(np.int64))
 
 def _column_cells(column, fmt: str) -> list[str]:
     """`cells(column, fmt)`, with each distinct value of a float64 or int64
-    array printed once. Values are told apart by their bit pattern, so -0.0
-    and 0.0 stay apart (they print differently), as does each NaN."""
+    array, or of an object array holding only `str`, printed once.
+
+    Numbers are told apart by their bit pattern, so -0.0 and 0.0 stay apart
+    (they print differently), as does each NaN; their distinct values are
+    printed by one `%` call. Only all-`str` object arrays are deduplicated:
+    a dict or set would merge True with 1 and 0.0 with -0.0, which print
+    differently.
+    """
     if isinstance(column, np.ndarray) and column.dtype in _BY_BITS:
         distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        printed = np.array(cells(distinct.view(column.dtype).tolist(), fmt), dtype=object)
-        return printed[inverse.reshape(-1)].tolist()
+        values = distinct.view(column.dtype)
+        missing = np.flatnonzero(values != values).tolist()  # NaN prints NA
+        items = values.tolist()
+        for i in missing:
+            items[i] = 0.0  # a stand-in that every format takes
+        printed = ((fmt + "\n") * len(items) % tuple(items)).split("\n")
+        for i in missing:
+            printed[i] = "NA"
+        return np.array(printed, dtype=object)[inverse.reshape(-1)].tolist()
+    if isinstance(column, np.ndarray) and column.dtype == object:
+        items = column.tolist()
+        if set(map(type, items)) <= {str}:
+            distinct = list(set(items))
+            return list(map(dict(zip(distinct, cells(distinct, fmt))).__getitem__, items))
     return cells(column, fmt)
 
 
@@ -81,7 +101,7 @@ def write_csv(records: Sequence[Mapping], columns: Mapping[str, str], out: IO[st
             chunk = records[start:start + _CHUNK]
             block = [[record[name] for record in chunk] for name in names]
         rows = zip(*map(_column_cells, block, fmts))
-        out.write("".join(",".join(row) + "\n" for row in rows))
+        out.write("\n".join(map(",".join, rows)) + "\n")
 
 
 @dataclass(frozen=True)
@@ -168,10 +188,18 @@ def _side_min(values: list[np.ndarray], shape: tuple) -> np.ndarray:
 
 def _coefficient_arrays(k: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho and zeta over 1-d arrays of (k, n), from `_coefficients` once
-    per distinct pair (a grid has few), so they equal the scalar path's."""
-    pairs, inverse = np.unique(np.stack([k, n], axis=1), axis=0, return_inverse=True)
-    table = np.array([_coefficients(a, b) for a, b in pairs.tolist()]).reshape(-1, 2)
-    rho, zeta = table[inverse.reshape(-1)].T
+    per distinct pair (a grid has few), so they equal the scalar path's.
+    The pairs are sorted once; each run of equal pairs is one distinct pair,
+    and each keeps its own dtype (int64 k is not rounded to float64 n)."""
+    order = np.lexsort((n, k))
+    k, n = k[order], n[order]
+    first = np.ones(k.size, dtype=bool)
+    first[1:] = (k[1:] != k[:-1]) | (n[1:] != n[:-1])
+    inverse = np.empty(k.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    pairs = zip(k[first].tolist(), n[first].tolist())
+    table = np.array([_coefficients(a, b) for a, b in pairs]).reshape(-1, 2)
+    rho, zeta = table[inverse].T
     return rho, zeta
 
 
@@ -179,6 +207,7 @@ def table1(n: int = 1_000_000, q: float = 2.0) -> list[dict]:
     """Confidence that the Q-error is at most q, for the 18 standard
     cardinalities at sample sizes 100 / 1000 / 10000, with (R) and without
     (NR) replacement."""
+    _check_n(n)
     _check_point(None, None, None, q)
     for c in TABLE1_CARDINALITIES:
         if c > n:

@@ -366,6 +366,20 @@ def test_rows_outside_the_table_size_rule_are_domain_errors(capsys, command, row
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("-5", "population size must be >= 1, got -5"),
+    ("0", "population size must be >= 1, got 0"),
+    pytest.param("1" + "0" * 400, "population size must be finite and >= 1, got 1" + "0" * 400,
+                 id="1e400"),
+])
+def test_table1_rows_outside_the_table_size_rule_are_domain_errors(capsys, rows, message):
+    # the table-size rule is named before any cardinality is held against n
+    assert run(["table1", "--rows", rows]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     "bound --method wor --p 0.5 --k 10 --rows 100 --q 1e200",
     "bound --method wr --p 0.5 --k 10 --q 1e200 --with-hoeffding",
@@ -478,6 +492,17 @@ def test_estimate_without_a_q_value_is_usage_error(capsys, tmp_path, qs):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --q needs at least one q value\n"
+
+
+@pytest.mark.parametrize("qs, item", [("2,abc", "abc"), ("abc", "abc"), ("1.5, 2x ,3", "2x")])
+def test_estimate_q_list_with_a_non_number_is_usage_error(capsys, tmp_path, qs, item):
+    table = tmp_path / "t.csv"
+    table.write_text("a\n" + "".join(f"{i}\n" for i in range(20)), encoding="utf-8")
+    assert run(["estimate", "--input", str(table), "--predicate", "a < 5", "--method", "wr",
+                "--k", "5", "--q", qs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --q lists {item!r}, which is not a number: {qs}\n"
 
 
 def test_estimate_bad_predicate_is_usage_error(capsys, tmp_path):
@@ -597,6 +622,15 @@ def test_figures_with_exact_on_the_canonical_grid_print_the_recorded_series(caps
     assert run(["figures", "--grid", str(grid), "--with-exact", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     recorded = (_DATA / "canonical_series_exact.csv").read_bytes()
+    assert (tmp_path / "series.csv").read_bytes() == recorded
+
+
+def test_figures_with_exact_on_the_comparison_grid_print_the_recorded_series(capsys, tmp_path):
+    # a c axis: the cardinalities are given, and p = c / n is printed from them
+    grid = Path(__file__).resolve().parents[1] / "scripts" / "comparison_grid.txt"
+    assert run(["figures", "--grid", str(grid), "--with-exact", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    recorded = (_DATA / "comparison_series_exact.csv").read_bytes()
     assert (tmp_path / "series.csv").read_bytes() == recorded
 
 

@@ -45,6 +45,7 @@ from qbounds.terms import (
     InequalityKind,
     Side,
 )
+from qbounds.without_replacement import _coefficients
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -71,6 +72,17 @@ def test_table1_shape_and_defaults():
         assert row["p"] == row["c"] / 10**6
         for key in ("r100", "nr100", "r1000", "nr1000", "r10000", "nr10000"):
             assert 0.0 <= row[key] <= 1.0
+
+
+@pytest.mark.parametrize("n, message", [
+    (0, "population size must be >= 1, got 0"),
+    (-5, "population size must be >= 1, got -5"),
+    (10**400, "population size must be finite and >= 1"),
+])
+def test_table1_holds_n_to_the_table_size_rule_first(n, message):
+    # before any cardinality is compared with n, and before q is checked
+    with pytest.raises(ValueError, match=message):
+        table1(n=n, q=math.nan)
 
 
 def test_table1_known_cells():
@@ -697,7 +709,8 @@ def _printed_columns(draw):
     ints = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -1, 2**63 - 1, -(2**63)])
     text = st.text(st.sampled_from('a,"\n\rNA x'), max_size=6)
     kind = draw(st.sampled_from(
-        ["float64", "int64", "ints past int64", "bool and int", "np.float64", "text"]
+        ["float64", "int64", "ints past int64", "bool and int", "np.float64", "text",
+         "str only", "str and others"]
     ))
     if kind == "float64":
         column = np.array(draw(st.lists(floats, max_size=40)), dtype=np.float64)
@@ -714,6 +727,12 @@ def _printed_columns(draw):
     if kind == "np.float64":
         values = [np.float64(v) for v in draw(st.lists(floats, max_size=40))]
         return values, draw(st.sampled_from(["%.9g", "%.2f", "%s"]))
+    if kind == "str only":  # an object array printed once per distinct string
+        return np.array(draw(st.lists(text, max_size=40)), dtype=object), "%s"
+    if kind == "str and others":  # equal under == but printed apart: never merged
+        others = st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, math.nan, None, "1", "True"])
+        values = draw(st.lists(text | others, max_size=40))
+        return np.array(values, dtype=object), draw(st.sampled_from(["%s", "%.9g"]))
     values = draw(st.lists(text | st.none(), max_size=40))
     return draw(st.sampled_from([values, np.array(values, dtype=object)])), "%s"
 
@@ -723,6 +742,59 @@ def _printed_columns(draw):
 @example((np.array([0.0, -0.0]), "%.9g"))
 @example((np.array([_nan(1, 1), math.nan, math.inf, -math.inf, _nan(0, 5)]), "%.9g"))
 @example(([True, 1, False, 0, np.True_], "%s"))
+@example((np.array(["a", True, 1, "a", 1, True], dtype=object), "%s"))
+@example((np.array(["a", 0.0, -0.0, "a", -0.0], dtype=object), "%.9g"))
+@example((np.array(["a", None, "NA", math.nan, None, "a"], dtype=object), "%s"))
+@example((np.array(["b,", "b,", 'c"', "NA", ""], dtype=object), "%s"))
+@example((np.array([], dtype=object), "%s"))
+@example((np.array([], dtype=np.float64), "%d"))
+@example((np.array([math.nan, 2.0, _nan(1, 3)]), "%d"))
 def test_column_printer_equals_the_cell_rule(case):
     column, fmt = case
     assert reports._column_cells(column, fmt) == [cells([v], fmt)[0] for v in column]
+
+
+def _size_pair():
+    """One (k, n) with 1 <= k < n < 2**63, drawn where the coefficient rule
+    changes branch or loses precision: ties 2k == n and their neighbours,
+    and k = n - 1 past 2**53."""
+    anywhere = st.integers(2, 2**63 - 1).flatmap(
+        lambda n: st.tuples(st.integers(1, n - 1), st.just(n)))
+    tie = st.integers(1, 2**62 - 1).flatmap(
+        lambda k: st.sampled_from([(k, 2 * k), (k, 2 * k + 1), (k + 1, 2 * k + 1)]))
+    last = st.integers(2**53, 2**63 - 1).map(lambda n: (n - 1, n))
+    shared = st.sampled_from([(1, 2), (1, 10**6), (2, 4), (99, 100), (99, 10**6), (5000, 10**6),
+                              (5000, 10**9), (10**6 - 1, 10**6)])  # a k or an n under two pairs
+    return anywhere | tie | last | shared
+
+
+@given(
+    pool=st.lists(_size_pair(), min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), max_size=30),
+    dtypes=st.tuples(*[st.sampled_from([np.int64, np.float64])] * 2),
+)
+@example(pool=[(1, 2)], picks=[], dtypes=(np.int64, np.int64))  # a grid with no WOR point
+@example(pool=[(2**53, 2**53 + 1), (2**53 + 1, 2**53 + 2)], picks=[0, 1, 0, 1],
+         dtypes=(np.int64, np.float64))
+@example(pool=[(10, 100), (10, 1000), (99, 100)], picks=[0, 1, 2, 1, 0],
+         dtypes=(np.int64, np.int64))
+@settings(max_examples=300, deadline=None)
+def test_coefficient_arrays_equal_the_scalar_coefficients(pool, picks, dtypes):
+    # every point gets the scalar path's rho and zeta bit for bit, on the
+    # (k, n) as given, from one _coefficients call per distinct pair
+    chosen = [pool[i % len(pool)] for i in picks]
+    k = np.array([pair[0] for pair in chosen], dtype=dtypes[0])
+    n = np.array([pair[1] for pair in chosen], dtype=dtypes[1])
+    inside = k < n  # as evaluate_grid admits them: a float n may round onto k
+    k, n = k[inside], n[inside]
+    calls = []
+    reports._coefficients = lambda a, b: calls.append((a, b)) or _coefficients(a, b)
+    try:
+        rho, zeta = reports._coefficient_arrays(k, n)
+    finally:
+        reports._coefficients = _coefficients
+    assert sorted(calls) == sorted(set(zip(k.tolist(), n.tolist())))
+    want = np.array([_coefficients(a, b) for a, b in zip(k.tolist(), n.tolist())]).reshape(-1, 2)
+    assert rho.dtype == zeta.dtype == np.float64
+    assert rho.shape == zeta.shape == k.shape
+    assert np.array_equal(np.stack([rho, zeta], axis=1).view(np.int64), want.view(np.int64))
