@@ -51,6 +51,10 @@ FILES = {
     "empty_c.txt": "c = \nn = 100\nk = 10\nq = 2\n",
     "twice_k.txt": "p = 0.1\nk = 10\nq = 2\nk = 20\n",
     "twice_method.txt": "p = 0.1\nmethod = wr\nk = 10\nq = 2\nMETHOD = wor\n",
+    "bad_c_neg.txt": "c = -1\nn = 100\nk = 10\nq = 2\n",
+    "bad_k_log.txt": "p = 0.1\nk = log:1:2\nq = 2\n",
+    "bad_k_count.txt": "p = 0.1\nk = lin:1:10:0\nq = 2\n",
+    "bad_hoeffding.txt": "p = 0.1\nk = 10\nq = 2\ninclude_hoeffding = maybe\n",
     "a_file": "",
 }
 
@@ -205,6 +209,8 @@ _DOMAIN_ERRORS = [
     "estimate --input t.csv --predicate 'a < 5' --method wor --k 50",
     "estimate --input t.csv --predicate 'b < 5' --method wr --k 5",
     "estimate --input t.csv --predicate 'a < 5' --method wr --k 5 --assume-p 2",
+    "estimate --input ab.csv --predicate 'AND = 1' --method wr --k 1",
+    "estimate --input ab.csv --predicate 'a = b' --method wr --k 1",
     f"bound --method wr --p 0.1 --k {_HUGE} --q 2",
     f"solve-k --method wr --p 0 --q 2 --confidence 0.9 --k-max {_HUGE}",
     f"simulate --method wr --cardinality 5 --rows {_HUGE} --k 10 --q 2 --trials 10 --seed 1",
@@ -213,6 +219,7 @@ _DOMAIN_ERRORS = [
     f"bound --method wor --p 0.5 --k 10 --rows {_HUGE} --q 2",
     "table1 --q nan",
     "table1 --rows 0",
+    "table1 --rows 500",
     "figures --grid bad_q_nan.txt --out o",
     "figures --grid bad_n.txt --out o",
     "figures --grid bad_q_low.txt --out o",
@@ -222,6 +229,10 @@ _DOMAIN_ERRORS = [
     "figures --grid empty_c.txt --out o",
     "figures --grid twice_k.txt --out o",
     "figures --grid twice_method.txt --out o",
+    "figures --grid bad_c_neg.txt --out o",
+    "figures --grid bad_k_log.txt --out o",
+    "figures --grid bad_k_count.txt --out o",
+    "figures --grid bad_hoeffding.txt --out o",
     "figures --grid grid_seed.txt --out o --with-simulation --trials 10 --seed -1",
     f"figures --grid grid_seed.txt --out o --with-simulation --trials 10 --seed {2**64}",
 ]

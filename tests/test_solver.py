@@ -496,6 +496,13 @@ def test_bound_result_is_immutable_and_builds_terms_when_read(monkeypatch):
                                                    inequalities=WITH_REPLACEMENT_KINDS)
 
 
+def test_bound_result_equality_defers_to_other_types():
+    result = evaluate_confidence(WR, 0.003, 5000, 2.0)
+    assert result.__eq__(result.confidence) is NotImplemented
+    assert result.__eq__(None) is NotImplemented
+    assert result != result.confidence and result != None  # noqa: E711
+
+
 def test_min_sample_size_evaluations(steps):
     # the rule of thumb's bracket at p = 0.005, q = 2 is ~900 wide: its top,
     # lo + 1, and secant steps on a near-linear ln(1 - conf) that land on
