@@ -83,11 +83,13 @@ def _check_point(
     """The input domain of every query, in one place: 0 < p <= 1, k >= 1,
     q >= 1, k and q at most the largest double (so finite, and no Python
     int the term kernels cannot turn into a float), and without
-    replacement a table size n with k < n (so n >= 2), n also at most the
-    largest double. None skips a value the caller does not take; p = 0 is
-    the caller's degenerate case and never reaches this check. Each check
-    asks whether a value is inside the domain, and NaN fails every
-    comparison, so it is rejected like any out-of-domain value.
+    replacement a table size n with k < n and k <= n - 1 (so n >= 2; the
+    two differ only for a fractional k or n, and where n - 1 rounds to n),
+    n also at most the largest double. None skips a value the caller does
+    not take; p = 0 is the caller's degenerate case and never reaches this
+    check. Each check asks whether a value is inside the domain, and NaN
+    fails every comparison, so it is rejected like any out-of-domain
+    value.
 
     `reports.evaluate_grid` applies the same rule to arrays.
     """
@@ -102,8 +104,9 @@ def _check_point(
             raise ValueError("sampling without replacement needs the table size n")
         if not k < n:
             raise ValueError(f"sampling without replacement needs k < n, got k={k}, n={n}")
-        if not n <= _FLOAT_MAX:
-            raise ValueError(f"population size must be finite and >= 1, got {n}")
+        if not k <= n - 1:  # k in (n - 1, n): a fractional k or n
+            raise ValueError(f"sampling without replacement needs k <= n - 1, got k={k}, n={n}")
+        _check_n(n)
 
 
 def validate_design(pop: PopulationSpec, design: SampleDesign) -> None:

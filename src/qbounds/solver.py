@@ -68,8 +68,9 @@ def min_sample_size(
     inequalities: Optional[Iterable[InequalityKind]] = None,
     k_max: int = DEFAULT_K_MAX,
 ) -> Union[int, Unreachable]:
-    """Least k in [1, cap] with confidence(p, k, q) >= target, where cap is
-    k_max, and at most n - 1 without replacement.
+    """Least integer k in [1, cap] with confidence(p, k, q) >= target, where
+    cap is the largest integer at most k_max, and at most n - 1 without
+    replacement.
 
     The answer is that of one integer bisection, each step decided by the
     scalar bound, over a bracket whose top is evaluated first: the paper's
@@ -94,7 +95,7 @@ def min_sample_size(
     wr = method is SamplingMethod.WITH_REPLACEMENT
     kinds = _method_kinds(method, inequalities)
     conf = _confidence_at(method, p, n, kinds)
-    cap = k_max if wr else min(k_max, n - 1)
+    cap = math.floor(k_max if wr else min(k_max, n - 1))
 
     lo, hi = (_bracket(p, q, target_confidence, kinds, cap) if wr
               else (0, min(cap, _serfling_top(p, q, target_confidence, kinds, n))))
@@ -192,24 +193,17 @@ def q_at_confidence(
     # at q = 1 every term is the vacuous 1, so conf is 0 (1 - conf is 2
     # before the clamp): no target in (0, 1) is met there, the known miss
     goal = math.log1p(-target_confidence)
-    miss, hit = 1.0, q_max
 
-    def probe(x: float, a: float, b: float) -> Optional[tuple[float, bool, float]]:
-        nonlocal miss, hit
-        point = math.exp(x)
-        if not miss < point < hit:
-            point = math.sqrt(miss * hit)
-            if not miss < point < hit:
-                return None
-            x = math.log(point)
-        value = conf(k, point)
-        if value >= target_confidence:
-            hit = point
-        else:
-            miss = point
+    def probe(x: float, a: float, b: float) -> tuple[float, bool, float]:
+        value = conf(k, math.exp(x))
         return x, value >= target_confidence, _excess(goal, value)
 
-    _narrow(probe, 0.0, goal - _LN_TWO, math.log(q_max), _excess(goal, at_cap), _LN_Q_WIDTH)
+    # the narrowed ends are the last miss and hit evaluated: each probed x is
+    # _LN_Q_WIDTH / 2 inside them, far more than exp or log(q_max) err, so
+    # exp(x) falls strictly between the points evaluated there
+    top = math.log(q_max)
+    a, b = _narrow(probe, 0.0, goal - _LN_TWO, top, _excess(goal, at_cap), _LN_Q_WIDTH)
+    miss, hit = math.exp(a), q_max if b == top else math.exp(b)
     below, answer, miss, hit = _replay(conf, k, target_confidence, q_max, miss, hit)
     if ((answer > hit and conf(k, answer) < target_confidence)
             or (below < miss and conf(k, below) >= target_confidence)):
@@ -256,8 +250,9 @@ def _narrow(probe, a, f_a, b, f_b, width) -> tuple:
     bisection's ceil(log2((b - a) / width)) are taken; an end kept twice
     in a row has its f halved. `probe(x, a, b)` evaluates at a point near
     x strictly inside (a, b) and returns its coordinate, whether it is a
-    hit (the root is at or below it) and f there, or None when no point
-    is left inside. Returns the narrowed (a, b)."""
+    hit (the root is at or below it) and f there. Every x asked for lies at
+    least width / 2 inside (a, b), so a probe always has a point to
+    evaluate. Returns the narrowed (a, b)."""
     kappa = _KAPPA / (b - a)
     limit = 0.5 * width * 2.0 ** (max(0, math.ceil(math.log2((b - a) / width))) + _SLACK)
     margin = 0.5 * width
@@ -273,10 +268,7 @@ def _narrow(probe, a, f_a, b, f_b, width) -> tuple:
         radius = limit - 0.5 * w if limit > 0.5 * w else 0.0
         x = mid + radius if x > mid + radius else mid - radius if x < mid - radius else x
         x = b - margin if x > b - margin else a + margin if x < a + margin else x
-        got = probe(x, a, b)
-        if got is None:
-            break
-        x, is_hit, f = got
+        x, is_hit, f = probe(x, a, b)
         if is_hit:
             b, f_b = x, f
             if kept < 0:

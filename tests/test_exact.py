@@ -218,6 +218,34 @@ def test_exact_evaluates_one_window():
     assert counts == {"binom_logpmf": len(points), "hypergeom_logpmf": len(points)}
 
 
+@pytest.mark.parametrize("method", [WR, WOR])
+@pytest.mark.parametrize("n, c, k, q", [
+    (10**3, 100, 200, 1.5), (10**6, 5000, 1000, 2.0), (10**6, 5000, 10**4, 3.0),
+    (10**6, 2 * 10**5, 10**4, 1.1), (10**9, 10**6, 10**5, 1.05), (10**9, 10**8, 10**6, 1.02),
+    (10**9, 10**3, 10**8, 1.5),
+])
+def test_exact_window_doubling_keeps_the_sum(monkeypatch, method, n, c, k, q):
+    # the first window always holds the mass at the default spread (edges
+    # below 1e-30 of the peak), so it is shrunk to mean +- (sd + 1) here to
+    # make the window double until its edges are that small; the sum is the
+    # same float, results near 1 included
+    pop, design = PopulationSpec(n=n, cardinality=c), SampleDesign(method=method, k=k)
+    want = exact_confidence(pop, design, q)
+    name = "binom_logpmf" if method is WR else "hypergeom_logpmf"
+    calls = []
+    original = getattr(exact, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exact, name, counted)
+    monkeypatch.setattr(exact, "_SPREAD", 1.0)
+    monkeypatch.setattr(exact, "_MARGIN", 1)
+    assert exact_confidence(pop, design, q) == want
+    assert len(calls) > 1
+
+
 def test_exact_refuses_a_window_past_the_limit():
     # sd = 5e5 hit counts: the window would be ~1.2e7 wide, far past
     # MAX_WINDOW, and is refused before any array is allocated

@@ -18,6 +18,7 @@ from qbounds import (
     q_error,
     validate_design,
 )
+from qbounds.model import _check_point
 from qbounds.reports import evaluate_grid
 from qbounds.terms import WITH_REPLACEMENT_KINDS
 
@@ -120,7 +121,8 @@ def _points(draw):
     q = draw(st.sampled_from(_EDGES + [0.5, 1.0, 1e200, sys.float_info.max])
              | st.floats(1.0, 1e6))
     n = draw(st.integers(-2, 10**6))
-    k = draw(st.sampled_from([n - 1, n, n + 1, math.nan]) | st.integers(-2, 10**6))
+    k = draw(st.sampled_from([n - 1.5, n - 1, n - 0.5, n, n + 1, math.nan])
+             | st.integers(-2, 10**6))
     return method, p, k, n, q
 
 
@@ -151,6 +153,10 @@ def _raises(call) -> bool:
 @example((WOR, 0.5, 10, math.nan, 2.0))  # a NaN n gets the rule's message
 @example((WOR, 0.5, 10, math.inf, 2.0))  # an infinite n is outside the rule
 @example((WR, 0.5, 10, math.nan, 2.0))  # n plays no part with replacement
+@example((WOR, 0.5, 39.5, 40, 1.5))  # k < n, but past n - 1
+@example((WOR, 0.5, 40, 40.5, 1.5))
+@example((WOR, 0.5, 38.5, 40, 1.5))  # a fractional k or n at most n - 1 is in the domain
+@example((WOR, 0.5, 39, 40.5, 1.5))
 def test_one_domain_rule_for_scalar_and_grid(point):
     method, p, k, n, q = point
     scalar = _raises(lambda: evaluate_confidence(method, p, k, q, n=n))
@@ -165,11 +171,15 @@ def test_one_domain_rule_for_scalar_and_grid(point):
         on_grid = evaluate_grid(p, k, n, q, method is WOR, InequalityKind).confidence
         assert float(on_grid) == pytest.approx(want, rel=1e-12, abs=1e-12)
     if grid and p != 0.0:
-        # the rule's own message, also for a NaN k or n, not numpy's cast error
+        # the rule's own message, also for a NaN k or n, not numpy's cast
+        # error or a kernel's math domain error
         with pytest.raises(ValueError) as expected:
             evaluate_confidence(method, p, k, q, n=n)
-        with pytest.raises(ValueError, match="^" + re.escape(str(expected.value)) + "$"):
+        message = "^" + re.escape(str(expected.value)) + "$"
+        with pytest.raises(ValueError, match=message):
             evaluate_grid(p, k, n, q, method is WOR, InequalityKind)
+        with pytest.raises(ValueError, match=message):
+            _check_point(method, p, k, q, n)
     if not 1.0 <= q < math.inf or not k >= 1:
         pop = PopulationSpec(n=max(n, 1), cardinality=0)
         with pytest.raises(ValueError):

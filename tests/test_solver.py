@@ -6,7 +6,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qbounds.solver as solver_module
@@ -81,6 +81,29 @@ def test_min_sample_size_wor_caps_at_n_minus_one():
     hard = min_sample_size(WOR, 0.4, 1.0001, 0.999, n=50)
     assert isinstance(hard, Unreachable)
     assert hard.limit == 49.0
+
+
+def test_min_sample_size_answers_integers_under_a_fractional_cap():
+    # the bound first reaches the target at k = 11; a fractional k_max or
+    # n caps the search at the largest admissible integer, not at itself
+    target = 0.5834751737269168
+    assert min_sample_size(WR, 0.5, 2.0, target, k_max=1000) == 11
+    answer = min_sample_size(WR, 0.5, 2.0, target, k_max=11.5)
+    assert answer == 11 and type(answer) is int
+    short = min_sample_size(WR, 0.5, 2.0, target, k_max=10.5)
+    assert short == Unreachable(target, 10.0, _conf_wr(0.5, 10, 2.0))
+    capped = min_sample_size(WOR, 0.4, 1.0001, 0.999, n=50.5)
+    assert isinstance(capped, Unreachable) and capped.limit == 49.0
+    assert capped.confidence_at_limit == evaluate_confidence(WOR, 0.4, 49, 1.0001, n=50.5).confidence
+
+
+def test_wor_sample_size_past_n_minus_one_is_refused():
+    # k < n there, but (n - k - 1)(n - k) < 0 under the coefficient's root
+    with pytest.raises(ValueError, match=r"^sampling without replacement needs k <= n - 1, "
+                                         r"got k=39\.5, n=40$"):
+        q_at_confidence(WOR, 0.5, 39.5, 0.5, n=40)
+    with pytest.raises(ValueError, match=r"needs k <= n - 1, got k=1, n=1\.5$"):
+        min_sample_size(WOR, 0.5, 2.0, 0.5, n=1.5)
 
 
 def test_min_sample_size_validation():
@@ -610,6 +633,56 @@ def test_unreachable_limit_is_a_float(q_max):
                    min_sample_size(WR, 0.0, 2.0, 0.9, k_max=q_max)):
         assert isinstance(answer, Unreachable)
         assert type(answer.limit) is float and answer.limit == q_max
+
+
+_Q_MAXES = [1 + 1e-9, 1 + 3e-9, 10.0, 1e6, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("q_max", _Q_MAXES)
+@given(_METHOD_KINDS, st.floats(min_value=-3.0, max_value=0.0).map(lambda e: 10.0**e),
+       st.floats(min_value=-1.0, max_value=4.0), st.integers(min_value=1, max_value=10**6),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+@settings(max_examples=60, deadline=None)
+def test_q_narrowing_evaluates_strictly_between_its_last_miss_and_hit(
+        q_max, method_kinds, p, scale, extra, share):
+    # each q the narrowing evaluates lies strictly between the last miss
+    # and the last hit (first q = 1 and q_max), and the replay starts from
+    # those two points. k is sized so that p k (q_max - 1)^2 is near
+    # 10^scale, where the bound at q_max is neither 0 nor 1; the target is
+    # a share of it.
+    method, kinds = method_kinds
+    k = max(1, math.ceil(10.0**scale / (p * min(1.0, q_max - 1.0) ** 2)))
+    n = k + extra
+    at_cap = evaluate_confidence(method, p, k, q_max, n=n, inequalities=kinds).confidence
+    target = at_cap * share
+    assume(0.0 < target < 1.0)
+    probes, replays = [], []
+    narrow, replay = solver_module._narrow, solver_module._replay
+
+    def watched_narrow(probe, *rest):
+        def watched(x, a, b):
+            start = len(seen)
+            got = probe(x, a, b)
+            probes.append((seen[start:], got[1]))
+            return got
+        return narrow(watched, *rest)
+
+    def watched_replay(conf, k, target, q_max, miss, hit):
+        replays.append((miss, hit))
+        return replay(conf, k, target, q_max, miss, hit)
+
+    with _recording() as seen, mock.patch.object(solver_module, "_narrow", watched_narrow), \
+            mock.patch.object(solver_module, "_replay", watched_replay):
+        q_at_confidence(method, p, k, target, n=n, inequalities=kinds, q_max=q_max)
+    miss, hit = 1.0, q_max
+    for points, is_hit in probes:
+        assert len(points) == 1
+        (point_k, point_q), = points
+        assert point_k == k and miss < point_q < hit
+        miss, hit = (miss, point_q) if is_hit else (point_q, hit)
+    assert replays[0] == (miss, hit)
+    # the bracket [0, ln q_max] is narrowed only where it is wider than the target
+    assert (probes == []) == (math.log(q_max) <= solver_module._LN_Q_WIDTH)
 
 
 @pytest.mark.parametrize("p, k, target, kinds", [
