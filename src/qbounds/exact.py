@@ -22,6 +22,7 @@ wider than MAX_WINDOW hit counts is refused rather than allocated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,26 @@ _REL_CUTOFF = 1e-30
 _SPREAD = 12.0
 _MARGIN = 40
 MAX_WINDOW = 1 << 21  # hit counts in one window; ~64 MB of numpy arrays at the limit
+
+
+def _is_integer(value) -> bool:
+    """Python and numpy integers; not bool, and no other type (2.5, 1e4, "7")."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _check_integers(purpose: str, *named: tuple[str, object]) -> None:
+    """The rule for the counts a hit-count distribution or a draw takes:
+    each (name, value) must hold an integer; a fractional size means
+    nothing there."""
+    for name, value in named:
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer {purpose}, got {value}")
 
 
 def estimate_from_hits(n: int, k: int, hits: float):
@@ -64,6 +85,8 @@ _EMPTY_RANGE = AdmissibleRange(0, -1)
 def admissible_range(n: int, c: int, k: int, q: float) -> AdmissibleRange:
     """Bracket the admissible hit counts in closed form, then verify the
     boundaries against the clamped metric (which handles x = 0 and c = 0)."""
+    _check_integers("for exact sums", ("population size", n), ("cardinality", c),
+                    ("sample size", k))
     PopulationSpec(n, c)  # its rule: n >= 1 and 0 <= c <= n
     _check_point(None, None, k, q)
     truth = max(c, 1)
@@ -142,7 +165,8 @@ def _normalized(ratio: np.ndarray) -> np.ndarray:
 
 
 def exact_confidence(pop: PopulationSpec, design: SampleDesign, q: float) -> float:
-    """P(Q-error <= q) summed exactly over the hit-count distribution."""
+    """P(Q-error <= q) summed exactly over the hit-count distribution;
+    `admissible_range` refuses a fractional n, C or k."""
     _check_point(design.method, None, design.k, q, pop.n)
     n, c, k = pop.n, pop.cardinality, design.k
     if max(n, k) >= 2**63:

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .confidence import evaluate_confidence
-from .exact import estimate_from_hits
+from .exact import _check_integers, estimate_from_hits
 from .model import PopulationSpec, SampleDesign, SamplingMethod, q_error, validate_design
 from .simulate import _check_seed, block_generator
 from .solver import Unreachable, q_at_confidence
@@ -300,28 +300,35 @@ class Predicate:
     atoms: tuple[Atom, ...]
 
 
+# The first alternative that matches at a position wins; a character no
+# token starts with is `other`. AND in any casing is a keyword, not a name.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<number>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+  | (?P<literal>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|'(?:[^']|'')*')
+  | (?P<and>[Aa][Nn][Dd](?![A-Za-z0-9_]))
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><=|>=|!=|=|<|>)
-  | (?P<string>'(?:[^']|'')*')
+  | (?P<other>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+
+# `atom (AND atom)*` as the cycle of token kinds it reads, each with its
+# name in an error; the text may end only after a literal
+_SLOTS = (("ident", "column name"), ("op", "comparison operator"),
+          ("literal", "literal"), ("and", "AND"))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token but whitespace; the first
+    character no token matches is an error."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise PredicateSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    for match in _TOKEN_RE.finditer(text):
+        if match.lastgroup == "other":
+            raise PredicateSyntaxError(f"unexpected character {match.group()!r}", match.start())
         if match.lastgroup != "ws":
-            tokens.append((match.lastgroup, match.group(), pos))
-        pos = match.end()
+            tokens.append((match.lastgroup, match.group(), match.start()))
     return tokens
 
 
@@ -332,41 +339,17 @@ def parse_predicate(text: str) -> Predicate:
         raise PredicateSyntaxError("empty predicate", 0)
     tokens = _tokenize(text)
     atoms = []
-    i = 0
-    end = len(text)
-
-    def expect(kind: str, what: str) -> tuple[str, str, int]:
-        nonlocal i
-        if i >= len(tokens):
-            raise PredicateSyntaxError(f"expected {what}", end)
-        token = tokens[i]
-        if token[0] != kind:
-            raise PredicateSyntaxError(f"expected {what}, got {token[1]!r}", token[2])
-        i += 1
-        return token
-
-    while True:
-        _, column, col_pos = expect("ident", "column name")
-        if column.upper() == "AND":
-            raise PredicateSyntaxError("expected column name, got 'AND'", col_pos)
-        _, op, _ = expect("op", "comparison operator")
-        if i >= len(tokens):
-            raise PredicateSyntaxError("expected literal", end)
-        kind, raw, pos = tokens[i]
-        i += 1
-        if kind == "number":
-            literal = int(raw) if raw.lstrip("+-").isdecimal() else float(raw)
-        elif kind == "string":
-            literal = raw[1:-1].replace("''", "'")
-        else:
-            raise PredicateSyntaxError(f"expected literal, got {raw!r}", pos)
-        atoms.append(Atom(column=column, op=op, literal=literal))
-        if i >= len(tokens):
-            break
-        kind, raw, pos = tokens[i]
-        if kind != "ident" or raw.upper() != "AND":
-            raise PredicateSyntaxError(f"expected AND, got {raw!r}", pos)
-        i += 1
+    for i, (kind, raw, pos) in enumerate(tokens):
+        want, what = _SLOTS[i % 4]
+        if kind != want:
+            got = "AND" if kind == "and" and want == "ident" else raw  # any spelling reads 'AND'
+            raise PredicateSyntaxError(f"expected {what}, got {got!r}", pos)
+        if kind == "literal":  # converted in order: int() refuses one past its digit limit
+            literal = (raw[1:-1].replace("''", "'") if raw[0] == "'" else
+                       int(raw) if raw.lstrip("+-").isdecimal() else float(raw))
+            atoms.append(Atom(column=tokens[i - 2][1], op=tokens[i - 1][1], literal=literal))
+    if len(tokens) % 4 != 3:
+        raise PredicateSyntaxError(f"expected {_SLOTS[len(tokens) % 4][1]}", len(text))
     return Predicate(atoms=tuple(atoms))
 
 
@@ -506,9 +489,11 @@ def estimate_with_bounds(
     only the estimate is reported and the bounds use the supplied p.
 
     The rows come from `simulate.block_generator(seed, 0)`, so the seed
-    follows the simulation's rule: an integer in [0, 2**64).
+    follows the simulation's rule: an integer in [0, 2**64). The sample
+    size must be an integer too, as every draw takes one.
     """
     n = table.n
+    _check_integers("to draw a sample", ("sample size", design.k))
     validate_design(PopulationSpec(n=n, cardinality=0), design)
     if not qs and target_confidence is None:
         raise ValueError("need at least one q value or a target confidence")

@@ -83,13 +83,15 @@ def _check_point(
     """The input domain of every query, in one place: 0 < p <= 1, k >= 1,
     q >= 1, k and q at most the largest double (so finite, and no Python
     int the term kernels cannot turn into a float), and without
-    replacement a table size n with k < n and k <= n - 1 (so n >= 2; the
-    two differ only for a fractional k or n, and where n - 1 rounds to n),
-    n also at most the largest double. None skips a value the caller does
-    not take; p = 0 is the caller's degenerate case and never reaches this
-    check. Each check asks whether a value is inside the domain, and NaN
-    fails every comparison, so it is rejected like any out-of-domain
-    value.
+    replacement a table size n with k < n and n - k >= 1 (so n >= 2), n
+    also at most the largest double. The second test is made in the
+    kernels' own arithmetic: for integer k and n the two agree, and they
+    differ for a fractional k or n, or for a float k beside an int n past
+    2**53, where n - k rounds below 1 (to 0 at k = 2**62, n = 2**62 + 1).
+    None skips a value the caller does not take; p = 0 is the caller's
+    degenerate case and never reaches this check. Each check asks whether
+    a value is inside the domain, and NaN fails every comparison, so it is
+    rejected like any out-of-domain value.
 
     `reports.evaluate_grid` applies the same rule to arrays.
     """
@@ -104,7 +106,7 @@ def _check_point(
             raise ValueError("sampling without replacement needs the table size n")
         if not k < n:
             raise ValueError(f"sampling without replacement needs k < n, got k={k}, n={n}")
-        if not k <= n - 1:  # k in (n - 1, n): a fractional k or n
+        if not n - k >= 1:  # k in (n - 1, n), or n - k rounds below 1
             raise ValueError(f"sampling without replacement needs k <= n - 1, got k={k}, n={n}")
         _check_n(n)
 

@@ -127,7 +127,7 @@ def evaluate_grid(p, k, n, q, wor, inequalities: Iterable[InequalityKind]) -> Gr
     `wor` marks the points sampled without replacement; `n` only matters
     there. Each point must lie in the domain `model._check_point` states
     for one point: 0 < p <= 1, finite k >= 1, finite q >= 1, and without
-    replacement k < n, k <= n - 1 and a finite n. p = 0 is rejected too: a
+    replacement k < n, n - k >= 1 and a finite n. p = 0 is rejected too: a
     caller gives those points their degenerate result itself, as
     `evaluate_confidence` does. The rule is checked on `k` and `n` as
     given, and a fractional `k` is used as it is, as on the scalar path.
@@ -141,10 +141,11 @@ def evaluate_grid(p, k, n, q, wor, inequalities: Iterable[InequalityKind]) -> Gr
     k, n = _sizes(k), _sizes(n)
     p, k, n, q, wor = np.broadcast_arrays(p, k, n, q, np.asarray(wor, dtype=bool))
     inside = (p > 0.0) & (p <= 1.0) & (k >= 1) & (k < np.inf) & (q >= 1.0) & (q < np.inf)
-    inside &= ~wor | ((k < n) & (k <= n - 1) & (n < np.inf))
+    inside &= ~wor | ((k < n) & (n - k >= 1) & (n < np.inf))
     for i in np.flatnonzero(~inside)[:1]:  # the rule's error for the first point outside
         method = SamplingMethod.WITHOUT_REPLACEMENT if wor.flat[i] else SamplingMethod.WITH_REPLACEMENT
-        _check_point(method, p.flat[i], k.flat[i], q.flat[i], n.flat[i])
+        # as Python scalars, so that k < n compares exactly, as on the scalar path
+        _check_point(method, *(a.flat[i].item() for a in (p, k, q, n)))
         raise AssertionError(f"the array rule and model._check_point disagree at {i}")
 
     terms = {(kind, side): np.full(p.shape, np.nan) for kind in InequalityKind for side in Side}

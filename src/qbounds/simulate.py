@@ -17,31 +17,19 @@ names it without numpy.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import admissible_range
+from .exact import _check_integers, _is_integer, admissible_range
 from .model import RNG_SCHEME, PopulationSpec, SampleDesign, SamplingMethod, _check_point
 
 _BLOCK = 4096
 # numpy's hypergeometric draw refuses C or n - C at or above this; C = 0
 # and C = n need no draw (the hit count is 0 or k)
 _HYPERGEOMETRIC_LIMIT = 10**9
-
-
-def _is_integer(value) -> bool:
-    """Python and numpy integers; not bool, and no other type (2.5, 1e4, "7")."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -53,11 +41,9 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        for name, value in (("population size", self.pop.n),
-                            ("cardinality", self.pop.cardinality),
-                            ("sample size", self.design.k), ("trials", self.trials)):
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer to simulate, got {value}")
+        _check_integers("to simulate", ("population size", self.pop.n),
+                        ("cardinality", self.pop.cardinality),
+                        ("sample size", self.design.k), ("trials", self.trials))
         _check_point(self.design.method, None, self.design.k, self.q, self.pop.n)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")

@@ -77,6 +77,39 @@ def test_admissible_range_matches_brute_enumeration(n, k, q, data):
         assert expected == set(range(min(expected), max(expected) + 1))
 
 
+@pytest.mark.parametrize("n, c, k, q", [
+    (372029, 275095, 4111, 1.247426453935603),
+    (277726, 154064, 5572, 1.7221093641023837),
+    (485428, 151429, 8198, 2.2847765948671817),
+])
+def test_admissible_range_walks_down_where_the_top_overshoots(n, c, k, q):
+    # floor(k*C*q/n) rounds to a hit count just past the last admissible one
+    r = admissible_range(n, c, k, q)
+    assert math.floor(k * c * q / n) > r.hi
+    assert set(range(r.lo, r.hi + 1)) == oracles.brute_admissible_set(n, c, k, q)
+
+
+def test_exact_refuses_fractional_sizes():
+    # a hit-count distribution has no fractional size; numpy integers are sizes
+    pop, design = PopulationSpec(1000, 100), SampleDesign(WR, 10)
+    for call, name in (
+        (lambda: exact_confidence(pop, SampleDesign(WR, 10.5), 2.0), "sample size"),
+        (lambda: exact_confidence(PopulationSpec(1000.5, 100), design, 2.0), "population size"),
+        (lambda: exact_confidence(PopulationSpec(1000, 100.5), design, 2.0), "cardinality"),
+        (lambda: exact_confidence(pop, SampleDesign(WR, True), 2.0), "sample size"),
+        (lambda: admissible_range(1000, 100, 10.5, 2.0), "sample size"),
+        (lambda: admissible_range(1000.0, 100, 10, 2.0), "population size"),
+        (lambda: admissible_range(1000, 100.0, 10, 2.0), "cardinality"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer for exact sums, got "):
+            call()
+    want = exact_confidence(pop, design, 2.0)
+    assert exact_confidence(PopulationSpec(np.int64(1000), np.int32(100)),
+                            SampleDesign(WR, np.uint16(10)), 2.0) == want
+    assert admissible_range(np.int64(1000), 100, np.int64(10), 2.0) == \
+        admissible_range(1000, 100, 10, 2.0)
+
+
 def test_exact_confidence_frozen_values():
     pop = PopulationSpec(n=10**6, cardinality=5000)
     wr = exact_confidence(pop, SampleDesign(method=WR, k=1000), 2.0)

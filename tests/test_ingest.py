@@ -453,6 +453,37 @@ def test_parse_predicate_errors():
     assert err is not None and err.offset == 2
 
 
+@pytest.mark.parametrize("text, outcome", [
+    ("a = 1 and\u0663", "expected column name, got '\u0663' (offset 9)"),
+    ("a = 1 AND2 = 3", "expected AND, got 'AND2' (offset 6)"),
+    ("a = 1 and\u00e9 = 2", "unexpected character '\u00e9' (offset 9)"),
+    ("a = 1 ANd\tand_ = 2", (Atom("a", "=", 1), Atom("and_", "=", 2))),
+])
+def test_parse_predicate_and_ends_where_an_identifier_would(text, outcome):
+    # AND is the keyword when the identifier read there would be `and` in
+    # some casing: only ASCII letters, digits and _ continue it
+    if isinstance(outcome, tuple):
+        assert parse_predicate(text) == Predicate(atoms=outcome)
+    else:
+        with pytest.raises(PredicateSyntaxError, match="^" + re.escape(outcome) + "$"):
+            parse_predicate(text)
+
+
+def test_parse_predicate_raises_the_first_error_in_the_text():
+    # literals are converted as the grammar reaches them, so an integer
+    # past int()'s digit limit raises before a later grammar error, and
+    # after an earlier one
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int() has no digit limit in this interpreter")
+    digits = "9" * (limit + 1)
+    with pytest.raises(ValueError, match="limit") as error:
+        parse_predicate(f"a = {digits} AND = 1")
+    assert not isinstance(error.value, PredicateSyntaxError)
+    with pytest.raises(PredicateSyntaxError, match=r"^expected column name, got '=' \(offset 0\)$"):
+        parse_predicate(f"= 1 AND a = {digits}")
+
+
 def test_binding_errors(tmp_path):
     path = _write(tmp_path, "price,city\n1.5,NYC\n2.0,LA\n")
     table = load_table(path)
@@ -766,6 +797,21 @@ def test_estimate_with_bounds_checks_seed_first(small_table, monkeypatch, seed):
                 estimate_with_bounds(small_table, parse_predicate(text),
                                      SampleDesign(method=method, k=10), seed=seed)
             assert str(estimated.value) == str(simulated.value)
+
+
+@pytest.mark.parametrize("k", [2.5, 10.0, True])
+def test_estimate_with_bounds_refuses_a_fractional_sample_size(small_table, monkeypatch, k):
+    # the library's ValueError, before any scan or draw, not numpy's TypeError
+    def fail(*args):
+        raise AssertionError("sampled or scanned before the sample size was checked")
+
+    monkeypatch.setattr(ingest, "sample_indices", fail)
+    monkeypatch.setattr(ingest, "_predicate_mask", fail)
+    for method in (WR, WOR):
+        with pytest.raises(ValueError, match=f"^sample size must be an integer to draw a "
+                                             f"sample, got {k}$"):
+            estimate_with_bounds(small_table, parse_predicate("grp = 0"),
+                                 SampleDesign(method=method, k=k))
 
 
 def test_estimate_with_bounds_seed_edges(small_table):

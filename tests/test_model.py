@@ -120,8 +120,9 @@ def _points(draw):
     p = draw(st.sampled_from(_EDGES + [1.0, 1.5, 5e-324]) | st.floats(0.0, 1.0))
     q = draw(st.sampled_from(_EDGES + [0.5, 1.0, 1e200, sys.float_info.max])
              | st.floats(1.0, 1e6))
-    n = draw(st.integers(-2, 10**6))
-    k = draw(st.sampled_from([n - 1.5, n - 1, n - 0.5, n, n + 1, math.nan])
+    # past 2**53 a float k beside an int n rounds: n - 1.5 and float(n - 1) are floats
+    n = draw(st.integers(-2, 10**6) | st.integers(2**53, 2**62))
+    k = draw(st.sampled_from([n - 1.5, n - 1, n - 0.5, n, n + 1, math.nan, float(n - 1)])
              | st.integers(-2, 10**6))
     return method, p, k, n, q
 
@@ -157,6 +158,7 @@ def _raises(call) -> bool:
 @example((WOR, 0.5, 40, 40.5, 1.5))
 @example((WOR, 0.5, 38.5, 40, 1.5))  # a fractional k or n at most n - 1 is in the domain
 @example((WOR, 0.5, 39, 40.5, 1.5))
+@example((WOR, 0.5, float(2**62), 2**62 + 1, 2.0))  # k < n, but n - k rounds to 0
 def test_one_domain_rule_for_scalar_and_grid(point):
     method, p, k, n, q = point
     scalar = _raises(lambda: evaluate_confidence(method, p, k, q, n=n))
