@@ -106,9 +106,9 @@ def _check_point(
             raise ValueError("sampling without replacement needs the table size n")
         if not k < n:
             raise ValueError(f"sampling without replacement needs k < n, got k={k}, n={n}")
+        _check_n(n)  # before n - k, which overflows for a float k and an int n past the largest double
         if not n - k >= 1:  # k in (n - 1, n), or n - k rounds below 1
             raise ValueError(f"sampling without replacement needs k <= n - 1, got k={k}, n={n}")
-        _check_n(n)
 
 
 def validate_design(pop: PopulationSpec, design: SampleDesign) -> None:

@@ -15,6 +15,7 @@ from qbounds import (
     admissible_range,
     evaluate_confidence,
     exact_confidence,
+    q_at_confidence,
     q_error,
     validate_design,
 )
@@ -208,6 +209,8 @@ _HUGE = 10**400  # a Python int past the largest double
                              design=SampleDesign(WR, 10), q=_HUGE, trials=10, seed=0),
     lambda: PopulationSpec(n=_HUGE, cardinality=5),
     lambda: evaluate_confidence(WOR, 0.1, 10, 2.0, n=_HUGE),
+    lambda: evaluate_confidence(WOR, 0.1, 10.0, 2.0, n=_HUGE),
+    lambda: q_at_confidence(WOR, 0.1, 10.0, 0.9, n=_HUGE),
     lambda: evaluate_confidence(WOR, 0.1, 10, 2.0, n=math.inf),
     lambda: admissible_range(_HUGE, 5, 10, 2.0),
 ])
