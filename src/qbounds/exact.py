@@ -116,8 +116,6 @@ def admissible_range(n: int, c: int, k: int, q: float) -> AdmissibleRange:
         hi += 1
     while hi >= lo and not ok(hi):
         hi -= 1
-    if hi < lo:
-        return _EMPTY_RANGE
     return AdmissibleRange(lo, hi)
 
 

@@ -17,6 +17,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -54,7 +55,20 @@ class ColumnType(enum.Enum):
 class TableData:
     """Column-oriented table; data[i] is a numpy array holding column i for
     all n rows: int64 for integers (object, holding Python ints, when a
-    value does not fit in int64), float64 for reals, object for text."""
+    value does not fit in int64), float64 for reals, object for text.
+
+    A predicate atom on column i compares scan[i], which holds the same
+    values as data[i] in the narrowest dtype that fits, so it compares
+    as data[i] does: a text column's codes, in the smallest unsigned type
+    that holds its number of distinct values; a copy of an int64 column in
+    the smallest signed or unsigned type that holds its minimum and
+    maximum; data[i] itself for a real column, an object-dtype integer
+    column and an int64 column that needs int64. An atom compares the
+    whole of scan[i], except in an estimate with an assumed selectivity
+    and k < n / _GATHER_COST, which compares the k sampled rows alone.
+    codes and scan are derived when the table is built, so data must not
+    be changed in place.
+    """
 
     columns: list[str]
     types: list[ColumnType]
@@ -63,6 +77,11 @@ class TableData:
     # = and != compare the integer codes, not one Python string per row
     codes: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
+    scan: list[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scan = [self.codes[i][0] if i in self.codes else _narrow(values)
+                     for i, values in enumerate(self.data)]
 
     @property
     def n(self) -> int:
@@ -71,6 +90,21 @@ class TableData:
     @property
     def m(self) -> int:
         return len(self.columns)
+
+
+# the integer types an int64 column may scan in, narrowest first
+_SCAN_INTS = tuple(map(np.iinfo, (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32)))
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """A copy of an int64 array in the first of _SCAN_INTS that holds its
+    values, else the array itself."""
+    if values.dtype == np.int64 and values.size:
+        lo, hi = values.min(), values.max()
+        for info in _SCAN_INTS:
+            if info.min <= lo and hi <= info.max:
+                return values.astype(info.dtype)
+    return values
 
 
 @dataclass(frozen=True)
@@ -180,6 +214,20 @@ def _columns(path: str, options: LoadOptions, row: Sequence[str], line: int) -> 
     return columns
 
 
+class _Coder(dict):
+    """raw cell -> code of its stripped value; a cell not seen before gets
+    the next code when it is first looked up, so each cell is hashed once
+    and codes follow first appearance."""
+
+    def __init__(self):
+        super().__init__()
+        self.distinct: dict[str, int] = {}
+
+    def __missing__(self, cell: str) -> int:
+        code = self[cell] = self.distinct.setdefault(cell.strip(), len(self.distinct))
+        return code
+
+
 def _table(columns: list[str], types: list[ColumnType], data: list) -> TableData:
     """The table of `data`, which holds an array per numeric column and the raw
     cells of each text column; the text is coded, and equal stripped cells
@@ -187,12 +235,11 @@ def _table(columns: list[str], types: list[ColumnType], data: list) -> TableData
     codes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for i, column in enumerate(data):
         if types[i] is ColumnType.TEXT:
-            distinct: dict[str, int] = {}
-            raw = {cell: distinct.setdefault(cell.strip(), len(distinct))
-                   for cell in dict.fromkeys(column)}
-            codes[i] = (np.fromiter(map(raw.__getitem__, column), np.intp, len(column)),
-                        np.array(list(distinct), dtype=object))
-            data[i] = codes[i][1][codes[i][0]]
+            coder = _Coder()
+            coded = np.fromiter(map(coder.__getitem__, column), np.intp, len(column))
+            distinct = np.array(list(coder.distinct), dtype=object)
+            codes[i] = (coded.astype(np.min_scalar_type(len(distinct))), distinct)
+            data[i] = distinct[coded]
     return TableData(columns=columns, types=types, data=data, codes=codes)
 
 
@@ -332,6 +379,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _literal(raw: str, pos: int) -> Union[int, float, str]:
+    """The value of the literal token `raw` at offset `pos`."""
+    if raw[0] == "'":
+        return raw[1:-1].replace("''", "'")
+    digits = raw.lstrip("+-")
+    if not digits.isdecimal():
+        return float(raw)
+    try:
+        return int(raw)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise PredicateSyntaxError(
+            f"integer literal {raw[:12] + '...'!r} has {len(digits)} digits, more than "
+            f"the {sys.get_int_max_str_digits()} that int() reads", pos) from None
+
+
 def parse_predicate(text: str) -> Predicate:
     """Parse `atom (AND atom)*`. Column existence is checked at binding
     time, not here."""
@@ -344,10 +406,9 @@ def parse_predicate(text: str) -> Predicate:
         if kind != want:
             got = "AND" if kind == "and" and want == "ident" else raw  # any spelling reads 'AND'
             raise PredicateSyntaxError(f"expected {what}, got {got!r}", pos)
-        if kind == "literal":  # converted in order: int() refuses one past its digit limit
-            literal = (raw[1:-1].replace("''", "'") if raw[0] == "'" else
-                       int(raw) if raw.lstrip("+-").isdecimal() else float(raw))
-            atoms.append(Atom(column=tokens[i - 2][1], op=tokens[i - 1][1], literal=literal))
+        if kind == "literal":  # converted in order, so the first error in the text is raised
+            atoms.append(Atom(column=tokens[i - 2][1], op=tokens[i - 1][1],
+                              literal=_literal(raw, pos)))
     if len(tokens) % 4 != 3:
         raise PredicateSyntaxError(f"expected {_SLOTS[len(tokens) % 4][1]}", len(text))
     return Predicate(atoms=tuple(atoms))
@@ -395,7 +456,12 @@ def _exact_operand(
     numpy compares int64 with a float, and float64 with an int, in float64,
     which rounds integers beyond 2**53. So a literal the column type cannot
     hold is replaced by its neighbours lo < literal < hi in that type.
+    No value is ordered against nan, as no value equals it; numpy's loop
+    over Python ints warns where it orders them against nan, so it is
+    asked for equality.
     """
+    if isinstance(literal, float) and math.isnan(literal) and op not in ("=", "!="):
+        return "=", literal
     if col_type is ColumnType.INTEGER and isinstance(literal, float) and math.isfinite(literal):
         lo, hi = math.floor(literal), math.ceil(literal)
     elif col_type is ColumnType.REAL and isinstance(literal, int):
@@ -416,15 +482,21 @@ def _exact_operand(
     return op, math.nan  # no value equals the literal, as no value equals nan
 
 
-def _predicate_mask(table: TableData, compiled) -> np.ndarray:
-    """Boolean mask of the rows that satisfy every bound atom."""
-    mask = np.ones(table.n, dtype=bool)
+def _predicate_mask(table: TableData, compiled, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """Boolean mask, over every row or over `rows` in their order, of the
+    rows that satisfy every bound atom; each atom compares table.scan."""
+    mask = None
     for index, op, literal in compiled:
-        column = table.data[index]
-        if index in table.codes:  # op is = or !=; -1 codes a literal no row holds
-            column, distinct = table.codes[index]
-            literal = next(iter(np.flatnonzero(distinct == literal)), -1)
-        mask &= op(column, literal)
+        column = table.scan[index] if rows is None else table.scan[index][rows]
+        if index in table.codes:  # op is = or !=; len(distinct) codes a literal no row holds
+            distinct = table.codes[index][1]
+            literal = int(next(iter(np.flatnonzero(distinct == literal)), len(distinct)))
+        if mask is None:
+            mask = op(column, literal)
+        else:
+            mask &= op(column, literal)
+    if mask is None:
+        return np.ones(table.n if rows is None else len(rows), dtype=bool)
     return mask
 
 
@@ -442,6 +514,13 @@ def sample_indices(n: int, design: SampleDesign, rng: np.random.Generator) -> np
     if design.method is SamplingMethod.WITH_REPLACEMENT:
         return rng.integers(0, n, size=k)
     return rng.choice(n, k, replace=False)
+
+
+# Gathering a sampled row from a column costs about what comparing this many
+# rows in a whole-column scan does: on a 200,000-row table of narrow columns,
+# comparing the k sampled rows of a two- or three-atom predicate is the faster
+# path up to about k = n / 12, and a whole scan beyond it
+_GATHER_COST = 16
 
 
 @dataclass(frozen=True)
@@ -486,7 +565,8 @@ def estimate_with_bounds(
     By default the bound columns use the true selectivity from a full
     scan (the bounds assume the ground truth is known) and the realized
     Q-error is reported. Passing assume_p suppresses the ground truth:
-    only the estimate is reported and the bounds use the supplied p.
+    only the estimate is reported, the bounds use the supplied p, and, for
+    k < n / _GATHER_COST, the predicate is compared on the sampled rows alone.
 
     The rows come from `simulate.block_generator(seed, 0)`, so the seed
     follows the simulation's rule: an integer in [0, 2**64). The sample
@@ -501,21 +581,19 @@ def estimate_with_bounds(
         raise ValueError(f"assumed selectivity must be in [0, 1], got {assume_p}")
     _check_seed(seed)
 
-    mask = _predicate_mask(table, bind_predicate(table, predicate))
-    rng = block_generator(seed, 0)
-    hits = int(np.count_nonzero(mask[sample_indices(n, design, rng)]))
-    est = estimate_from_hits(n, design.k, hits)
-
-    if assume_p is None:
-        truth = int(np.count_nonzero(mask))
-        p_used = truth / n
-        p_source = "true"
-        realized = q_error(est, truth)
+    compiled = bind_predicate(table, predicate)
+    rows = sample_indices(n, design, block_generator(seed, 0))
+    if assume_p is not None and design.k * _GATHER_COST < n:  # no true count is needed
+        hits, truth = int(np.count_nonzero(_predicate_mask(table, compiled, rows))), None
     else:
-        truth = None
-        p_used = assume_p
-        p_source = "assumed"
-        realized = None
+        mask = _predicate_mask(table, compiled)
+        hits = int(np.count_nonzero(mask[rows]))
+        truth = int(np.count_nonzero(mask)) if assume_p is None else None
+    est = estimate_from_hits(n, design.k, hits)
+    if truth is None:
+        p_used, p_source, realized = assume_p, "assumed", None
+    else:
+        p_used, p_source, realized = truth / n, "true", q_error(est, truth)
 
     per_q = []
     for q in qs:

@@ -211,6 +211,8 @@ _DOMAIN_ERRORS = [
     "estimate --input t.csv --predicate 'a < 5' --method wr --k 5 --assume-p 2",
     "estimate --input ab.csv --predicate 'AND = 1' --method wr --k 1",
     "estimate --input ab.csv --predicate 'a = b' --method wr --k 1",
+    # an integer literal past int()'s digit limit (4,300 by default)
+    f"estimate --input ab.csv --predicate 'a = {'9' * 5000}' --method wr --k 1",
     f"bound --method wr --p 0.1 --k {_HUGE} --q 2",
     f"solve-k --method wr --p 0 --q 2 --confidence 0.9 --k-max {_HUGE}",
     f"simulate --method wr --cardinality 5 --rows {_HUGE} --k 10 --q 2 --trials 10 --seed 1",

@@ -477,11 +477,25 @@ def test_parse_predicate_raises_the_first_error_in_the_text():
     if not limit:
         pytest.skip("int() has no digit limit in this interpreter")
     digits = "9" * (limit + 1)
-    with pytest.raises(ValueError, match="limit") as error:
+    with pytest.raises(PredicateSyntaxError, match=r"^integer literal .* \(offset 4\)$"):
         parse_predicate(f"a = {digits} AND = 1")
-    assert not isinstance(error.value, PredicateSyntaxError)
     with pytest.raises(PredicateSyntaxError, match=r"^expected column name, got '=' \(offset 0\)$"):
         parse_predicate(f"= 1 AND a = {digits}")
+
+
+@pytest.mark.parametrize("sign", ["", "-", "+"])
+def test_parse_predicate_integer_past_the_digit_limit_is_a_syntax_error(sign):
+    # named at its offset, with the interpreter's limit left as it is
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int() has no digit limit in this interpreter")
+    assert parse_predicate(f"a = {sign}{'9' * limit}").atoms[0].literal == int(sign + "9" * limit)
+    with pytest.raises(PredicateSyntaxError) as error:
+        parse_predicate(f"a < 1 AND grp = {sign}{'9' * (limit + 1)}")
+    assert str(error.value) == (f"integer literal '{(sign + '9' * 12)[:12]}...' has {limit + 1} "
+                                f"digits, more than the {limit} that int() reads (offset 16)")
+    assert error.value.offset == 16
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_binding_errors(tmp_path):
@@ -554,7 +568,7 @@ _PY_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
      [2**53 + 1, -(2**53 + 1), 2**53, 3, 10**400, -10**400, 2**1024 - 1]),
     # integers beyond int64, held as Python ints
     ([2**64 + 1, -2**70, 0],
-     [2**64 + 1, 2.0**64, 2.5, -2.0**70, 2**64]),
+     [2**64 + 1, 2.0**64, 2.5, -2.0**70, 2**64, math.inf, -math.inf, math.nan]),
 ])
 def test_numeric_comparisons_are_exact(tmp_path, cells, literals):
     path = _write(tmp_path, "v\n" + "\n".join(map(repr, cells)) + "\n")
@@ -832,3 +846,141 @@ def test_estimate_hits_count_matches_manual_replay(small_table):
     manual = sum(1 for i in idx if all(op(small_table.data[ci][int(i)], lit)
                                        for ci, op, lit in compiled))
     assert report.hits == manual
+
+
+# The scan ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("cells, dtype", [
+    ([-128, 127], np.int8), ([0, 255], np.uint8), ([-129, 0], np.int16),
+    ([-1, 255], np.int16), ([0, 65535], np.uint16), ([-2**31, 2**31 - 1], np.int32),
+    ([0, 2**32 - 1], np.uint32), ([-1, 2**32 - 1], np.int64), ([0, 2**32], np.int64),
+    ([-2**63, 2**63 - 1], np.int64), ([0, 2**64], object), ([0.5, 1], np.float64),
+])
+def test_scan_array_is_the_narrowest_that_holds_the_column(tmp_path, cells, dtype):
+    table = load_table(_write(tmp_path, "v\n" + "".join(f"{cell}\n" for cell in cells)))
+    assert table.scan[0].dtype == dtype
+    assert table.scan[0].tolist() == table.data[0].tolist()
+    assert table.data[0].dtype in (np.int64, np.float64, object)  # data keeps its dtype
+    if table.scan[0].dtype == table.data[0].dtype:
+        assert table.scan[0] is table.data[0]  # no copy where nothing is narrower
+
+
+@pytest.mark.parametrize("distinct, dtype", [
+    (255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)])
+def test_text_codes_are_the_smallest_unsigned_type_that_holds_the_distinct_count(
+        tmp_path, distinct, dtype):
+    cells = [f"w{i}" for i in range(distinct)] + ["w0"]
+    table = load_table(_write(tmp_path, "t\n" + "".join(f"{cell}\n" for cell in cells)))
+    codes, values = table.codes[0]
+    assert codes.dtype == dtype and table.scan[0] is codes
+    assert codes.tolist() == list(range(distinct)) + [0]  # first-appearance order
+    assert table.data[0].tolist() == cells and values.tolist() == cells[:-1]
+
+
+_INT_KINDS = {"int8": (-128, 127), "uint16": (0, 65535), "int32": (-2**31, 2**31 - 1),
+              "int64": (-2**63, 2**63 - 1)}
+_WORDS = ["a", "b", "it", "x_1", "Z"]
+_ODD_LITERALS = [-1, 0, 2**31, 2**32, 2**40, 2**63, 2**70, -2**70, math.inf, -math.inf,
+                 math.nan, 0.5, -0.5, 2.0**53, 1e300]
+
+
+@st.composite
+def _integer_column(draw, n):
+    """n integers whose least and greatest are the ends of a kind's range,
+    so the scan type is that kind's."""
+    lo, hi = _INT_KINDS[draw(st.sampled_from(sorted(_INT_KINDS)))]
+    values = draw(st.lists(st.integers(lo, hi), min_size=n - 2, max_size=n - 2))
+    return draw(st.permutations(values + [lo, hi]))
+
+
+@st.composite
+def _scans(draw):
+    """A table of two integer columns, a real, a text and a beyond-int64
+    column, a predicate of one to three atoms with literals inside and
+    outside each scan type, and one estimate's design, seed and assume_p."""
+    n = draw(st.integers(2, 120))
+    columns = {
+        "a": draw(_integer_column(n)),
+        "b": draw(_integer_column(n)),
+        "x": draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)),
+        "t": draw(st.lists(st.sampled_from(_WORDS), min_size=n, max_size=n)),
+        "big": draw(st.permutations(
+            draw(st.lists(st.integers(-5, 5), min_size=n - 1, max_size=n - 1)) + [2**64])),
+    }
+    atoms = []
+    for column in draw(st.lists(st.sampled_from(sorted(columns)), min_size=1, max_size=3)):
+        if column == "t":
+            op, literal = draw(st.sampled_from(["=", "!="])), st.sampled_from(_WORDS + ["absent"])
+        else:  # a value of the column or its neighbour, else one the scan type may not hold
+            op, literal = draw(st.sampled_from(sorted(_PY_OPS))), st.one_of(
+                st.builds(operator.add, st.sampled_from(columns[column]), st.integers(-1, 1)),
+                st.sampled_from(_ODD_LITERALS), st.integers(-300, 300))
+        atoms.append((column, op, draw(literal)))
+    method = draw(st.sampled_from([WR, WOR]))
+    few = st.integers(1, max(1, (n - 1) // ingest._GATHER_COST))  # few enough to gather
+    k = draw(st.one_of(few, st.integers(1, 3 * n) if method is WR else st.integers(1, n - 1)))
+    return (columns, atoms, method, k, draw(st.integers(0, 2**64 - 1)),
+            draw(st.sampled_from([None, 0.5])))
+
+
+def _cell(value) -> str:
+    return value if isinstance(value, str) else repr(value)
+
+
+def _text_example(distinct: int, method, k: int, assume_p):
+    """A text column holding `distinct` values once each, compared with its
+    last value and with a literal no row holds."""
+    columns = {"t": [f"w{i}" for i in range(distinct)], "v": list(range(distinct))}
+    atoms = [("t", "!=", "absent"), ("t", "=", f"w{distinct - 1}"), ("v", ">=", -1)]
+    return columns, atoms, method, k, 3, assume_p
+
+
+@given(_scans())
+@example(({"v": [-1, 2**40]}, [], WR, 5, 0, None))  # Predicate(atoms=()) counts every row
+@example(({"v": list(range(-1, 40))}, [], WOR, 2, 0, 0.5))  # and the k sampled rows
+@example(_text_example(256, WOR, 100, None))
+@example(_text_example(256, WR, 600, 0.5))
+@example(_text_example(65536, WR, 70000, None))
+@example(_text_example(65536, WOR, 1000, 0.5))
+@settings(max_examples=150, deadline=None)
+def test_scan_counts_what_per_row_python_comparisons_count(tmp_path_factory, spec):
+    """true_cardinality and estimate_with_bounds (hits, true count) equal
+    per-row Python comparisons on data, over the rows the estimate draws."""
+    columns, atoms, method, k, seed, assume_p = spec
+    text = ",".join(columns) + "\n" + "".join(
+        ",".join(map(_cell, row)) + "\n" for row in zip(*columns.values()))
+    table = load_table(_write(tmp_path_factory.mktemp("scan"), text))
+    assert [values.tolist() for values in table.data] == list(columns.values())
+    predicate = Predicate(atoms=tuple(Atom(*atom) for atom in atoms))
+    rows = [dict(zip(columns, row)) for row in zip(*(values.tolist() for values in table.data))]
+
+    def holds(row) -> bool:
+        return all(_PY_OPS[op](row[column], literal) for column, op, literal in atoms)
+
+    design = SampleDesign(method=method, k=k)
+    sample = sample_indices(table.n, design, block_generator(seed, 0)).tolist()
+    truth = sum(map(holds, rows))
+    assert true_cardinality(table, predicate) == truth
+    report = estimate_with_bounds(table, predicate, design, seed=seed, assume_p=assume_p)
+    assert report.hits == sum(holds(rows[r]) for r in sample)
+    assert report.true_cardinality == (truth if assume_p is None else None)
+
+
+@pytest.mark.parametrize("k, gathered", [(1, True), (62, True), (63, False), (5000, False)])
+def test_estimate_with_assume_p_compares_the_sampled_rows_while_few(small_table, monkeypatch,
+                                                                    k, gathered):
+    # a whole-column scan where k * _GATHER_COST >= n, or where the true count is needed
+    calls, mask = [], ingest._predicate_mask
+
+    def recorded(table, compiled, rows=None):
+        calls.append(None if rows is None else len(rows))
+        return mask(table, compiled, rows)
+
+    monkeypatch.setattr(ingest, "_predicate_mask", recorded)
+    predicate = parse_predicate("grp = 0 AND id < 900")
+    for assume_p in (0.2, None):
+        report = estimate_with_bounds(small_table, predicate, SampleDesign(method=WR, k=k),
+                                      seed=4, assume_p=assume_p)
+        rows = sample_indices(1000, SampleDesign(method=WR, k=k), block_generator(4, 0))
+        assert report.hits == sum(int(i) % 5 == 0 and i < 900 for i in rows)
+    assert calls == [k if gathered else None, None]
