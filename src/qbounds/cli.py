@@ -142,11 +142,10 @@ def _solve_q(args):
 
 
 def _exact(args):
-    from .exact import admissible_range, exact_confidence
+    from .exact import _admissible_range, exact_confidence
 
-    design = SampleDesign(method=args.sampling, k=args.k)
-    value = exact_confidence(args.pop, design, args.q)
-    rng = admissible_range(args.pop.n, args.pop.cardinality, design.k, args.q)
+    value = exact_confidence(args.pop, SampleDesign(method=args.sampling, k=args.k), args.q)
+    rng = _admissible_range(args.pop.n, args.pop.cardinality, args.k, args.q)  # checked above
     return {"exact_confidence": value, "admissible_lo": rng.lo, "admissible_hi": rng.hi}, ()
 
 

@@ -67,16 +67,13 @@ def _confidence_at(
     """`conf(k, q)`, equal to `evaluate_confidence(method, p, k, q, n,
     kinds).confidence` bit for bit, for a set `kinds` that `_method_kinds`
     has checked: the solvers' bisection step. It reads the same term
-    kernel and per-side minima, but builds no BoundTerm or BoundResult;
-    each point is still checked."""
+    kernel and per-side minima, builds no BoundTerm or BoundResult and
+    checks nothing: each solver checks its inputs once, then steps only to
+    points `_check_point` admits. At p = 0 each term is 1 or NaN, so 0."""
     wr = method is SamplingMethod.WITH_REPLACEMENT
     order = with_replacement._ORDER if wr else without_replacement._ORDER
 
     def conf(k: int, q: float) -> float:
-        if p == 0.0:
-            _check_point(method, None, k, q, n)
-            return 0.0
-        _check_point(method, p, k, q, n)
         values = (with_replacement._terms(_SCALAR, p, k, q) if wr else without_replacement._terms(
             _SCALAR, p, k, q, *without_replacement._coefficients(k, n)))
         omega, psi, _, _ = _minima(order, values, kinds)

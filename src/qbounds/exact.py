@@ -89,6 +89,11 @@ def admissible_range(n: int, c: int, k: int, q: float) -> AdmissibleRange:
                     ("sample size", k))
     PopulationSpec(n, c)  # its rule: n >= 1 and 0 <= c <= n
     _check_point(None, None, k, q)
+    return _admissible_range(n, c, k, q)
+
+
+def _admissible_range(n: int, c: int, k: int, q: float) -> AdmissibleRange:
+    """`admissible_range` of inputs that its checks admit."""
     truth = max(c, 1)
 
     def ok(x: int) -> bool:
@@ -163,13 +168,19 @@ def _normalized(ratio: np.ndarray) -> np.ndarray:
 
 
 def exact_confidence(pop: PopulationSpec, design: SampleDesign, q: float) -> float:
-    """P(Q-error <= q) summed exactly over the hit-count distribution;
-    `admissible_range` refuses a fractional n, C or k."""
+    """P(Q-error <= q) summed exactly over the hit counts; n, C and k are integers below 2**63."""
     _check_point(design.method, None, design.k, q, pop.n)
     n, c, k = pop.n, pop.cardinality, design.k
     if max(n, k) >= 2**63:
         raise ValueError(f"exact tail sums need n and k below 2**63, got n={n}, k={k}")
-    rng = admissible_range(n, c, k, q)
+    _check_integers("for exact sums", ("population size", n), ("cardinality", c),
+                    ("sample size", k))
+    return _exact_confidence(design.method, n, c, k, q)
+
+
+def _exact_confidence(method: SamplingMethod, n: int, c: int, k: int, q: float) -> float:
+    """`exact_confidence` of inputs that its checks admit."""
+    rng = _admissible_range(n, c, k, q)
     if rng.empty:
         return 0.0
 
@@ -179,7 +190,7 @@ def exact_confidence(pop: PopulationSpec, design: SampleDesign, q: float) -> flo
         return 1.0 if k in rng else 0.0
 
     variance = k * (c / n) * ((n - c) / n)
-    if design.method is SamplingMethod.WITH_REPLACEMENT:
+    if method is SamplingMethod.WITH_REPLACEMENT:
         logpmf, support_lo, support_hi = binom_logpmf, 0, k
     else:
         logpmf, support_lo, support_hi = hypergeom_logpmf, max(0, k - (n - c)), min(k, c)

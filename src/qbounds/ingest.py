@@ -66,17 +66,18 @@ class TableData:
     column and an int64 column that needs int64. An atom compares the
     whole of scan[i], except in an estimate with an assumed selectivity
     and k < n / _GATHER_COST, which compares the k sampled rows alone.
-    codes and scan are derived when the table is built, so data must not
-    be changed in place.
+    codes, code_of and scan are derived when the table is built, so data
+    must not be changed in place.
     """
 
     columns: list[str]
     types: list[ColumnType]
     data: list[np.ndarray]
-    # text column i -> (codes, distinct) with data[i] == distinct[codes]:
-    # = and != compare the integer codes, not one Python string per row
+    # text column i -> (codes, distinct) with data[i] == distinct[codes], and -> the
+    # dict of each distinct value's code: = and != compare codes, not a string per row
     codes: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False)
+    code_of: dict[int, dict[str, int]] = field(default_factory=dict, repr=False, compare=False)
     scan: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -232,15 +233,16 @@ def _table(columns: list[str], types: list[ColumnType], data: list) -> TableData
     """The table of `data`, which holds an array per numeric column and the raw
     cells of each text column; the text is coded, and equal stripped cells
     share one str object."""
-    codes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    codes, code_of = {}, {}
     for i, column in enumerate(data):
         if types[i] is ColumnType.TEXT:
             coder = _Coder()
             coded = np.fromiter(map(coder.__getitem__, column), np.intp, len(column))
             distinct = np.array(list(coder.distinct), dtype=object)
             codes[i] = (coded.astype(np.min_scalar_type(len(distinct))), distinct)
+            code_of[i] = coder.distinct
             data[i] = distinct[coded]
-    return TableData(columns=columns, types=types, data=data, codes=codes)
+    return TableData(columns=columns, types=types, data=data, codes=codes, code_of=code_of)
 
 
 _GUESS_ROWS = 256  # the data rows that guess each column's dtype
@@ -489,8 +491,7 @@ def _predicate_mask(table: TableData, compiled, rows: Optional[np.ndarray] = Non
     for index, op, literal in compiled:
         column = table.scan[index] if rows is None else table.scan[index][rows]
         if index in table.codes:  # op is = or !=; len(distinct) codes a literal no row holds
-            distinct = table.codes[index][1]
-            literal = int(next(iter(np.flatnonzero(distinct == literal)), len(distinct)))
+            literal = table.code_of[index].get(literal, len(table.codes[index][1]))
         if mask is None:
             mask = op(column, literal)
         else:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import with_replacement, without_replacement
 from .confidence import default_inequalities
-from .exact import exact_confidence
+from .exact import _exact_confidence
 from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_n, _check_point, cells
 from .simulate import SimulationConfig, _check_seed, run_simulation
 from .terms import (
@@ -483,14 +483,13 @@ def figure_series(
     if with_exact or with_simulation:
         points = zip(*(values[name][valid].tolist() for name in ("method", "n", "c", "k", "q")))
         for index, (method_i, n_i, c_i, k_i, q_i) in enumerate(points):
-            pop = PopulationSpec(n=n_i, cardinality=c_i)
-            design = SampleDesign(method=SamplingMethod(method_i), k=k_i)
-            if with_exact:
-                exact.append(exact_confidence(pop, design, q_i))
+            if with_exact:  # the point passed GridSpec and the grid's array rule
+                exact.append(_exact_confidence(SamplingMethod(method_i), n_i, c_i, k_i, q_i))
             if with_simulation:
                 summary = run_simulation(SimulationConfig(
-                    pop=pop, design=design, q=q_i, trials=trials,
-                    seed=(seed + 1_000_003 * index) % 2**64,
+                    pop=PopulationSpec(n=n_i, cardinality=c_i),
+                    design=SampleDesign(method=SamplingMethod(method_i), k=k_i),
+                    q=q_i, trials=trials, seed=(seed + 1_000_003 * index) % 2**64,
                 ))
                 rate.append(summary.empirical_rate)
                 error.append(summary.standard_error)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _check_integers, _is_integer, admissible_range
+from .exact import _admissible_range, _check_integers, _is_integer
 from .model import RNG_SCHEME, PopulationSpec, SampleDesign, SamplingMethod, _check_point
 
 _BLOCK = 4096
@@ -94,7 +94,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
     """
     n, c, k = cfg.pop.n, cfg.pop.cardinality, cfg.design.k
     p = cfg.pop.p
-    rng = admissible_range(n, c, k, cfg.q)
+    rng = _admissible_range(n, c, k, cfg.q)
     n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
     blocks = iter(range(n_blocks))
     lock = threading.Lock()

@@ -69,8 +69,8 @@ def min_sample_size(
     k_max: int = DEFAULT_K_MAX,
 ) -> Union[int, Unreachable]:
     """Least integer k in [1, cap] with confidence(p, k, q) >= target, where
-    cap is the largest integer at most k_max, and at most n - 1 without
-    replacement.
+    cap is the largest integer at most k_max, and without replacement at
+    most n - 1 (the double below n where a float n - 1 rounds to n).
 
     The answer is that of one integer bisection, each step decided by the
     scalar bound, over a bracket whose top is evaluated first: the paper's
@@ -95,7 +95,7 @@ def min_sample_size(
     wr = method is SamplingMethod.WITH_REPLACEMENT
     kinds = _method_kinds(method, inequalities)
     conf = _confidence_at(method, p, n, kinds)
-    cap = math.floor(k_max if wr else min(k_max, n - 1))
+    cap = math.floor(k_max if wr else min(k_max, n - 1 if n - 1 < n else math.nextafter(n, 0.0)))
 
     lo, hi = (_bracket(p, q, target_confidence, kinds, cap) if wr
               else (0, min(cap, _serfling_top(p, q, target_confidence, kinds, n))))
@@ -110,10 +110,9 @@ def min_sample_size(
     f_hi = _excess(goal, value)
 
     def probe(x: float, a: int, b: int) -> tuple[int, bool, float]:
-        # rounded toward the midpoint, and kept inside (a, b), which a float
-        # x may miss past 2**53
-        k = math.ceil(x) if x < 0.5 * (a + b) else math.floor(x)
-        k = min(b - 1, max(a + 1, k))
+        # rounded toward the midpoint; the midpoint where x, a float, misses (a, b) past 2**53
+        k = math.ceil(x) if x < a + 0.5 * (b - a) else math.floor(x)
+        k = k if a < k < b else (a + b) // 2
         value = conf(k, q)
         return k, value >= target_confidence, _excess(goal, value)
 
@@ -185,6 +184,7 @@ def q_at_confidence(
     _validate_target(target_confidence)
     _check_point(method, None, k, q_max, n)
     conf = _confidence_at(method, p, n, _method_kinds(method, inequalities))
+    _check_point(None, None if p == 0.0 else p, None, None)  # after the set, as evaluate_confidence
 
     at_cap = conf(k, q_max)
     if at_cap < target_confidence:
@@ -246,15 +246,16 @@ def _narrow(probe, a, f_a, b, f_b, width) -> tuple:
     by the ITP method (Oliveira and Takahashi, ACM TOMS 2021), with the
     Illinois rule: the regula falsi point, moved toward the midpoint by
     kappa (b - a)^2, is kept within a radius of the midpoint that shrinks
-    as bisection's bracket does, so at most _SLACK steps more than
-    bisection's ceil(log2((b - a) / width)) are taken; an end kept twice
-    in a row has its f halved. `probe(x, a, b)` evaluates at a point near
-    x strictly inside (a, b) and returns its coordinate, whether it is a
-    hit (the root is at or below it) and f there. Every x asked for lies at
-    least width / 2 inside (a, b), so a probe always has a point to
-    evaluate. Returns the narrowed (a, b)."""
+    as bisection's bracket does (from 2^1022 width at most: 2^1024
+    overflows), so at most _SLACK steps more than bisection's
+    ceil(log2((b - a) / width)) are taken; an end kept twice in a row has
+    its f halved. `probe(x, a, b)` evaluates at a point near x strictly
+    inside (a, b) and returns its coordinate, whether it is a hit (the
+    root is at or below it) and f there. Every x asked for lies at least
+    width / 2 inside (a, b), so a probe always has a point to evaluate.
+    Returns the narrowed (a, b)."""
     kappa = _KAPPA / (b - a)
-    limit = 0.5 * width * 2.0 ** (max(0, math.ceil(math.log2((b - a) / width))) + _SLACK)
+    limit = 0.5 * width * 2.0 ** min(1023, max(0, math.ceil(math.log2((b - a) / width))) + _SLACK)
     margin = 0.5 * width
     kept = 0  # +1 after b was kept, -1 after a was kept
     while b - a > width:

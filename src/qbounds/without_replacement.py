@@ -28,6 +28,8 @@ def _coefficients(k: int, n: int) -> tuple[float, float]:
     """(rho, zeta) for 1 <= k < n, in exact integer arithmetic up to the
     final divisions. For 2k > n, rho = (1 - k/n)(1 + 1/k) is one integer
     ratio: in floats 1 - k/n cancels, to 0 at k = n - 1 past n = 2**53."""
+    if n >= 2**511:  # products of floats would overflow: an integer is taken as an int
+        k, n = (int(v) if v == int(v) else v for v in (k, n))
     if 2 * k <= n:
         rho = 1.0 - (k - 1) / n
         zeta = 4.0 / 3.0 + math.sqrt(k * (k - 1) / (n * (n - k + 1)))

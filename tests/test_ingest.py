@@ -877,6 +877,27 @@ def test_text_codes_are_the_smallest_unsigned_type_that_holds_the_distinct_count
     assert table.data[0].tolist() == cells and values.tolist() == cells[:-1]
 
 
+_WIDE_TEXT = [f" w{i}" if i % 3 else f"w{i}" for i in range(65536)] + ["w7", "w65535"]
+
+
+@pytest.fixture(scope="module")
+def wide_text_table(tmp_path_factory):
+    """A text column of 65,536 distinct values, some with a leading space."""
+    return load_table(_write(tmp_path_factory.mktemp("wide"),
+                             "t\n" + "".join(f"{cell}\n" for cell in _WIDE_TEXT)))
+
+
+@pytest.mark.parametrize("op", ["=", "!="])
+@pytest.mark.parametrize("literal", ["w65535", "w0", "w7", " w7", "w65536", "", "W1"])
+def test_text_literal_code_is_looked_up_among_65536_values(wide_text_table, op, literal):
+    # a literal that rows hold and one that none holds (a cell is stripped,
+    # the literal is not), each against a per-row Python comparison
+    assert len(wide_text_table.code_of[0]) == 65536
+    compare = operator.eq if op == "=" else operator.ne
+    expected = sum(compare(cell.strip(), literal) for cell in _WIDE_TEXT)
+    assert true_cardinality(wide_text_table, parse_predicate(f"t {op} '{literal}'")) == expected
+
+
 _INT_KINDS = {"int8": (-128, 127), "uint16": (0, 65535), "int32": (-2**31, 2**31 - 1),
               "int64": (-2**63, 2**63 - 1)}
 _WORDS = ["a", "b", "it", "x_1", "Z"]

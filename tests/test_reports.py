@@ -348,7 +348,7 @@ def test_simulation_seed_is_checked_before_any_point(monkeypatch, seed):
     def fail(*args, **kwargs):
         raise AssertionError("a point was computed before the seed check")
 
-    for name in ("evaluate_grid", "exact_confidence", "run_simulation"):
+    for name in ("evaluate_grid", "_exact_confidence", "run_simulation"):
         monkeypatch.setattr(reports, name, fail)
     message = f"seed must be an unsigned 64-bit integer, got {seed}"
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -23,6 +24,7 @@ from qbounds import (
     without_replacement,
 )
 from qbounds.confidence import _confidence_at, _method_kinds
+from qbounds.model import _check_point
 from qbounds.terms import (
     _SCALAR,
     DEFAULT_WOR_KINDS,
@@ -157,16 +159,19 @@ def test_solver_monotone_in_target():
 
 
 @contextlib.contextmanager
-def _recording():
+def _recording(check=lambda k, q: None, limit=2000):
     """Every (k, q) at which a solver evaluates the bound, recorded through
-    the per-solve closure its steps call."""
+    the per-solve closure its steps call, each after `check(k, q)`; a solve
+    of more than `limit` steps fails (bisecting [1, 1e308] takes 1,025)."""
     seen = []
     real = solver_module._confidence_at
 
     def recording(*args):
-        conf = real(*args)
+        conf, steps = real(*args), itertools.count(1)
 
         def step(k, q):
+            assert next(steps) <= limit, f"more than {limit} steps, the last at k={k}, q={q}"
+            check(k, q)
             seen.append((k, q))
             return conf(k, q)
         return step
@@ -438,13 +443,79 @@ def test_min_sample_size_searches_past_a_short_top(monkeypatch, method, bracket,
     (WOR, -0.1, 10, 2.0, 100), (WOR, 0.1, 100, 2.0, 100), (WOR, 0.0, 100, 2.0, 100),
     (WOR, 0.1, 10, math.nan, 100),
 ])
-def test_solver_step_rejects_what_evaluate_confidence_rejects(method, p, k, q, n):
-    # the closure checks each point as evaluate_confidence does
-    kinds = _method_kinds(method, None)
+def test_q_at_confidence_refuses_at_entry_what_evaluate_confidence_rejects(method, p, k, q, n):
+    # the solver checks p, k, n and its search box once, at entry, with the
+    # message evaluate_confidence gives for the same point; no step is taken
     with pytest.raises(ValueError) as expected:
         evaluate_confidence(method, p, k, q, n=n)
-    with pytest.raises(ValueError, match="^" + re.escape(str(expected.value)) + "$"):
-        _confidence_at(method, p, n, kinds)(k, q)
+    with _recording() as seen, pytest.raises(
+            ValueError, match="^" + re.escape(str(expected.value)) + "$"):
+        q_at_confidence(method, p, k, 0.9, n=n, q_max=q)
+    assert seen == []
+
+
+_SIZES = st.one_of(st.integers(min_value=2, max_value=10**6),
+                   st.integers(min_value=2, max_value=2**70),
+                   st.floats(min_value=2.0, max_value=1e300),
+                   st.floats(min_value=53.0, max_value=300.0).map(lambda e: float(2**int(e))))
+
+
+@given(_METHOD_KINDS, st.one_of(st.just(0.0), _P), _Q, _EDGE_TARGETS, _SIZES,
+       st.one_of(st.integers(min_value=1, max_value=10**12), st.just(2**62),
+                 st.floats(min_value=1.0, max_value=1e308)),
+       st.integers(min_value=1, max_value=2**70),
+       st.one_of(st.just(solver_module.DEFAULT_Q_MAX), _Q))
+@example((WOR, DEFAULT_WOR_KINDS), 0.5, 1.000000001, 0.99, 2.0**60, 2**62, 1, 10**6)
+@example((WOR, DEFAULT_WOR_KINDS), 0.0, 2.0, 0.5, 1e300, 1e308, 2**70, 1e300)
+@example((WOR, DEFAULT_WOR_KINDS), 1e-100, 2.0, 0.5, 1e300, 1e308, 1, 10**6)  # a k past 1e154
+@example((WR, DEFAULT_WR_KINDS), 1e-20, 2.0, 0.5, 2, 1e30, 1, 10**6)  # an answer past 2**53
+@example((WR, frozenset({InequalityKind.BERNSTEIN, InequalityKind.HOEFFDING})), 1e-300, 2.0, 0.5,
+         2, 1e308, 1, 10**6)  # a bracket past 2**1021
+@example((WR, WITH_REPLACEMENT_KINDS), 0.0, 1.0, 1e-9, 2, 1e308, 1, 1.0)
+@settings(max_examples=300, deadline=None)
+def test_every_solver_step_is_inside_the_domain(method_kinds, p, q, target, n, k_max, k, q_max):
+    # the steps are not checked, so each one is checked here: every (k, q) a
+    # solver evaluates is a point _check_point admits, each solve ends, and
+    # the answers are those of a run whose steps are not watched
+    method, kinds = method_kinds
+    k = 1 + (k - 1) % max(1, min(math.floor(n) - 1, 10**9))
+    solve_k = functools.partial(min_sample_size, method, p, q, target, n=n,
+                                inequalities=kinds, k_max=k_max)
+    solve_q = functools.partial(q_at_confidence, method, p, k, target, n=n,
+                                inequalities=kinds, q_max=q_max)
+    def check(point_k, point_q):
+        _check_point(method, None if p == 0.0 else p, point_k, point_q, n)
+
+    for solve in (solve_k, solve_q):
+        with _recording(check) as seen:
+            answer = solve()
+        assert seen and isinstance(answer, (int, float, Unreachable))
+        assert repr(answer) == repr(solve())
+
+
+@given(st.one_of(st.floats(min_value=2.0**53, max_value=1e300),
+                 st.integers(min_value=53, max_value=996).map(lambda e: 2.0**e)),
+       st.one_of(st.just(0.0), _P), _Q, _TARGETS, st.sampled_from(WOR_KIND_SETS),
+       st.one_of(st.just(1e308), st.floats(min_value=2.0**53, max_value=1e308)))
+@example(2.0**60, 0.5, 1.000000001, 0.99, DEFAULT_WOR_KINDS, 2.0**62)
+@example(2.0**53 + 4, 0.5, 2.0, 0.5, DEFAULT_WOR_KINDS, 1e308)  # n - 1 rounds up to n
+@example(1e300, 0.3, 1.0, 0.95, DEFAULT_WOR_KINDS, 1e308)
+@example(1e300, 1e-100, 2.0, 0.5, DEFAULT_WOR_KINDS, 1e308)  # the top, past 1e154, evaluated
+@settings(max_examples=200, deadline=None)
+def test_min_sample_size_cap_at_a_float_n_past_2_53(n, p, q, target, kinds, k_max):
+    # where n - 1 rounds to n the cap is the double below n, a k that
+    # _check_point admits: the answer is an int or Unreachable, never an
+    # error; with the top at n, the cap is the first k evaluated
+    k_max = max(k_max, n)
+    solve = functools.partial(min_sample_size, WOR, p, q, target, n=n, inequalities=kinds,
+                              k_max=k_max)
+    assert isinstance(solve(), (int, Unreachable))
+    with mock.patch.object(solver_module, "_serfling_top", lambda *args: n), \
+            _recording() as seen:
+        assert isinstance(solve(), (int, Unreachable))
+    cap = seen[0][0]
+    assert type(cap) is int and float(cap) == math.nextafter(n, 0.0)
+    _check_point(WOR, None if p == 0.0 else p, cap, q, n)
 
 
 def test_per_side_minima_rule():

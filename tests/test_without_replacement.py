@@ -189,3 +189,17 @@ def test_rho_at_k_n_minus_one_past_2_53():
     assert got_zeta == pytest.approx(float(zeta), rel=1e-15, abs=0)
     result = confidence_wor(0.5, n - 1, n, 2.0)
     assert result.confidence == 1.0
+
+
+@given(st.floats(min_value=2.0**511, max_value=1e300), st.floats(min_value=0.0, max_value=1.0),
+       st.booleans())
+@settings(max_examples=300)
+def test_coefficients_of_a_float_n_past_2_511_are_those_of_its_integer(n, share, float_k):
+    # products of floats past 2**511 overflow; a float n (and a float k past
+    # 2**53) is an integer there, and gives the integer's coefficients
+    k = max(1, min(math.floor(n * share), int(math.nextafter(n, 0.0))))  # n - k >= 1 in floats
+    k = float(k) if float_k else k
+    got = serfling_coefficients(k, n)
+    assert got == serfling_coefficients(int(k), int(n)) and all(map(math.isfinite, got))
+    rho, zeta = oracles.serfling_rho_zeta(int(k), int(n))
+    assert got[0] == pytest.approx(float(rho), rel=1e-15) and got[1] == pytest.approx(float(zeta))
