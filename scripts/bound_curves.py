@@ -16,11 +16,11 @@ import sys
 import numpy as np
 
 from qbounds import GridSpec, SamplingMethod, Unreachable, figure_series, q_at_confidence
-from qbounds.reports import write_csv, write_series_csv
+from qbounds.reports import open_output, write_csv, write_series_csv
 
 
 def _write(records, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open_output(path) as handle:
         write_series_csv(records, handle)
     print(path)
 
@@ -40,7 +40,7 @@ def q95_sweep(path: str) -> None:
                     "method": method.value, "p": float(p), "k": k,
                     "q95": None if isinstance(answer, Unreachable) else answer,
                 })
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open_output(path) as handle:
         write_csv(records, {"method": "%s", "p": "%.9g", "k": "%d", "q95": "%.9g"}, handle)
     print(path)
 

@@ -165,11 +165,11 @@ def _simulate(args):
 
 
 def _table1(args) -> None:
-    from .reports import table1, write_table1_csv
+    from .reports import open_output, table1, write_table1_csv
 
     rows = table1(n=args.rows, q=args.q)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+        with open_output(args.out) as handle:
             write_table1_csv(rows, handle)
         print(args.out)
     else:
@@ -177,7 +177,7 @@ def _table1(args) -> None:
 
 
 def _figures(args) -> None:
-    from .reports import figure_series, parse_grid_file, write_series_csv
+    from .reports import figure_series, open_output, parse_grid_file, write_series_csv
 
     with open(args.grid, encoding="utf-8") as handle:
         spec = parse_grid_file(handle.read())
@@ -190,7 +190,7 @@ def _figures(args) -> None:
     )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "series.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open_output(path) as handle:
         write_series_csv(records, handle)
     print(path)
 

@@ -1,7 +1,9 @@
+import builtins
 import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -647,3 +649,123 @@ def test_figures_bad_grid_file_is_domain_error(capsys, tmp_path, text, message):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+# --out files are rewritten in place: opened without O_TRUNC, then cut at
+# the end of what was written, so they end as a fresh write would leave them
+_CANONICAL = Path(__file__).resolve().parents[1] / "perfbench" / "canonical_grid.txt"
+_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference_series.csv"
+
+
+def _write_out(command, target):
+    """Run `command` with --out naming `target`, the file it writes."""
+    if command == "table1":
+        argv = ["table1", "--out", str(target)]
+    else:
+        argv = ["figures", "--grid", str(_CANONICAL), "--out", str(target.parent)]
+    return run(argv)
+
+
+@pytest.mark.parametrize("command, recorded", [
+    ("table1", _DATA / "table1.csv"),
+    ("figures", _REFERENCE),
+])
+def test_out_over_a_longer_file_holds_the_bytes_of_a_fresh_write(capsys, tmp_path, command, recorded):
+    target = tmp_path / "series.csv"
+    target.write_bytes(b"junk,\xff\n" * (len(recorded.read_bytes()) // 3))
+    inode = target.stat().st_ino
+    os.link(target, tmp_path / "hard_link")
+    assert _write_out(command, target) == 0
+    assert capsys.readouterr().out == f"{target}\n"
+    assert target.read_bytes() == recorded.read_bytes()
+    assert target.stat().st_ino == inode
+    assert (tmp_path / "hard_link").read_bytes() == recorded.read_bytes()
+
+
+@pytest.mark.parametrize("command, recorded", [
+    ("table1", _DATA / "table1.csv"),
+    ("figures", _REFERENCE),
+])
+def test_out_through_a_symlink_writes_its_target(capsys, tmp_path, command, recorded):
+    real = tmp_path / "real.csv"
+    real.write_text("x" * 10**6, encoding="utf-8")
+    (tmp_path / "out").mkdir()
+    link = tmp_path / "out" / "series.csv"
+    link.symlink_to(real)
+    assert _write_out(command, link) == 0
+    capsys.readouterr()
+    assert link.is_symlink()
+    assert real.read_bytes() == recorded.read_bytes()
+
+
+def test_out_keeps_a_files_mode_and_creates_one_as_open_does(capsys, tmp_path):
+    existing, new, reference = tmp_path / "existing.csv", tmp_path / "new.csv", tmp_path / "ref"
+    existing.write_text("old", encoding="utf-8")
+    existing.chmod(0o604)
+    old_umask = os.umask(0o027)
+    try:
+        with open(reference, "w", encoding="utf-8"):
+            pass
+        assert run(["table1", "--out", str(existing)]) == 0
+        assert run(["table1", "--out", str(new)]) == 0
+    finally:
+        os.umask(old_umask)
+    capsys.readouterr()
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o604
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode) == 0o640
+    assert new.read_bytes() == (_DATA / "table1.csv").read_bytes()
+
+
+def test_table1_out_to_the_null_device_exits_zero(capsys):
+    assert run(["table1", "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == f"{os.devnull}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_table1_out_to_a_fifo_is_written_and_not_cut(capsys, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
+    try:
+        assert run(["table1", "--out", str(fifo)]) == 0
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    capsys.readouterr()
+    assert got == (_DATA / "table1.csv").read_bytes()
+
+
+def test_out_naming_a_directory_is_the_io_error_of_open(capsys, tmp_path):
+    with pytest.raises(OSError) as refused:
+        open(tmp_path, "w", encoding="utf-8")  # noqa: SIM115 - only its error is wanted
+    assert run(["table1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"i/o error: {refused.value}\n"
+
+
+def test_no_output_file_is_opened_with_o_trunc(capsys, tmp_path, monkeypatch):
+    opened, texts = [], []
+    os_open, builtin_open = os.open, builtins.open
+
+    def record_os_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    def record_open(file, mode="r", *args, **kwargs):
+        texts.append((file, mode))
+        return builtin_open(file, mode, *args, **kwargs)
+
+    table, series = tmp_path / "t1.csv", tmp_path / "series.csv"
+    for target in (table, series):
+        target.write_text("x" * 10**6, encoding="utf-8")
+    monkeypatch.setattr(os, "open", record_os_open)
+    monkeypatch.setattr(builtins, "open", record_open)
+    assert _write_out("table1", table) == 0
+    assert _write_out("figures", series) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert [path for path, _ in opened] == [str(table), str(series)]
+    assert not [flags for _, flags in opened if flags & os.O_TRUNC]
+    # a path is only opened to be read; a write-mode open only wraps a descriptor
+    assert all(isinstance(file, int) for file, mode in texts if set(mode) & set("wax+"))
+    assert table.read_bytes() == (_DATA / "table1.csv").read_bytes()
+    assert series.read_bytes() == _REFERENCE.read_bytes()

@@ -356,6 +356,14 @@ def test_simulation_seed_is_checked_before_any_point(monkeypatch, seed):
                       trials=10, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [3, 2**64 - 1])
+def test_simulation_under_a_numpy_unsigned_seed_is_that_of_its_int(seed):
+    # each point's seed is summed as a Python int, not in numpy uint64
+    spec = GridSpec(p=(0.2,), k=(10, 100), q=(2.0,))
+    want = repr(list(figure_series(spec, with_simulation=True, trials=10, seed=seed)))
+    assert repr(list(figure_series(spec, with_simulation=True, trials=10, seed=np.uint64(seed)))) == want
+
+
 def test_series_exact_and_simulation_cells():
     spec = GridSpec(c=(1000,), n=(10**6,), k=(1000,), q=(1.5, 2.0))
     records = figure_series(spec, with_exact=True, with_simulation=True, trials=2000, seed=5)
@@ -582,6 +590,20 @@ def test_write_csv_cell_rule():
     write_csv([{"a": 1}, {"a": None}], {"a": "%d"}, single)
     write_csv([], {"a": "%d", "b": "%s"}, empty)
     assert single.getvalue() == "a\n1\nNA\n" and empty.getvalue() == "a,b\n"
+
+
+def test_a_writer_that_raises_leaves_the_file_cut_at_what_it_wrote(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old bytes\n" * 100_000, encoding="utf-8")
+    rows = [{"a": i} for i in range(10_000)]
+    with pytest.raises(RuntimeError, match="^partway$"):
+        with reports.open_output(str(path)) as handle:
+            write_csv(rows, {"a": "%d"}, handle)
+            handle.write("é\r\n")  # UTF-8, and no newline translation
+            raise RuntimeError("partway")
+    fresh = io.StringIO()
+    write_csv(rows, {"a": "%d"}, fresh)
+    assert path.read_bytes() == (fresh.getvalue() + "é\r\n").encode("utf-8")
 
 
 @given(st.lists(st.none() | st.floats() | st.integers(-(10**20), 10**20), max_size=200))
