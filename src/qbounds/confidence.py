@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from . import with_replacement, without_replacement
-from .model import SamplingMethod, _check_point
+from .model import SamplingMethod, _check_member, _check_point
 from .terms import (
     _SCALAR,
     DEFAULT_WOR_KINDS,
@@ -36,6 +36,7 @@ def default_inequalities(
 ) -> frozenset[InequalityKind]:
     if method is SamplingMethod.WITH_REPLACEMENT:
         return WITH_REPLACEMENT_KINDS if with_hoeffding else DEFAULT_WR_KINDS
+    _check_member(method, SamplingMethod, "sampling method")
     return DEFAULT_WOR_KINDS
 
 
@@ -49,8 +50,9 @@ def evaluate_confidence(
 ) -> BoundResult:
     """Lower bound on P(Q-error <= q) for the given sampling method.
 
-    The point and the inequality set are checked once: here when p = 0,
-    by `confidence_wr` or `confidence_wor` otherwise.
+    The method, the point and the inequality set are checked once: here
+    when p = 0, by `confidence_wr` or `confidence_wor` otherwise, the
+    method here before the latter.
     """
     if p == 0.0:
         _method_kinds(method, inequalities)
@@ -58,6 +60,7 @@ def evaluate_confidence(
         return degenerate_result()
     if method is SamplingMethod.WITH_REPLACEMENT:
         return confidence_wr(p, k, q, inequalities)
+    _check_member(method, SamplingMethod, "sampling method")
     return confidence_wor(p, k, n, q, inequalities)
 
 

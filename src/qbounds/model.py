@@ -62,7 +62,15 @@ class SampleDesign:
     k: int
 
     def __post_init__(self) -> None:
+        _check_member(self.method, SamplingMethod, "sampling method")
         _check_point(None, None, self.k, None)
+
+
+def _check_member(value, kind: type, what: str) -> None:
+    """The rule for an enum argument: a member of `kind`, not its value or
+    name as text (`SamplingMethod.parse` reads a method's), nor None."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a member of {kind.__name__}, got {value!r}")
 
 
 def _check_n(n: int) -> None:

@@ -36,7 +36,8 @@ import numpy as np
 from . import with_replacement, without_replacement
 from .confidence import default_inequalities
 from .exact import _exact_confidence
-from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_n, _check_point, cells
+from .model import (PopulationSpec, SampleDesign, SamplingMethod, _check_member, _check_n,
+                    _check_point, cells)
 from .simulate import SimulationConfig, _check_seed, run_simulation
 from .terms import (
     DEFAULT_WOR_KINDS,
@@ -356,6 +357,8 @@ class GridSpec:
                 raise ValueError(f"axis {name} must not be empty")
         if self.p is not None and any(not 0.0 <= v <= 1.0 for v in self.p):
             raise ValueError("p axis values must lie in [0, 1]")
+        for method in self.methods:
+            _check_member(method, SamplingMethod, "sampling method")
         for q in self.q:
             _check_point(None, None, None, q)
         for name in ("k", "n"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable, Optional
 
-from .model import SamplingMethod
+from .model import SamplingMethod, _check_member
 
 
 class InequalityKind(enum.Enum):
@@ -165,14 +165,20 @@ def _minima(
 def _method_kinds(
     method: SamplingMethod, inequalities: Optional[Iterable[InequalityKind]]
 ) -> frozenset:
-    """The chosen inequality set (the method's default for None); it must be
-    a non-empty subset of the kinds valid for sampling by `method`."""
+    """The chosen inequality set (the method's default for None); `method`
+    must be a SamplingMethod, and the set a non-empty subset of the
+    InequalityKind members valid for sampling by it."""
+    _check_member(method, SamplingMethod, "sampling method")
     allowed, default = _KINDS[method]
     kinds = default if inequalities is None else frozenset(inequalities)
     if not kinds:
         raise ValueError("inequality set must not be empty")
     invalid = kinds - allowed
     if invalid:
+        strangers = sorted(repr(kind) for kind in invalid if type(kind) is not InequalityKind)
+        if strangers:
+            raise ValueError("inequality kinds must be members of InequalityKind, got "
+                             + ", ".join(strangers))
         names = ", ".join(sorted(kind.value for kind in invalid))
         regime = method.name.lower().replace("_", " ")
         raise ValueError(f"not valid for sampling {regime}: {names}")

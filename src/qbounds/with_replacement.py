@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
-from .model import SamplingMethod, _check_point
+from .model import SamplingMethod, _check_member, _check_point
 from .terms import _SCALAR, BoundResult, InequalityKind, Side, _method_kinds, combine_terms
 
 # The kinds of `_exponents`' output, each as its over then its under term.
@@ -73,6 +73,7 @@ def _terms(xp, p, k, q) -> list:
 
 def _term(kind: InequalityKind, p: float, k: int, q: float, side: Side) -> float:
     _check_point(SamplingMethod.WITH_REPLACEMENT, p, k, q)
+    _check_member(side, Side, "side")
     return _terms(_SCALAR, p, k, q)[2 * _ORDER.index(kind) + (side is Side.UNDER)]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
-from .model import SamplingMethod, _check_point
+from .model import SamplingMethod, _check_member, _check_point
 from .terms import _SCALAR, BoundResult, InequalityKind, Side, _method_kinds, combine_terms
 
 # The kinds of `_terms`' output, each as its over then its under term.
@@ -64,6 +64,7 @@ def _terms(xp, p, k, q, rho, zeta) -> list:
 
 def _term(kind: InequalityKind, p: float, k: int, n: int, q: float, side: Side) -> float:
     _check_point(SamplingMethod.WITHOUT_REPLACEMENT, p, k, q, n)
+    _check_member(side, Side, "side")
     values = _terms(_SCALAR, p, k, q, *_coefficients(k, n))
     return values[2 * _ORDER.index(kind) + (side is Side.UNDER)]
 

@@ -7,14 +7,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbounds import (
+    GridSpec,
     InequalityKind,
     PopulationSpec,
     SampleDesign,
     SamplingMethod,
+    Side,
     SimulationConfig,
     admissible_range,
+    bernstein_serfling_term,
+    chernoff_term,
+    default_inequalities,
     evaluate_confidence,
     exact_confidence,
+    min_sample_size,
     q_at_confidence,
     q_error,
     validate_design,
@@ -219,3 +225,39 @@ def test_k_and_q_past_the_float_range_are_refused(check):
     # then overflowed where the kernels turned it into a float
     with pytest.raises(ValueError, match="must be finite and >= 1, got "):
         check()
+
+
+@pytest.mark.parametrize("check, named", [
+    # accepted before, then sampled and bounded without replacement
+    (lambda: SampleDesign("wr", 100), "sampling method must be a member of SamplingMethod, got 'wr'"),
+    # the without-replacement bound, 0.3173, in place of 0.7670
+    (lambda: evaluate_confidence("wr", 0.1, 100, 2.0, n=1000), "got 'wr'"),
+    # a KeyError at p = 0 and in both solvers
+    (lambda: evaluate_confidence(None, 0.0, 100, 2.0), "got None"),
+    (lambda: evaluate_confidence("wor", 0.0, 100, 2.0, n=1000), "got 'wor'"),
+    (lambda: min_sample_size("wr", 0.1, 2.0, 0.9), "got 'wr'"),
+    (lambda: q_at_confidence(None, 0.1, 100, 0.9), "got None"),
+    (lambda: default_inequalities("wr"), "got 'wr'"),
+    (lambda: GridSpec(k=(10,), q=(2.0,), p=(0.1,), methods=(WR, "wor")), "got 'wor'"),
+    # the over term, 0.0210, in place of the under one, 0.2156
+    (lambda: chernoff_term(0.1, 100, 2.0, "under"), "side must be a member of Side, got 'under'"),
+    (lambda: bernstein_serfling_term(0.1, 100, 1000, 2.0, None), "got None"),
+    # an AttributeError
+    (lambda: evaluate_confidence(WR, 0.1, 100, 2.0, inequalities=["chernoff"]),
+     "inequality kinds must be members of InequalityKind, got 'chernoff'"),
+    (lambda: q_at_confidence(WOR, 0.1, 100, 0.9, n=1000,
+                             inequalities={"hoeffding_serfling", InequalityKind.CHERNOFF}),
+     "got 'hoeffding_serfling'$"),
+])
+def test_enum_arguments_that_are_not_members_are_refused(check, named):
+    with pytest.raises(ValueError, match=named):
+        check()
+
+
+def test_enum_members_pass_the_member_rule():
+    assert SampleDesign(WR, 100).method is WR
+    assert default_inequalities(WOR) == frozenset(
+        {InequalityKind.HOEFFDING_SERFLING, InequalityKind.BERNSTEIN_SERFLING})
+    assert chernoff_term(0.1, 100, 2.0, Side.UNDER) == pytest.approx(0.2156, abs=1e-4)
+    assert evaluate_confidence(WR, 0.1, 100, 2.0, n=1000).confidence == pytest.approx(
+        0.7670, abs=1e-4)
