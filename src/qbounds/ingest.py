@@ -26,9 +26,10 @@ import numpy as np
 
 from .confidence import evaluate_confidence
 from .exact import _check_integers, estimate_from_hits
-from .model import PopulationSpec, SampleDesign, SamplingMethod, q_error, validate_design
+from .model import (PopulationSpec, SampleDesign, SamplingMethod, _check_point, q_error,
+                    validate_design)
 from .simulate import _check_seed, block_generator
-from .solver import Unreachable, q_at_confidence
+from .solver import Unreachable, _validate_target, q_at_confidence
 
 
 class TableParseError(ValueError):
@@ -581,6 +582,10 @@ def estimate_with_bounds(
     if assume_p is not None and not 0.0 <= assume_p <= 1.0:
         raise ValueError(f"assumed selectivity must be in [0, 1], got {assume_p}")
     _check_seed(seed)
+    for q in qs:
+        _check_point(None, None, None, q)
+    if target_confidence is not None:
+        _validate_target(target_confidence)
 
     compiled = bind_predicate(table, predicate)
     rows = sample_indices(n, design, block_generator(seed, 0))

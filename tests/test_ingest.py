@@ -828,6 +828,30 @@ def test_estimate_with_bounds_refuses_a_fractional_sample_size(small_table, monk
                                  SampleDesign(method=method, k=k))
 
 
+@pytest.mark.parametrize("qs, target, message", [
+    ((2.0, 0.5), None, "^q must be finite and >= 1, got 0.5$"),
+    ((math.inf,), 0.9, "^q must be finite and >= 1, got inf$"),
+    ((2.0, math.nan), 1.5, "^q must be finite and >= 1, got nan$"),
+    ((2.0,), 1.5, r"^target confidence must be in \(0, 1\), got 1.5$"),
+    ((), math.nan, r"^target confidence must be in \(0, 1\), got nan$"),
+])
+def test_estimate_with_bounds_checks_every_q_and_the_target_first(small_table, monkeypatch,
+                                                                  qs, target, message):
+    # with the messages of the bound and the q solver, before any draw or
+    # scan, and whatever p is used: a target was accepted at p = 0
+    def fail(*args):
+        raise AssertionError("sampled or scanned before q and the target were checked")
+
+    monkeypatch.setattr(ingest, "sample_indices", fail)
+    monkeypatch.setattr(ingest, "_predicate_mask", fail)
+    for assume_p in (None, 0.0, 0.2):
+        for text in ("grp = 0", "id < 0", "missing = 1"):
+            with pytest.raises(ValueError, match=message):
+                estimate_with_bounds(small_table, parse_predicate(text),
+                                     SampleDesign(method=WOR, k=10), qs=qs, seed=0,
+                                     assume_p=assume_p, target_confidence=target)
+
+
 def test_estimate_with_bounds_seed_edges(small_table):
     pred = parse_predicate("grp = 0")
     for seed in (0, 2**64 - 1):
