@@ -83,3 +83,28 @@ def _confidence_at(
         return max(0.0, 1.0 - omega - psi)
 
     return conf
+
+
+def _per_q(
+    method: SamplingMethod, p: float, k: int, qs: Iterable[float], n: Optional[int] = None
+) -> list[tuple[float, float, float, bool]]:
+    """(confidence, omega, psi, degenerate) of `evaluate_confidence(method,
+    p, k, q, n)` at each q of `qs`, bit for bit, from one set-up of the term
+    kernel: the method's default kinds, and without replacement the
+    coefficients, are taken once. Like `_confidence_at` it builds no
+    BoundResult and checks nothing: the caller checks the method, k, n and
+    every q first, and p, when it is not 0, must be in (0, 1]."""
+    if p == 0.0:
+        result = degenerate_result()
+        return [(result.confidence, result.omega, result.psi, result.degenerate) for _ in qs]
+    kinds = default_inequalities(method)
+    if method is SamplingMethod.WITH_REPLACEMENT:
+        order, kernel, coefficients = with_replacement._ORDER, with_replacement._terms, ()
+    else:
+        order, kernel = without_replacement._ORDER, without_replacement._terms
+        coefficients = without_replacement._coefficients(k, n)
+    per_q = []
+    for q in qs:
+        omega, psi, _, _ = _minima(order, kernel(_SCALAR, p, k, q, *coefficients), kinds)
+        per_q.append((max(0.0, 1.0 - omega - psi), omega, psi, False))
+    return per_q

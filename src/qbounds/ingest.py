@@ -24,11 +24,11 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .confidence import evaluate_confidence
+from .confidence import _per_q
 from .exact import _check_integers, estimate_from_hits
 from .model import (PopulationSpec, SampleDesign, SamplingMethod, _check_point, q_error,
                     validate_design)
-from .simulate import _check_seed, block_generator
+from .simulate import _block0_generator, _check_seed
 from .solver import Unreachable, _validate_target, q_at_confidence
 
 
@@ -570,11 +570,21 @@ def estimate_with_bounds(
     only the estimate is reported, the bounds use the supplied p, and, for
     k < n / _GATHER_COST, the predicate is compared on the sampled rows alone.
 
-    The rows come from `simulate.block_generator(seed, 0)`, so the seed
-    follows the simulation's rule: an integer in [0, 2**64). The sample
-    size must be an integer too, as every draw takes one.
+    The rows are those of `simulate.block_generator(seed, 0)`, block 0 of
+    the simulation's stream, so the seed follows the simulation's rule: an
+    integer in [0, 2**64). They are drawn from the calling thread's one
+    generator, re-keyed to the state that block 0 starts in
+    (`simulate._block0_generator`), as building a new one costs more than
+    a small estimate's draw. The sample size must be an integer too, as
+    every draw takes one.
+
+    Every argument, each q and the target included, is checked before the
+    draw; the bound at each q is then the default inequality set's, equal
+    to `evaluate_confidence(design.method, p_used, k, q, n=n)` bit for bit,
+    from one set-up of the term kernel (`confidence._per_q`).
     """
     n = table.n
+    qs = tuple(qs)  # read more than once below, so an iterator is read here
     _check_integers("to draw a sample", ("sample size", design.k))
     validate_design(PopulationSpec(n=n, cardinality=0), design)
     if not qs and target_confidence is None:
@@ -588,7 +598,7 @@ def estimate_with_bounds(
         _validate_target(target_confidence)
 
     compiled = bind_predicate(table, predicate)
-    rows = sample_indices(n, design, block_generator(seed, 0))
+    rows = sample_indices(n, design, _block0_generator(seed))
     if assume_p is not None and design.k * _GATHER_COST < n:  # no true count is needed
         hits, truth = int(np.count_nonzero(_predicate_mask(table, compiled, rows))), None
     else:
@@ -601,17 +611,14 @@ def estimate_with_bounds(
     else:
         p_used, p_source, realized = truth / n, "true", q_error(est, truth)
 
-    per_q = []
-    for q in qs:
-        result = evaluate_confidence(design.method, p_used, design.k, q, n=n)
-        per_q.append(QConfidence(q, result.confidence, result.omega, result.psi,
-                                 result.degenerate))
+    per_q = tuple(QConfidence(q, *bound)
+                  for q, bound in zip(qs, _per_q(design.method, p_used, design.k, qs, n)))
     q_at_target = None
     if target_confidence is not None and p_used > 0.0:
         answer = q_at_confidence(design.method, p_used, design.k, target_confidence, n=n)
         if not isinstance(answer, Unreachable):
             q_at_target = float(answer)
     return EstimateReport(n=n, k=design.k, method=design.method, seed=seed, hits=hits,
-                          estimate=est, p_used=p_used, p_source=p_source, per_q=tuple(per_q),
+                          estimate=est, p_used=p_used, p_source=p_source, per_q=per_q,
                           true_cardinality=truth, realized_q_error=realized,
                           target_confidence=target_confidence, q_at_target=q_at_target)

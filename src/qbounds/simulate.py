@@ -9,9 +9,13 @@ the GIL, so the threads draw at once. A one-block run stays on the
 calling thread. Every block's draws depend on (seed, b) alone, so the
 results, and every output byte, are the same for any thread count or
 order. The sampled estimate (`ingest.estimate_with_bounds`) draws its
-rows from block 0 of the same scheme, under the same seed rule. The
-scheme's identifier, `RNG_SCHEME`, is set in `model`, so output metadata
-names it without numpy.
+rows from block 0 of the same scheme, under the same seed rule, but from
+one generator per thread that each estimate re-keys (`_block0_generator`)
+rather than a new one: building a Philox costs more than a small
+estimate's draw. A simulation keeps one new generator per block, as its
+helper threads are new on every run. The scheme's identifier,
+`RNG_SCHEME`, is set in `model`, so output metadata names it without
+numpy.
 """
 
 from __future__ import annotations
@@ -73,6 +77,28 @@ def block_generator(seed: int, block_index: int) -> np.random.Generator:
     """Generator for one trial block, derived purely from (seed, block)."""
     bitgen = np.random.Philox(key=seed, counter=[0, 0, 0, block_index])
     return np.random.Generator(bitgen)
+
+
+_THREAD = threading.local()
+
+
+def _block0_generator(seed: int) -> np.random.Generator:
+    """The calling thread's generator, re-keyed to the state that
+    `block_generator(seed, 0)` starts in, so that it draws the same rows:
+    the counter at 0, the key (seed, 0), an empty buffer and no spare 32
+    bits. A Philox built with a key first seeds itself from OS entropy and
+    then has that key replaced; setting the state costs about a tenth of
+    that. Each thread has its own generator, so threads that draw at once
+    never share one."""
+    generator = getattr(_THREAD, "generator", None)
+    if generator is None:
+        generator = _THREAD.generator = np.random.Generator(np.random.Philox(0))
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return generator
 
 
 def _cpu_count() -> int:
