@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from qbounds import (
     SampleDesign,
     SamplingMethod,
     SimulationConfig,
+    TableData,
     estimate_with_bounds,
     evaluate_confidence,
     load_table,
@@ -38,7 +40,7 @@ from qbounds.ingest import (
     sample_indices,
 )
 from qbounds import ingest
-from qbounds.simulate import block_generator
+from qbounds.simulate import _block0_generator, block_generator
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -641,6 +643,24 @@ def test_sample_indices_full_population_without_replacement():
     assert len(set(idx.tolist())) == 49
 
 
+_SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1, np.uint64(3)]))
+
+
+@given(st.lists(st.tuples(_SEEDS, st.sampled_from([WR, WOR]), st.integers(2, 2**40),
+                          st.integers(1, 300)), min_size=1, max_size=4))
+@example([(0, WR, 10, 1), (2**64 - 1, WOR, 2**33, 7), (np.uint64(3), WR, 2**32 + 5, 300)])
+@example([(5, WR, 1000, 3), (5, WR, 1000, 3), (5, WOR, 1000, 3)])  # a spare 32 bits left
+@example([(7, WOR, 2**40, 300), (7, WOR, 600, 300)])  # Floyd's algorithm, then a shuffle
+@settings(max_examples=60, deadline=None)
+def test_the_rekeyed_draw_is_block_zeros_of_a_new_generator(draws):
+    # one thread's generator, drawn from again and again, re-keyed each time
+    for seed, method, n, k in draws:
+        design = SampleDesign(method=method, k=k if method is WR else min(k, n - 1))
+        got = sample_indices(n, design, _block0_generator(seed))
+        want = sample_indices(n, design, block_generator(seed, 0))
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 def _contiguous_block(n, design, rng):
     """A sampler that is not uniform: k consecutive rows from a random start."""
     start = rng.integers(0, n - design.k + 1)
@@ -870,6 +890,80 @@ def test_estimate_hits_count_matches_manual_replay(small_table):
     manual = sum(1 for i in idx if all(op(small_table.data[ci][int(i)], lit)
                                        for ci, op, lit in compiled))
     assert report.hits == manual
+
+
+def test_two_threads_interleaving_estimates_draw_their_own_rows(small_table, monkeypatch):
+    # the first estimate re-keys its generator, then waits while the second
+    # re-keys and draws: a generator the two shared would give the first the
+    # second's stream, advanced
+    pred = parse_predicate("grp = 0")
+    jobs = [(SampleDesign(method=WOR, k=100), 11), (SampleDesign(method=WR, k=37), 12)]
+    want = [estimate_with_bounds(small_table, pred, design, seed=seed) for design, seed in jobs]
+    keyed, drawn = threading.Event(), threading.Event()
+    draw = ingest.sample_indices
+
+    def interleaved(n, design, rng):
+        if design is jobs[0][0]:
+            keyed.set()
+            assert drawn.wait(10)
+            return draw(n, design, rng)
+        rows = draw(n, design, rng)
+        drawn.set()
+        return rows
+
+    monkeypatch.setattr(ingest, "sample_indices", interleaved)
+    got = [None, None]
+
+    def second():
+        assert keyed.wait(10)
+        got[1] = estimate_with_bounds(small_table, pred, jobs[1][0], seed=jobs[1][1])
+        drawn.set()  # also if the estimate failed, so the first does not wait in vain
+
+    thread = threading.Thread(target=second)
+    thread.start()
+    try:
+        got[0] = estimate_with_bounds(small_table, pred, jobs[0][0], seed=jobs[0][1])
+    finally:
+        thread.join()
+    assert got == want
+
+
+_ROWS = 1000
+_ID_TABLE = TableData(columns=["id"], types=[ColumnType.INTEGER], data=[np.arange(_ROWS)])
+
+
+@given(method=st.sampled_from([WR, WOR]),
+       k=st.one_of(st.integers(1, _ROWS - 1), st.just(np.int64(30))),
+       selectivity=st.one_of(st.tuples(st.just("true"), st.integers(0, _ROWS)),
+                             st.tuples(st.just("assumed"), st.floats(0.0, 1.0))),
+       qs=st.lists(st.one_of(st.floats(1.0, 1e300), st.integers(1, 10),
+                             st.sampled_from([1.0, 1e200, np.float64(3.0)])),
+                   min_size=1, max_size=4))
+@example(method=WR, k=100, selectivity=("true", 0), qs=[1.0, 1e200])
+@example(method=WOR, k=100, selectivity=("true", _ROWS), qs=[1.0, 1e200])
+@example(method=WOR, k=999, selectivity=("assumed", 0.0), qs=[1.0, 1e200])
+@example(method=WR, k=1, selectivity=("assumed", 1.0), qs=[1.0, 1e200, 2])
+@example(method=WOR, k=np.int64(30), selectivity=("assumed", -0.0), qs=[2.0])
+@settings(max_examples=150, deadline=None)
+def test_each_q_bound_is_evaluate_confidence_bit_for_bit(method, k, selectivity, qs):
+    source, value = selectivity
+    predicate, assume_p = ((parse_predicate(f"id < {value}"), None) if source == "true"
+                           else (parse_predicate("id >= 0"), value))
+    p_used = value / _ROWS if source == "true" else value
+    try:
+        results = [evaluate_confidence(method, p_used, k, q, n=_ROWS) for q in qs]
+    except RuntimeWarning as warning:  # numpy's, of an int64 k's products past q ~ 1e153
+        with pytest.raises(RuntimeWarning, match=f"^{re.escape(str(warning))}$"):
+            estimate_with_bounds(_ID_TABLE, predicate, SampleDesign(method=method, k=k),
+                                 qs=qs, seed=3, assume_p=assume_p)
+        return
+    report = estimate_with_bounds(_ID_TABLE, predicate, SampleDesign(method=method, k=k),
+                                  qs=qs, seed=3, assume_p=assume_p)
+    assert report.p_source == source and repr(report.p_used) == repr(p_used)
+    assert [entry.q for entry in report.per_q] == qs
+    for entry, result in zip(report.per_q, results):
+        fields = (result.confidence, result.omega, result.psi, result.degenerate)
+        assert repr((entry.confidence, entry.omega, entry.psi, entry.degenerate)) == repr(fields)
 
 
 # The scan ---------------------------------------------------------------------

@@ -12,7 +12,6 @@ from qbounds import (
     PopulationSpec,
     SampleDesign,
     SamplingMethod,
-    Side,
     SimulationConfig,
     admissible_range,
     bernstein_serfling_term,
@@ -253,11 +252,3 @@ def test_enum_arguments_that_are_not_members_are_refused(check, named):
     with pytest.raises(ValueError, match=named):
         check()
 
-
-def test_enum_members_pass_the_member_rule():
-    assert SampleDesign(WR, 100).method is WR
-    assert default_inequalities(WOR) == frozenset(
-        {InequalityKind.HOEFFDING_SERFLING, InequalityKind.BERNSTEIN_SERFLING})
-    assert chernoff_term(0.1, 100, 2.0, Side.UNDER) == pytest.approx(0.2156, abs=1e-4)
-    assert evaluate_confidence(WR, 0.1, 100, 2.0, n=1000).confidence == pytest.approx(
-        0.7670, abs=1e-4)
