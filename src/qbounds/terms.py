@@ -166,19 +166,24 @@ def _method_kinds(
     method: SamplingMethod, inequalities: Optional[Iterable[InequalityKind]]
 ) -> frozenset:
     """The chosen inequality set (the method's default for None); `method`
-    must be a SamplingMethod, and the set a non-empty subset of the
-    InequalityKind members valid for sampling by it."""
+    must be a SamplingMethod, and the set a non-empty collection of the
+    InequalityKind members valid for sampling by it. Text is refused whole
+    (it would iterate as its letters), and so is any value that is not a
+    member, each named once, before the set is hashed."""
     _check_member(method, SamplingMethod, "sampling method")
     allowed, default = _KINDS[method]
-    kinds = default if inequalities is None else frozenset(inequalities)
+    if inequalities is None:
+        return default
+    chosen = (inequalities,) if isinstance(inequalities, str) else tuple(inequalities)
+    strangers = {repr(kind) for kind in chosen if type(kind) is not InequalityKind}
+    if strangers:
+        raise ValueError("inequality kinds must be members of InequalityKind, got "
+                         + ", ".join(sorted(strangers)))
+    kinds = frozenset(chosen)
     if not kinds:
         raise ValueError("inequality set must not be empty")
     invalid = kinds - allowed
     if invalid:
-        strangers = sorted(repr(kind) for kind in invalid if type(kind) is not InequalityKind)
-        if strangers:
-            raise ValueError("inequality kinds must be members of InequalityKind, got "
-                             + ", ".join(strangers))
         names = ", ".join(sorted(kind.value for kind in invalid))
         regime = method.name.lower().replace("_", " ")
         raise ValueError(f"not valid for sampling {regime}: {names}")

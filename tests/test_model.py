@@ -247,6 +247,19 @@ def test_k_and_q_past_the_float_range_are_refused(check):
     (lambda: q_at_confidence(WOR, 0.1, 100, 0.9, n=1000,
                              inequalities={"hoeffding_serfling", InequalityKind.CHERNOFF}),
      "got 'hoeffding_serfling'$"),
+    # text read as its letters 'c', 'e', 'f', 'h', 'n', 'o', 'r'
+    (lambda: evaluate_confidence(WR, 0.1, 100, 2.0, inequalities="chernoff"),
+     "^inequality kinds must be members of InequalityKind, got 'chernoff'$"),
+    (lambda: min_sample_size(WR, 0.1, 2.0, 0.9, inequalities="chernoff"), "got 'chernoff'$"),
+    # a TypeError from hashing, at p = 0 and in both solvers too
+    (lambda: evaluate_confidence(WR, 0.1, 100, 2.0, inequalities=[["chernoff"]]),
+     r"^inequality kinds must be members of InequalityKind, got \['chernoff'\]$"),
+    (lambda: evaluate_confidence(WR, 0.0, 100, 2.0, inequalities=[["chernoff"]]),
+     r"got \['chernoff'\]$"),
+    (lambda: min_sample_size(WR, 0.1, 2.0, 0.9, inequalities=[["chernoff"]]),
+     r"got \['chernoff'\]$"),
+    (lambda: q_at_confidence(WOR, 0.1, 100, 0.9, n=1000,
+                             inequalities=[InequalityKind.HOEFFDING_SERFLING, {}]), "got {}$"),
 ])
 def test_enum_arguments_that_are_not_members_are_refused(check, named):
     with pytest.raises(ValueError, match=named):

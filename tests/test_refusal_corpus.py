@@ -159,6 +159,18 @@ _HAND = [
     " with_exact=True)",
     "table1()",
     "estimate_with_bounds(TABLE, GRP0, SampleDesign(WOR, 2.5), qs=(), seed=-1)",
+    # an inequality set given as text, or holding an unhashable value, at p > 0 and at p = 0
+    "evaluate_confidence(WR, 0.1, 100, 2.0, inequalities='chernoff')",
+    "evaluate_confidence(WR, 0.1, 100, 2.0, inequalities=[['chernoff']])",
+    "evaluate_confidence(WR, 0.0, 100, 2.0, inequalities=[['chernoff']])",
+    "evaluate_confidence(WOR, 0.0, 100, 2.0, n=1000, inequalities='hoeffding_serfling')",
+    "evaluate_confidence(WOR, 0.1, 100, 2.0, n=1000, inequalities=[K.HOEFFDING_SERFLING, ['x']])",
+    "confidence_wr(0.1, 100, 2.0, inequalities='chernoff')",
+    "confidence_wor(0.1, 100, 1000, 2.0, inequalities=[['hoeffding_serfling']])",
+    "min_sample_size(WR, 0.005, 2.0, 0.95, inequalities='chernoff')",
+    "min_sample_size(WOR, 0.0, 2.0, 0.95, n=10**6, inequalities=[['hoeffding_serfling']])",
+    "q_at_confidence(WR, 0.005, 3919, 0.95, inequalities=[['chernoff']])",
+    "q_at_confidence(WOR, 0.0, 10, 0.9, n=100, inequalities='hoeffding_serfling')",
 ]
 _SEED = 26
 
