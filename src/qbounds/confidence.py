@@ -1,13 +1,14 @@
 """Single entry point for bound evaluation at one point, across sampling
-methods, and the solvers' step.
+methods, and the one scalar route into the term kernel (`_prepared`).
 
-Handles the degenerate empty-predicate case: at p = 0 every exponential
-term is vacuous, so the reported confidence is the (trivially valid)
-lower bound 0, flagged as degenerate.
+It checks nothing: its callers, the bounds (through `_checked_bound`), the
+solvers and `estimate_with_bounds`, check their inputs once, then trust them.
 
-Everything here is scalar and imports no numpy; a whole grid of points
-is evaluated in one numpy pass by `reports.evaluate_grid`, which costs
-several times more for a single point.
+At p = 0 every exponential term is vacuous, so the reported confidence
+is the (trivially valid) lower bound 0, flagged as degenerate.
+
+Everything here is scalar and imports no numpy; `reports.evaluate_grid`
+bounds a whole grid in one numpy pass, several times dearer for one point.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from .terms import (
     WITH_REPLACEMENT_KINDS,
     BoundResult,
     InequalityKind,
+    _combined,
     _method_kinds,
-    _minima,
-    degenerate_result,
+    combine_terms,
 )
-from .with_replacement import confidence_wr
-from .without_replacement import confidence_wor
+
+_DEGENERATE = (1.0, 1.0, 0.0, None, None, True, ((), (), frozenset()))  # a point of `_prepared`
+_WR = SamplingMethod.WITH_REPLACEMENT  # looking an enum member up costs a third of `_prepared`
 
 
 def default_inequalities(
@@ -48,63 +50,35 @@ def evaluate_confidence(
     n: Optional[int] = None,
     inequalities: Optional[Iterable[InequalityKind]] = None,
 ) -> BoundResult:
-    """Lower bound on P(Q-error <= q) for the given sampling method.
-
-    The method, the point and the inequality set are checked once: here
-    when p = 0, by `confidence_wr` or `confidence_wor` otherwise, the
-    method here before the latter.
-    """
-    if p == 0.0:
-        _method_kinds(method, inequalities)
-        _check_point(method, None, k, q, n)
-        return degenerate_result()
-    if method is SamplingMethod.WITH_REPLACEMENT:
-        return confidence_wr(p, k, q, inequalities)
-    _check_member(method, SamplingMethod, "sampling method")
-    return confidence_wor(p, k, n, q, inequalities)
+    """Lower bound on P(Q-error <= q) for the given sampling method (p = 0: degenerate)."""
+    return _checked_bound(method, p, k, q, n, inequalities, None if p == 0.0 else p)
 
 
-def _confidence_at(
+def _checked_bound(method, p, k, q, n, inequalities, checked_p) -> BoundResult:
+    """The BoundResult at one point, after `_method_kinds`, then `_check_point` of `checked_p`."""
+    kinds = _method_kinds(method, inequalities)
+    _check_point(method, checked_p, k, q, n)
+    return combine_terms(_prepared(method, p, n, kinds)(k, q))
+
+
+def _prepared(
     method: SamplingMethod, p: float, n: Optional[int], kinds: frozenset[InequalityKind]
-) -> Callable[[int, float], float]:
-    """`conf(k, q)`, equal to `evaluate_confidence(method, p, k, q, n,
-    kinds).confidence` bit for bit, for a set `kinds` that `_method_kinds`
-    has checked: the solvers' bisection step. It reads the same term
-    kernel and per-side minima, builds no BoundTerm or BoundResult and
-    checks nothing: each solver checks its inputs once, then steps only to
-    points `_check_point` admits. At p = 0 each term is 1 or NaN, so 0."""
-    wr = method is SamplingMethod.WITH_REPLACEMENT
-    order = with_replacement._ORDER if wr else without_replacement._ORDER
-
-    def conf(k: int, q: float) -> float:
-        values = (with_replacement._terms(_SCALAR, p, k, q) if wr else without_replacement._terms(
-            _SCALAR, p, k, q, *without_replacement._coefficients(k, n)))
-        omega, psi, _, _ = _minima(order, values, kinds)
-        return max(0.0, 1.0 - omega - psi)
-
-    return conf
-
-
-def _per_q(
-    method: SamplingMethod, p: float, k: int, qs: Iterable[float], n: Optional[int] = None
-) -> list[tuple[float, float, float, bool]]:
-    """(confidence, omega, psi, degenerate) of `evaluate_confidence(method,
-    p, k, q, n)` at each q of `qs`, bit for bit, from one set-up of the term
-    kernel: the method's default kinds, and without replacement the
-    coefficients, are taken once. Like `_confidence_at` it builds no
-    BoundResult and checks nothing: the caller checks the method, k, n and
-    every q first, and p, when it is not 0, must be in (0, 1]."""
+) -> Callable[[int, float], tuple]:
+    """`at(k, q)`: `evaluate_confidence(method, p, k, q, n, kinds)`'s fields
+    (`terms._combined`) at a point `_check_point` admits, with the kernel
+    picked once and without replacement the coefficients once per k in a row."""
     if p == 0.0:
-        result = degenerate_result()
-        return [(result.confidence, result.omega, result.psi, result.degenerate) for _ in qs]
-    kinds = default_inequalities(method)
-    if method is SamplingMethod.WITH_REPLACEMENT:
-        order, kernel, coefficients = with_replacement._ORDER, with_replacement._terms, ()
-    else:
-        order, kernel = without_replacement._ORDER, without_replacement._terms
-        coefficients = without_replacement._coefficients(k, n)
-    per_q = []
-    for q in qs:
-        omega, psi, _, _ = _minima(order, kernel(_SCALAR, p, k, q, *coefficients), kinds)
-        per_q.append((max(0.0, 1.0 - omega - psi), omega, psi, False))
-    return per_q
+        return lambda k, q: _DEGENERATE
+    if method is _WR:
+        order, terms = with_replacement._ORDER, with_replacement._terms
+        return lambda k, q: _combined(order, terms(_SCALAR, p, k, q), kinds)
+    order, terms = without_replacement._ORDER, without_replacement._terms
+    last_k, coefficients = None, ()
+
+    def at(k, q):
+        nonlocal last_k, coefficients
+        if k != last_k:
+            last_k, coefficients = k, without_replacement._coefficients(k, n)
+        return _combined(order, terms(_SCALAR, p, k, q, *coefficients), kinds)
+
+    return at

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PopulationSpec, SampleDesign, SamplingMethod, _check_point, q_error
+from .model import (PopulationSpec, SampleDesign, SamplingMethod, _check_k_below_n, _check_point,
+                    q_error)
 
 _REL_CUTOFF = 1e-30
 # The first window spans the mean +- (_SPREAD standard deviations + _MARGIN).
@@ -168,9 +169,14 @@ def _normalized(ratio: np.ndarray) -> np.ndarray:
 
 
 def exact_confidence(pop: PopulationSpec, design: SampleDesign, q: float) -> float:
-    """P(Q-error <= q) summed exactly over the hit counts; n, C and k are integers below 2**63."""
-    _check_point(design.method, None, design.k, q, pop.n)
+    """P(Q-error <= q) summed exactly over the hit counts; n, C and k are integers below 2**63.
+
+    Its population checked n and C, its design the method and k; here q,
+    then k < n and n - k >= 1 without replacement, the cap and the integers."""
     n, c, k = pop.n, pop.cardinality, design.k
+    _check_point(None, None, None, q)
+    if design.method is SamplingMethod.WITHOUT_REPLACEMENT:
+        _check_k_below_n(k, n)
     if max(n, k) >= 2**63:
         raise ValueError(f"exact tail sums need n and k below 2**63, got n={n}, k={k}")
     _check_integers("for exact sums", ("population size", n), ("cardinality", c),

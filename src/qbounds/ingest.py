@@ -24,12 +24,12 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .confidence import _per_q
+from .confidence import _prepared, default_inequalities
 from .exact import _check_integers, estimate_from_hits
 from .model import (PopulationSpec, SampleDesign, SamplingMethod, _check_point, q_error,
                     validate_design)
 from .simulate import _block0_generator, _check_seed
-from .solver import Unreachable, _validate_target, q_at_confidence
+from .solver import Unreachable, _q_at_confidence, _validate_target
 
 
 class TableParseError(ValueError):
@@ -578,10 +578,10 @@ def estimate_with_bounds(
     a small estimate's draw. The sample size must be an integer too, as
     every draw takes one.
 
-    Every argument, each q and the target included, is checked before the
-    draw; the bound at each q is then the default inequality set's, equal
-    to `evaluate_confidence(design.method, p_used, k, q, n=n)` bit for bit,
-    from one set-up of the term kernel (`confidence._per_q`).
+    Every argument, each q and the target included, is checked here, once,
+    before the draw. The bounds (the default inequality set's) and the q at
+    the target are those of `evaluate_confidence` and `q_at_confidence` bit
+    for bit, from `confidence._prepared` and `solver._q_at_confidence`.
     """
     n = table.n
     qs = tuple(qs)  # read more than once below, so an iterator is read here
@@ -611,14 +611,17 @@ def estimate_with_bounds(
     else:
         p_used, p_source, realized = truth / n, "true", q_error(est, truth)
 
-    per_q = tuple(QConfidence(q, *bound)
-                  for q, bound in zip(qs, _per_q(design.method, p_used, design.k, qs, n)))
+    kinds = default_inequalities(design.method)
+    at, per_q = _prepared(design.method, p_used, n, kinds), []
+    for q in qs:
+        omega, psi, confidence, _, _, degenerate, _ = at(design.k, q)
+        per_q.append(QConfidence(q, confidence, omega, psi, degenerate))
     q_at_target = None
     if target_confidence is not None and p_used > 0.0:
-        answer = q_at_confidence(design.method, p_used, design.k, target_confidence, n=n)
+        answer = _q_at_confidence(design.method, p_used, design.k, target_confidence, n, kinds)
         if not isinstance(answer, Unreachable):
             q_at_target = float(answer)
     return EstimateReport(n=n, k=design.k, method=design.method, seed=seed, hits=hits,
-                          estimate=est, p_used=p_used, p_source=p_source, per_q=per_q,
+                          estimate=est, p_used=p_used, p_source=p_source, per_q=tuple(per_q),
                           true_cardinality=truth, realized_q_error=realized,
                           target_confidence=target_confidence, q_at_target=q_at_target)

@@ -112,11 +112,17 @@ def _check_point(
     if method is SamplingMethod.WITHOUT_REPLACEMENT:
         if n is None:
             raise ValueError("sampling without replacement needs the table size n")
-        if not k < n:
-            raise ValueError(f"sampling without replacement needs k < n, got k={k}, n={n}")
-        _check_n(n)  # before n - k, which overflows for a float k and an int n past the largest double
-        if not n - k >= 1:  # k in (n - 1, n), or n - k rounds below 1
-            raise ValueError(f"sampling without replacement needs k <= n - 1, got k={k}, n={n}")
+        if k < n:  # n first: past the largest double, an int n overflows n - k for a float k
+            _check_n(n)
+        _check_k_below_n(k, n)
+
+
+def _check_k_below_n(k: int, n: int) -> None:
+    """`_check_point`'s rule without replacement for a checked k and n."""
+    if not k < n:
+        raise ValueError(f"sampling without replacement needs k < n, got k={k}, n={n}")
+    if not n - k >= 1:  # k in (n - 1, n), or n - k rounds below 1
+        raise ValueError(f"sampling without replacement needs k <= n - 1, got k={k}, n={n}")
 
 
 def validate_design(pop: PopulationSpec, design: SampleDesign) -> None:

@@ -139,7 +139,7 @@ class GridBounds:
     it does not apply: the other method's kinds, and the Hoeffding under
     side at pq <= 1. `omega` and `psi` are the per-side minima over the
     chosen inequalities (1 where none applies), and `confidence` is
-    max(0, 1 - omega - psi), as `combine_terms` forms them for one point.
+    max(0, 1 - omega - psi), as `confidence._prepared` forms them for one point.
     """
 
     terms: dict[tuple[InequalityKind, Side], np.ndarray]

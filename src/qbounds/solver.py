@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from . import with_replacement
-from .confidence import _confidence_at, _method_kinds
+from .confidence import _method_kinds, _prepared
 from .model import _FLOAT_MAX, SamplingMethod, _check_point
 from .terms import _SCALAR, InequalityKind
 
@@ -87,34 +87,42 @@ def min_sample_size(
     evaluates none and ends at b. With replacement the rule of thumb's lo
     misses at no known value, so lo + 1 is probed first; without, k = 0
     is the failing end, where conf is 0.
+
+    The target, k_max, the point (p, the least k 1, q, n) and the
+    inequality set are checked here, in that order; the search trusts them.
     """
     _validate_target(target_confidence)
     if not 1 <= k_max <= _FLOAT_MAX:
         raise ValueError(f"k_max must be finite and >= 1, got {k_max}")
-    _check_point(method, None if p == 0.0 else p, 1, q, n)  # k = 1, the least, must be admissible
-    wr = method is SamplingMethod.WITH_REPLACEMENT
+    _check_point(method, None if p == 0.0 else p, 1, q, n)
     kinds = _method_kinds(method, inequalities)
-    conf = _confidence_at(method, p, n, kinds)
+    return _min_sample_size(method, p, q, target_confidence, n, kinds, k_max)
+
+
+def _min_sample_size(method, p, q, target, n, kinds, k_max):
+    """`min_sample_size` of checked inputs; it steps only to admissible k."""
+    wr = method is SamplingMethod.WITH_REPLACEMENT
+    at = _prepared(method, p, n, kinds)
     cap = math.floor(k_max if wr else min(k_max, n - 1 if n - 1 < n else math.nextafter(n, 0.0)))
 
-    lo, hi = (_bracket(p, q, target_confidence, kinds, cap) if wr
-              else (0, min(cap, _serfling_top(p, q, target_confidence, kinds, n))))
-    goal = math.log1p(-target_confidence)
+    lo, hi = (_bracket(p, q, target, kinds, cap) if wr
+              else (0, min(cap, _serfling_top(p, q, target, kinds, n))))
+    goal = math.log1p(-target)
     f_lo = goal - _LN_TWO  # as at k = 0, where every term is the vacuous 1
-    top_short = (value := conf(hi, q)) < target_confidence and hi < cap
+    top_short = (value := at(hi, q)[2]) < target and hi < cap
     if top_short:
         lo, hi, f_lo = hi, cap, _excess(goal, value)
-        value = conf(hi, q)
-    if value < target_confidence:
-        return Unreachable(target_confidence, float(cap), value)
+        value = at(hi, q)[2]
+    if value < target:
+        return Unreachable(target, float(cap), value)
     f_hi = _excess(goal, value)
 
     def probe(x: float, a: int, b: int) -> tuple[int, bool, float]:
         # rounded toward the midpoint; the midpoint where x, a float, misses (a, b) past 2**53
         k = math.ceil(x) if x < a + 0.5 * (b - a) else math.floor(x)
         k = k if a < k < b else (a + b) // 2
-        value = conf(k, q)
-        return k, value >= target_confidence, _excess(goal, value)
+        value = at(k, q)[2]
+        return k, value >= target, _excess(goal, value)
 
     if wr and not top_short and 0 < lo < hi - 1:
         k, is_hit, f = probe(lo + 1, lo, hi)
@@ -180,23 +188,32 @@ def q_at_confidence(
     without evaluation is evaluated: where the bound's rounding makes it
     fall with q there (a q near 1 at a huge k), the bisection is run
     again, evaluating every midpoint.
+
+    The target, the point (k, q_max, n), the inequality set and p are
+    checked here, in that order; the search trusts them.
     """
     _validate_target(target_confidence)
     _check_point(method, None, k, q_max, n)
-    conf = _confidence_at(method, p, n, _method_kinds(method, inequalities))
+    kinds = _method_kinds(method, inequalities)
     _check_point(None, None if p == 0.0 else p, None, None)  # after the set, as evaluate_confidence
+    return _q_at_confidence(method, p, k, target_confidence, n, kinds, q_max)
 
-    at_cap = conf(k, q_max)
-    if at_cap < target_confidence:
-        return Unreachable(target_confidence, float(q_max), at_cap)
+
+def _q_at_confidence(method, p, k, target, n, kinds, q_max=DEFAULT_Q_MAX):
+    """`q_at_confidence` of inputs checked by it or by `estimate_with_bounds`;
+    it steps only to q in [1, q_max]."""
+    at = _prepared(method, p, n, kinds)
+    at_cap = at(k, q_max)[2]
+    if at_cap < target:
+        return Unreachable(target, float(q_max), at_cap)
 
     # at q = 1 every term is the vacuous 1, so conf is 0 (1 - conf is 2
     # before the clamp): no target in (0, 1) is met there, the known miss
-    goal = math.log1p(-target_confidence)
+    goal = math.log1p(-target)
 
     def probe(x: float, a: float, b: float) -> tuple[float, bool, float]:
-        value = conf(k, math.exp(x))
-        return x, value >= target_confidence, _excess(goal, value)
+        value = at(k, math.exp(x))[2]
+        return x, value >= target, _excess(goal, value)
 
     # the narrowed ends are the last miss and hit evaluated: each probed x is
     # _LN_Q_WIDTH / 2 inside them, far more than exp or log(q_max) err, so
@@ -204,16 +221,16 @@ def q_at_confidence(
     top = math.log(q_max)
     a, b = _narrow(probe, 0.0, goal - _LN_TWO, top, _excess(goal, at_cap), _LN_Q_WIDTH)
     miss, hit = math.exp(a), q_max if b == top else math.exp(b)
-    below, answer, miss, hit = _replay(conf, k, target_confidence, q_max, miss, hit)
-    if ((answer > hit and conf(k, answer) < target_confidence)
-            or (below < miss and conf(k, below) >= target_confidence)):
+    below, answer, miss, hit = _replay(at, k, target, q_max, miss, hit)
+    if ((answer > hit and at(k, answer)[2] < target)
+            or (below < miss and at(k, below)[2] >= target)):
         # the bound is not monotone in q here (rounding): bisect again,
         # evaluating every midpoint
-        answer = _replay(conf, k, target_confidence, q_max, 1.0, q_max)[1]
+        answer = _replay(at, k, target, q_max, 1.0, q_max)[1]
     return answer
 
 
-def _replay(conf, k: int, target: float, q_max: float, miss: float, hit: float) -> tuple:
+def _replay(at, k: int, target: float, q_max: float, miss: float, hit: float) -> tuple:
     """(lo, hi, miss, hit) where the bisection of [1, q_max] at geometric
     midpoints to a relative 1e-9 ends: a midpoint at or below `miss` is a
     miss and one at or above `hit` a hit, and one between is evaluated and
@@ -227,7 +244,7 @@ def _replay(conf, k: int, target: float, q_max: float, miss: float, hit: float) 
             lo = mid
         elif mid >= hit:
             hi = mid
-        elif conf(k, mid) >= target:
+        elif at(k, mid)[2] >= target:
             hi = hit = mid
         else:
             lo = miss = mid

@@ -96,7 +96,7 @@ class BoundResult:
     omega_source: Optional[InequalityKind] = None
     psi_source: Optional[InequalityKind] = None
     degenerate: bool = False
-    # (kind order, kernel values, chosen kinds), laid out as `_minima` reads them
+    # (kind order, kernel values, chosen kinds), laid out as `_combined` reads them
     _kernel: tuple = ((), (), frozenset())
 
     @property
@@ -125,30 +125,17 @@ class BoundResult:
         return f"{type(self).__qualname__}({fields})"
 
 
-def combine_terms(order: tuple[InequalityKind, ...], values: list, kinds: frozenset) -> BoundResult:
-    """The combined bound of a term kernel's values, which hold the over
-    then the under term of each kind in `order`, over the chosen `kinds`
-    (a NaN value is an inapplicable term); its `terms` are derived from
-    the values when read."""
-    omega, psi, omega_src, psi_src = _minima(order, values, kinds)
-    return BoundResult(omega, psi, max(0.0, 1.0 - omega - psi), omega_src, psi_src, False,
-                       (order, tuple(values), kinds))
+def combine_terms(point: tuple) -> BoundResult:
+    """The BoundResult of a point of the scalar route (`confidence._prepared`)."""
+    return BoundResult(*point)
 
 
-def degenerate_result() -> BoundResult:
-    """Trivial bound for an empty predicate (p = 0): confidence 0, flagged."""
-    return BoundResult(omega=1.0, psi=1.0, confidence=0.0, degenerate=True)
-
-
-def _minima(
-    order: tuple[InequalityKind, ...], values: list, kinds: frozenset
-) -> tuple[float, float, Optional[InequalityKind], Optional[InequalityKind]]:
-    """(omega, psi, the kind giving omega, the kind giving psi): the least
-    over and the least under term of the chosen kinds in a term kernel's
-    values (laid out as `combine_terms` reads them). An inapplicable
-    term's NaN never compares below the running minimum, so it never
-    binds; a side with no applicable term gets the vacuous bound 1 and no
-    kind; on a tie the first kind in `order` binds."""
+def _combined(order: tuple[InequalityKind, ...], values: list, kinds: frozenset) -> tuple:
+    """BoundResult's fields, in order, of a term kernel's values (the over then
+    the under term of each kind in `order`) over the chosen `kinds`: omega and
+    psi the least over and under term, confidence max(0, 1 - omega - psi). A
+    NaN (inapplicable) term never binds; a side with no applicable term gets
+    the vacuous 1 and no kind; on a tie the first kind in `order` binds."""
     omega = psi = math.inf
     omega_src = psi_src = None
     pairs = iter(values)
@@ -158,8 +145,9 @@ def _minima(
                 omega, omega_src = over, kind
             if under < psi:
                 psi, psi_src = under, kind
-    return (1.0 if omega_src is None else omega, 1.0 if psi_src is None else psi,
-            omega_src, psi_src)
+    omega, psi = 1.0 if omega_src is None else omega, 1.0 if psi_src is None else psi
+    return (omega, psi, max(0.0, 1.0 - omega - psi), omega_src, psi_src, False,
+            (order, values, kinds))
 
 
 def _method_kinds(

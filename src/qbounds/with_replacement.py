@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
+from . import confidence
 from .model import SamplingMethod, _check_member, _check_point
-from .terms import _SCALAR, BoundResult, InequalityKind, Side, _method_kinds, combine_terms
+from .terms import _SCALAR, BoundResult, InequalityKind, Side
 
 # The kinds of `_exponents`' output, each as its over then its under term.
 _ORDER = (InequalityKind.CHERNOFF, InequalityKind.BERNSTEIN, InequalityKind.HOEFFDING)
@@ -117,6 +118,5 @@ def confidence_wr(
     The default inequality set is {Chernoff, Bernstein}; adding Hoeffding
     can only tighten the result.
     """
-    kinds = _method_kinds(SamplingMethod.WITH_REPLACEMENT, inequalities)
-    _check_point(SamplingMethod.WITH_REPLACEMENT, p, k, q)
-    return combine_terms(_ORDER, _terms(_SCALAR, p, k, q), kinds)
+    return confidence._checked_bound(SamplingMethod.WITH_REPLACEMENT, p, k, q, None,
+                                     inequalities, p)

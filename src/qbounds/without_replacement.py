@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
+from . import confidence
 from .model import SamplingMethod, _check_member, _check_point
-from .terms import _SCALAR, BoundResult, InequalityKind, Side, _method_kinds, combine_terms
+from .terms import _SCALAR, BoundResult, InequalityKind, Side
 
 # The kinds of `_terms`' output, each as its over then its under term.
 _ORDER = (InequalityKind.HOEFFDING_SERFLING, InequalityKind.BERNSTEIN_SERFLING)
@@ -96,7 +97,5 @@ def confidence_wor(
 ) -> BoundResult:
     """Combined lower bound on P(Q-error <= q) for sampling without
     replacement; the default set uses both Serfling-type inequalities."""
-    kinds = _method_kinds(SamplingMethod.WITHOUT_REPLACEMENT, inequalities)
-    _check_point(SamplingMethod.WITHOUT_REPLACEMENT, p, k, q, n)
-    values = _terms(_SCALAR, p, k, q, *_coefficients(k, n))
-    return combine_terms(_ORDER, values, kinds)
+    return confidence._checked_bound(SamplingMethod.WITHOUT_REPLACEMENT, p, k, q, n,
+                                     inequalities, p)

@@ -2,8 +2,9 @@
 
 Every module's binding of the point, table-size and integer rules is
 wrapped to count its calls: the solvers' steps, the figure series' exact
-column and an estimate's bound at each q run none, and
-`exact_confidence` checks its point once.
+column, an estimate's bound at each q and its q at the target run none,
+and `exact_confidence` checks only q and what its population and design
+have not.
 """
 
 import collections
@@ -36,7 +37,7 @@ WOR = SamplingMethod.WITHOUT_REPLACEMENT
 CANONICAL_GRID = Path(__file__).resolve().parents[1] / "perfbench" / "canonical_grid.txt"
 _MODULES = ("cli", "confidence", "exact", "ingest", "model", "reports", "simulate", "solver",
             "terms", "with_replacement", "without_replacement")
-_CHECKS = ("_check_point", "_check_n", "_check_integers")
+_CHECKS = ("_check_point", "_check_n", "_check_integers", "_validate_target")
 
 
 @contextlib.contextmanager
@@ -62,17 +63,19 @@ def test_solvers_check_their_inputs_once_and_no_step(method, n):
     with _counted_checks() as counts:
         min_sample_size(method, 0.005, 2.0, 0.95, n=n)
     assert counts["_check_point"] == 1 and counts["_check_integers"] == 0
+    assert counts["_validate_target"] == 1
     with _counted_checks() as counts:
         q_at_confidence(method, 0.005, 3919, 0.95, n=n)
     assert counts["_check_point"] == 2 and counts["_check_integers"] == 0
-    assert counts["_check_n"] == (1 if method is WOR else 0)
+    assert counts["_check_n"] == (1 if method is WOR else 0) and counts["_validate_target"] == 1
 
 
-def test_exact_confidence_checks_its_point_once():
-    pop, design = PopulationSpec(10**6, 5000), SampleDesign(WOR, 1000)
+@pytest.mark.parametrize("method", [WR, WOR])
+def test_exact_confidence_checks_q_once_and_n_not_again(method):
+    pop, design = PopulationSpec(10**6, 5000), SampleDesign(method, 1000)
     with _counted_checks() as counts:
         exact_confidence(pop, design, 2.0)
-    assert counts == {"_check_point": 1, "_check_n": 1, "_check_integers": 1}
+    assert counts == {"_check_point": 1, "_check_integers": 1}
 
 
 def test_figure_series_exact_column_checks_no_point():
@@ -107,8 +110,9 @@ def test_estimate_checks_its_inputs_before_the_draw_and_no_bound(method, assume_
     with _counted_checks() as counts:
         report = estimate_with_bounds(table, predicate, design, qs=(1.5, 2.0, 4.0),
                                       assume_p=assume_p, target_confidence=0.9)
-    # and the q solver's own two checks, made where p is not 0
+    # the target once, at entry: the q at the target, solved where p is
+    # not 0, checks nothing again
     solved = report.p_used > 0.0
     assert report.per_q and (report.q_at_target is not None) == solved
-    assert counts == {"_check_integers": 1, "_check_point": 4 + 2 * solved,
-                      "_check_n": 1 + wor + wor * solved}
+    assert counts == {"_check_integers": 1, "_check_point": 4, "_check_n": 1 + wor,
+                      "_validate_target": 1}

@@ -6,6 +6,7 @@ import math
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -13,17 +14,23 @@ from hypothesis import strategies as st
 import qbounds.solver as solver_module
 import qbounds.terms as terms_module
 from qbounds import (
+    ColumnType,
     InequalityKind,
+    SampleDesign,
     SamplingMethod,
+    TableData,
     Unreachable,
     default_inequalities,
+    estimate_with_bounds,
     evaluate_confidence,
+    ingest,
     min_sample_size,
+    parse_predicate,
     q_at_confidence,
     with_replacement,
     without_replacement,
 )
-from qbounds.confidence import _confidence_at, _method_kinds
+from qbounds.confidence import _method_kinds, _prepared
 from qbounds.model import _check_point
 from qbounds.terms import (
     _SCALAR,
@@ -33,7 +40,7 @@ from qbounds.terms import (
     WITHOUT_REPLACEMENT_KINDS,
     BoundTerm,
     Side,
-    _minima,
+    _combined,
 )
 
 WR = SamplingMethod.WITH_REPLACEMENT
@@ -161,22 +168,22 @@ def test_solver_monotone_in_target():
 @contextlib.contextmanager
 def _recording(check=lambda k, q: None, limit=2000):
     """Every (k, q) at which a solver evaluates the bound, recorded through
-    the per-solve closure its steps call, each after `check(k, q)`; a solve
-    of more than `limit` steps fails (bisecting [1, 1e308] takes 1,025)."""
+    the scalar route's per-solve `at` its steps call, each after
+    `check(k, q)`; a solve of more than `limit` steps fails (bisecting
+    [1, 1e308] takes 1,025)."""
     seen = []
-    real = solver_module._confidence_at
 
     def recording(*args):
-        conf, steps = real(*args), itertools.count(1)
+        at, steps = _prepared(*args), itertools.count(1)
 
         def step(k, q):
             assert next(steps) <= limit, f"more than {limit} steps, the last at k={k}, q={q}"
             check(k, q)
             seen.append((k, q))
-            return conf(k, q)
+            return at(k, q)
         return step
 
-    with mock.patch.object(solver_module, "_confidence_at", recording):
+    with mock.patch.object(solver_module, "_prepared", recording):
         yield seen
 
 
@@ -401,28 +408,77 @@ def test_q_at_confidence_matches_plain_bisection(method_kinds, p, target, n, off
     assert len(seen) <= (2 if again else 1) * evaluations + 6
 
 
+@contextlib.contextmanager
+def _points(module):
+    """Every point the scalar route gives a caller in `module`, in order."""
+    points = []
+
+    def recording(*args):
+        at = _prepared(*args)
+
+        def step(k, q):
+            points.append(at(k, q))
+            return points[-1]
+        return step
+
+    with mock.patch.object(module, "_prepared", recording):
+        yield points
+
+
+def _fields(omega, psi, confidence, omega_source, psi_source, *rest):
+    return repr((confidence, omega, psi, omega_source, psi_source))
+
+
 @given(
     st.sampled_from([(WR, kinds) for kinds in WR_KIND_SETS]
                     + [(WOR, kinds) for kinds in WOR_KIND_SETS]),
-    st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1.0),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=5e-324, max_value=1.0),
               st.floats(min_value=-9.0, max_value=0.0).map(lambda e: 10.0**e)),
-    st.one_of(st.floats(min_value=1.0, max_value=1e300),
+    st.one_of(st.sampled_from([1.0, 1e200]), st.floats(min_value=1.0, max_value=1e300),
               st.floats(min_value=-4.0, max_value=3.0).map(lambda e: 1.0 + 10.0**e)),
-    st.integers(min_value=2, max_value=2**62),
+    st.one_of(st.integers(min_value=2, max_value=300), st.integers(min_value=2, max_value=2**62)),
     st.integers(min_value=0, max_value=2**62),
 )
 @example((WOR, DEFAULT_WOR_KINDS), 5e-324, 1e300, 2**62, 2**62 - 2)  # k = n - 1
 @example((WOR, _HS), 0.3, 1.5, 2**62, 2**61 - 1)  # 2k = n
 @example((WR, WITH_REPLACEMENT_KINDS), 1.0, 1.0, 2, 2**62)
-@settings(max_examples=500, deadline=None)
-def test_solver_step_equals_evaluate_confidence(method_kinds, p, q, n, offset):
-    # the closure the solvers bisect on gives the records path's confidence,
-    # bit for bit, at every point of the domain (k in [1, n - 1])
+@example((WOR, DEFAULT_WOR_KINDS), 0.0, 1e200, 300, 298)  # k = n - 1, p = 0, and an estimate
+@example((WR, DEFAULT_WR_KINDS), 1.0, 1e200, 300, 149)  # 2k = n, p = 1, and an estimate
+@example((WOR, DEFAULT_WOR_KINDS), 0.25, 1.0, 300, 149)
+@settings(max_examples=300, deadline=None)
+def test_every_caller_of_the_scalar_route_gives_evaluate_confidence(method_kinds, p, q, n, offset):
+    # confidence_wr and confidence_wor, each solver's step and an estimate's
+    # bound at q give (confidence, omega, psi, omega_source, psi_source)
+    # of evaluate_confidence, repr for repr, at every point of the domain
+    # (k in [1, n - 1])
     method, kinds = method_kinds
     k = 1 + offset % (n - 1)
-    conf = _confidence_at(method, p, n, _method_kinds(method, kinds))
-    expected = evaluate_confidence(method, p, k, q, n=n, inequalities=kinds).confidence
-    assert conf(k, q).hex() == expected.hex()
+    result = evaluate_confidence(method, p, k, q, n=n, inequalities=kinds)
+    expected = repr((result.confidence, result.omega, result.psi, result.omega_source,
+                     result.psi_source))
+    if p > 0.0:  # the public bounds refuse p = 0
+        direct = (with_replacement.confidence_wr(p, k, q, kinds) if method is WR
+                  else without_replacement.confidence_wor(p, k, n, q, kinds))
+        assert repr(direct) == repr(result) and direct == result
+    # q_at_confidence's first step is at q_max; min_sample_size's at the top
+    # of its bracket, here its cap k
+    with _points(solver_module) as points:
+        q_at_confidence(method, p, k, 0.5, n=n, inequalities=kinds, q_max=q)
+    assert _fields(*points[0]) == expected
+    with _points(solver_module) as points, \
+            mock.patch.object(solver_module, "_bracket", lambda *args: (0, args[-1])), \
+            mock.patch.object(solver_module, "_serfling_top", lambda *args: n):
+        min_sample_size(method, p, q, 0.5, n=n, inequalities=kinds, k_max=k)
+    assert _fields(*points[0]) == expected
+    if n <= 300 and kinds == default_inequalities(method):
+        table = TableData(columns=["id"], types=[ColumnType.INTEGER], data=[np.arange(n)])
+        with _points(ingest) as points:
+            report = estimate_with_bounds(table, parse_predicate("id >= 0"),
+                                          SampleDesign(method, k), qs=(q,), assume_p=p)
+        (entry,) = report.per_q
+        assert _fields(*points[0]) == expected and entry.degenerate == result.degenerate
+        assert repr((entry.confidence, entry.omega, entry.psi)) == repr(
+            (result.confidence, result.omega, result.psi))
 
 
 @pytest.mark.parametrize("method, bracket, short", [
@@ -524,9 +580,11 @@ def test_per_side_minima_rule():
     order = with_replacement._ORDER
     chernoff, bernstein, hoeffding = order
     values = [0.5, 0.25, 0.5, 0.125, math.nan, math.nan]
-    assert _minima(order, values, frozenset(order)) == (0.5, 0.125, chernoff, bernstein)
-    assert _minima(order, values, frozenset({hoeffding})) == (1.0, 1.0, None, None)
-    assert _minima(order, [1.0] * 6, frozenset(order)) == (1.0, 1.0, chernoff, chernoff)
+    assert _combined(order, values, frozenset(order))[:6] == (0.5, 0.125, 0.375, chernoff,
+                                                              bernstein, False)
+    assert _combined(order, values, frozenset({hoeffding}))[:6] == (1.0, 1.0, 0.0, None, None,
+                                                                    False)
+    assert _combined(order, [1.0] * 6, frozenset(order))[:5] == (1.0, 1.0, 0.0, chernoff, chernoff)
     assert evaluate_confidence(WOR, 0.3, 50, 1.0, n=100).omega_source is InequalityKind.HOEFFDING_SERFLING
 
 
@@ -556,7 +614,7 @@ def test_bound_result_derives_terms_from_the_kernel(method_kinds, p, q, n, offse
     assert all(type(term) is BoundTerm for term in result.terms)
     assert [(t.inequality, t.side, repr(t.probability)) for t in result.terms] == [
         (kind, side, repr(value)) for kind, side, value in expected]
-    omega, psi, omega_source, psi_source = _minima(order, values, kinds)
+    omega, psi, _, omega_source, psi_source, _, _ = _combined(order, values, kinds)
     assert (result.omega, result.psi, result.omega_source, result.psi_source) == (
         omega, psi, omega_source, psi_source)
     assert result.confidence == max(0.0, 1.0 - omega - psi) and not result.degenerate
