@@ -636,6 +636,18 @@ def test_figures_with_exact_on_the_comparison_grid_print_the_recorded_series(cap
     assert (tmp_path / "series.csv").read_bytes() == recorded
 
 
+@pytest.mark.parametrize("flags, recorded", [
+    ([], "edge_series.csv"),
+    (["--with-exact"], "edge_series_exact.csv"),
+])
+def test_figures_on_the_edge_grid_print_the_recorded_series(capsys, tmp_path, flags, recorded):
+    # p = 0 beside -0 and 1, a k given twice, and invalid points without replacement
+    grid = _DATA / "edge_grid.txt"
+    assert run(["figures", "--grid", str(grid), *flags, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "series.csv").read_bytes() == (_DATA / recorded).read_bytes()
+
+
 @pytest.mark.parametrize("text, message", [
     ("p =\nk = 10\nq = 2", "axis p must not be empty"),
     ("c = \nn = 100\nk = 10\nq = 2", "axis c must not be empty"),
