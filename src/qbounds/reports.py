@@ -5,16 +5,21 @@ Both read the bound at every point of their grid from `evaluate_grid`,
 one numpy pass over the scalar path's term kernels; a single point is
 cheaper through `confidence.evaluate_confidence`. The figure series stays
 in those numpy columns (`Series`): a record is built only when it is read.
+A column spread from a grid axis or filled from a few values (method, n,
+c, p, k, q, status, and the exact and simulation columns not asked for)
+also keeps its levels: the typed values it was spread from, and each
+row's code.
 
 Everything lands in CSV through `write_csv`: a fixed header, LF
 newlines, UTF-8, and one rule for every cell (see `model.cells`): 9
 significant digits in full-precision columns, two decimals in the
 table's rounded columns, the literal NA for missing values and
-inapplicable terms. A float64 or int64 column prints its distinct values
-(told apart by bit pattern) with one `%` call, and an object column of
-`str` alone (method, status) each distinct string once; everything else
-is printed cell by cell, through the same rule. A file is written
-through `open_output`, which rewrites it in place.
+inapplicable terms. A `Series` column with levels prints each level once.
+Its other float64 and int64 columns that share a format are printed
+together, 4,096 rows at a time: each distinct bit pattern among them
+once, by one `%` call. A list of records is printed cell by cell, through
+the same rule. A file is written through `open_output`, which rewrites it
+in place.
 Rendering to images is out of scope; these files are meant for external
 plotting.
 """
@@ -57,56 +62,94 @@ TABLE1_SAMPLE_SIZES = (100, 1000, 10000)
 
 _CHUNK = 4096  # rows formatted per write: bounds the text held at once
 
-# columns printed one distinct value at a time, told apart by bit pattern
+# the dtypes whose columns print each distinct value once, told apart by bit pattern
 _BY_BITS = (np.dtype(np.float64), np.dtype(np.int64))
 
 
-def _column_cells(column, fmt: str) -> list[str]:
-    """`cells(column, fmt)`, with each distinct value of a float64 or int64
-    array, or of an object array holding only `str`, printed once.
+def _distinct_cells(stacked: np.ndarray, fmt: str) -> list[list[str]]:
+    """`cells(row, fmt)` for each row of a 2-d float64 or int64 array,
+    with each distinct value of the whole array printed once.
 
-    Numbers are told apart by their bit pattern, so -0.0 and 0.0 stay apart
-    (they print differently), as does each NaN; their distinct values are
-    printed by one `%` call. Only all-`str` object arrays are deduplicated:
-    a dict or set would merge True with 1 and 0.0 with -0.0, which print
-    differently.
+    Values are told apart by their bit pattern, so -0.0 and 0.0 stay apart
+    (they print differently), as does each NaN. One sort of the bit
+    patterns finds the distinct values, one `%` call prints them, and a
+    NaN is set to NA after.
     """
-    if isinstance(column, np.ndarray) and column.dtype in _BY_BITS:
-        distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        values = distinct.view(column.dtype)
-        missing = np.flatnonzero(values != values).tolist()  # NaN prints NA
-        items = values.tolist()
-        for i in missing:
-            items[i] = 0.0  # a stand-in that every format takes
-        printed = ((fmt + "\n") * len(items) % tuple(items)).split("\n")
-        for i in missing:
-            printed[i] = "NA"
-        return np.array(printed, dtype=object)[inverse.reshape(-1)].tolist()
-    if isinstance(column, np.ndarray) and column.dtype == object:
-        items = column.tolist()
-        if set(map(type, items)) <= {str}:
-            distinct = list(set(items))
-            return list(map(dict(zip(distinct, cells(distinct, fmt))).__getitem__, items))
-    return cells(column, fmt)
+    bits = stacked.view(np.int64).ravel()
+    order = np.argsort(bits)
+    ordered = bits[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(ordered.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    values = ordered[first].view(stacked.dtype)
+    missing = np.flatnonzero(values != values).tolist()  # NaN prints NA
+    items = values.tolist()
+    for i in missing:
+        items[i] = 0.0  # a stand-in that every format takes
+    printed = ((fmt + "\n") * len(items) % tuple(items)).split("\n")
+    for i in missing:
+        printed[i] = "NA"
+    return np.array(printed, dtype=object)[inverse.reshape(stacked.shape)].tolist()
+
+
+def _series_blocks(series: "Series", names: list[str], fmts: list[str]) -> Iterator[list]:
+    """A `Series`' printed cells, one list per column, a chunk of rows at a time.
+
+    A column with levels prints each level once and indexes the printed
+    levels by its codes. The other float64 and int64 columns are printed
+    together with the columns that share their dtype and format, one
+    `_distinct_cells` call per chunk; any other column cell by cell.
+    """
+    coded, grouped, rest = {}, {}, []
+    for i, (name, fmt) in enumerate(zip(names, fmts)):
+        level = series.levels(name)
+        if level is not None:
+            values, codes = level
+            coded[i] = (np.array(cells(values.tolist(), fmt), dtype=object), codes)
+        elif series.column(name).dtype in _BY_BITS:
+            grouped.setdefault((series.column(name).dtype, fmt), []).append(i)
+        else:
+            rest.append(i)
+    for start in range(0, len(series), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        block: list = [None] * len(names)
+        for i, (printed, codes) in coded.items():
+            block[i] = printed[codes[rows]].tolist()
+        for (_, fmt), members in grouped.items():
+            stacked = np.stack([series.column(names[i])[rows] for i in members])
+            for i, column in zip(members, _distinct_cells(stacked, fmt)):
+                block[i] = column
+        for i in rest:
+            block[i] = cells(series.column(names[i])[rows], fmts[i])
+        yield block
+
+
+def _record_blocks(records: Sequence[Mapping], names: list[str], fmts: list[str]) -> Iterator[list]:
+    """A list of records' printed cells, one list per column, a chunk of
+    rows at a time, cell by cell."""
+    for start in range(0, len(records), _CHUNK):
+        chunk = records[start:start + _CHUNK]
+        yield [cells([record[name] for record in chunk], fmt) for name, fmt in zip(names, fmts)]
 
 
 def write_csv(records: Sequence[Mapping], columns: Mapping[str, str], out: IO[str]) -> None:
     """Write `records` as CSV: `columns` maps each header, in order, to the
     `%`-format of its cells (`%s` text, `%d` integer, `%.9g` full
     precision, `%.2f` two decimals); each record needs every header as a
-    key. Rows are formatted column by column, a bounded chunk at a time;
-    a `Series` is printed from its columns and builds no record.
+    key. Rows are formatted column by column, a bounded chunk at a time,
+    each cell by `cells`' rule. A list of records is printed cell by cell.
+    A `Series` is printed from its columns and builds no record: a column
+    with levels prints each level once, and the float64 and int64 columns
+    that share a format print each distinct bit pattern of a chunk once.
     """
     out.write(",".join(cells(columns, "%s")) + "\n")
     names, fmts = list(columns), list(columns.values())
-    for start in range(0, len(records), _CHUNK):
-        if isinstance(records, Series):
-            block = [records.column(name)[start:start + _CHUNK] for name in names]
-        else:
-            chunk = records[start:start + _CHUNK]
-            block = [[record[name] for record in chunk] for name in names]
-        rows = zip(*map(_column_cells, block, fmts))
-        out.write("\n".join(map(",".join, rows)) + "\n")
+    blocks = (_series_blocks if isinstance(records, Series) else _record_blocks)(
+        records, names, fmts)
+    for block in blocks:
+        out.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 @contextlib.contextmanager
@@ -296,10 +339,12 @@ class Series(Sequence):
     prints the columns themselves and builds no record.
     """
 
-    def __init__(self, values: dict[str, np.ndarray], present: dict[str, np.ndarray]):
+    def __init__(self, values: dict[str, np.ndarray], present: dict[str, np.ndarray],
+                 levels: dict[str, tuple[np.ndarray, np.ndarray]]):
         self._values = values  # one 1-d array per column, NaN where a record holds None
         self._present = present  # rows holding a value, for columns that may hold None
-        self._size = len(values["method"])
+        self._levels = levels  # (levels, codes) of the columns with few values: levels[codes]
+        self._size = len(next(iter(values.values())))
 
     def __len__(self) -> int:
         return self._size
@@ -320,6 +365,11 @@ class Series(Sequence):
     def column(self, name: str) -> np.ndarray:
         """One column's values, NaN in the rows whose record holds None."""
         return self._values[name]
+
+    def levels(self, name: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """A column's levels and each row's code, such that the column is
+        `levels[codes]`, or None for a column kept without levels."""
+        return self._levels.get(name)
 
     def _records(self, rows: slice) -> list[dict]:
         columns = []
@@ -470,16 +520,25 @@ def figure_series(
     # rows in itertools.product(n, p or c, k, q, methods) order
     shape = (len(sel), len(spec.k), len(spec.q), len(spec.methods))
 
-    def spread(values, axis: int, dtype) -> np.ndarray:
-        """One axis's values at every grid point, in product order."""
+    levels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def spread(name: str, values, axis: int, dtype) -> np.ndarray:
+        """One axis's values at every grid point, in product order; the
+        typed values are the column's levels, and each point's axis index
+        its code."""
         dims = [1] * len(shape)
         dims[axis] = -1
-        return np.broadcast_to(np.array(values, dtype=dtype).reshape(dims), shape).ravel()
+        typed = np.array(values, dtype=dtype)
+        codes = np.broadcast_to(np.arange(typed.size).reshape(dims), shape).ravel()
+        levels[name] = (typed, codes)
+        return typed[codes]
 
-    p, n = spread(p_axis, 0, np.float64), spread(n_axis, 0, np.int64)
-    k, q = spread(spec.k, 1, np.int64), spread(spec.q, 2, np.float64)
-    c = spread(c_axis, 0, np.int64)
-    wor = spread([m is SamplingMethod.WITHOUT_REPLACEMENT for m in spec.methods], 3, bool)
+    p, n = spread("p", p_axis, 0, np.float64), spread("n", n_axis, 0, np.int64)
+    k, q = spread("k", spec.k, 1, np.int64), spread("q", spec.q, 2, np.float64)
+    c = spread("c", c_axis, 0, np.int64)
+    method = spread("method", [m.value for m in spec.methods], 3, object)
+    wor = np.array([m is SamplingMethod.WITHOUT_REPLACEMENT for m in spec.methods])[
+        levels["method"][1]]
     invalid = wor & (k >= n)
     degenerate = ~invalid & (p == 0.0)
     ok = ~invalid & ~degenerate
@@ -487,10 +546,11 @@ def figure_series(
     chosen = default_inequalities(SamplingMethod.WITH_REPLACEMENT, spec.include_hoeffding)
     bounds = evaluate_grid(p[ok], k[ok], n[ok], q[ok], wor[ok], chosen | DEFAULT_WOR_KINDS)
 
-    status = np.full(p.size, "ok", dtype=object)
-    status[degenerate] = "degenerate"
-    status[invalid] = "invalid"
-    method = spread([m.value for m in spec.methods], 3, object)
+    codes = np.zeros(p.size, dtype=np.intp)
+    codes[degenerate] = 1
+    codes[invalid] = 2
+    levels["status"] = (np.array(["ok", "degenerate", "invalid"], dtype=object), codes)
+    status = levels["status"][0][codes]
     values = {"method": method, "n": n, "c": c, "p": p, "k": k, "q": q, "status": status}
     present: dict[str, np.ndarray] = {}
 
@@ -526,10 +586,12 @@ def figure_series(
     nothing = np.zeros(p.size, dtype=bool)
     for name, computed in (("exact", exact), ("empirical_rate", rate), ("standard_error", error)):
         put(name, valid if computed else nothing, computed)
-    return Series(values, present)
+        if not computed:  # one level: NaN, which prints NA
+            levels[name] = (np.array([np.nan]), np.zeros(p.size, dtype=np.intp))
+    return Series(values, present, levels)
 
 
 def write_series_csv(records: Sequence[dict], out: IO[str]) -> None:
     """Series records as CSV: 9 significant digits, None and NaN as NA;
-    a `Series` is printed from its columns, each distinct value once."""
+    a `Series` is printed from its columns, each level or distinct value once."""
     write_csv(records, _SERIES_CSV, out)

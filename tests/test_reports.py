@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -689,6 +690,24 @@ def test_series_records_equal_the_eager_records(spec, data):
     write_series_csv(series, by_column)
     write_series_csv(want, by_record)
     assert by_column.getvalue() == by_record.getvalue()
+    _assert_levels_spread_the_columns(series, asked=())
+
+
+def _assert_levels_spread_the_columns(series, asked) -> None:
+    """The axis, method and status columns, and the exact and simulation
+    columns not `asked` for, have levels, and each such column is its
+    levels indexed by its codes, bit for bit; no other column has any."""
+    levelled = {"method", "n", "c", "p", "k", "q", "status"}
+    levelled |= {"exact", "empirical_rate", "standard_error"} - set(asked)
+    assert {name for name in SERIES_COLUMNS if series.levels(name) is not None} == levelled
+    for name in levelled:
+        (typed, codes), column = series.levels(name), series.column(name)
+        spread = typed[codes]
+        assert spread.dtype == column.dtype and codes.dtype == np.intp, name
+        if column.dtype == object:
+            assert spread.tolist() == column.tolist() and set(map(type, typed.tolist())) == {str}
+        else:
+            assert spread.tobytes() == column.tobytes(), name
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 4096])
@@ -710,7 +729,10 @@ def test_series_exact_and_simulation_records_equal_the_eager_records(with_exact,
     # k = 2000 >= n is invalid without replacement and takes no seed
     spec = GridSpec(c=(0, 50, 600), n=(1000,), k=(2000, 500, 100), q=(1.5, 2.0))
     args = dict(with_exact=with_exact, with_simulation=with_simulation, trials=300, seed=2**64 - 1)
-    _assert_same_records(list(figure_series(spec, **args)), _eager_series(spec, **args))
+    series = figure_series(spec, **args)
+    _assert_same_records(list(series), _eager_series(spec, **args))
+    asked = ["exact"] * with_exact + ["empirical_rate", "standard_error"] * with_simulation
+    _assert_levels_spread_the_columns(series, asked)
 
 
 def _nan(sign: int, payload: int) -> float:
@@ -718,62 +740,101 @@ def _nan(sign: int, payload: int) -> float:
     return np.array([sign << 63 | 0x7FF << 52 | payload], dtype=np.uint64).view(np.float64)[0]
 
 
+_FLOATS = (
+    st.floats()
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, 0.995, 1e16, 5e-324])
+    | st.builds(_nan, st.integers(0, 1), st.integers(1, 2**52 - 1))
+)
+_INTS = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -1, 2**63 - 1, -(2**63)])
+_TEXT = st.text(st.sampled_from('a,"\n\rNA x'), max_size=6)
+_BIG = st.integers(-(10**30), 10**30) | st.sampled_from([2**63, -(2**63) - 1, 2**64])
+# what an object column may hold, by format: each value the format takes
+_OBJECTS = {
+    "%s": _TEXT | st.none() | st.booleans() | _BIG | _FLOATS,
+    "%.9g": _TEXT | st.none() | st.booleans() | _BIG | _FLOATS,
+    "%d": _TEXT | st.none() | st.booleans() | _BIG,
+}
+
+
 @st.composite
-def _printed_columns(draw):
-    """A column and a format: float64 and int64 arrays, whose distinct
-    values are printed once, and lists and other arrays, printed cell by
-    cell."""
-    floats = (
-        st.floats()
-        | st.sampled_from([0.0, -0.0, math.inf, -math.inf, 0.995, 1e16, 5e-324])
-        | st.builds(_nan, st.integers(0, 1), st.integers(1, 2**52 - 1))
+def _printed_tables(draw):
+    """Columns of one length, each as (format, column, levels): float64
+    columns whose values come in part from one shared pool (so columns
+    printed together share values), int64 columns, object columns, and
+    columns with levels, given as (levels, codes) and whose levels may
+    repeat a value; `column` is `levels[codes]` for those, and `levels`
+    None for the others."""
+    rows = draw(st.integers(0, 12))
+    pool = draw(st.lists(_FLOATS, min_size=1, max_size=6))
+    floats = st.sampled_from(pool) | _FLOATS
+    float_fmts, int_fmts = st.sampled_from(["%.9g", "%.2f", "%s"]), st.sampled_from(["%d", "%s", "%.9g"])
+    table = []
+    for kind in draw(st.lists(st.sampled_from(["float64", "int64", "object", "levels"]),
+                              min_size=1, max_size=6)):
+        if kind == "float64":
+            column = np.array(draw(st.lists(floats, min_size=rows, max_size=rows)), dtype=np.float64)
+            table.append((draw(float_fmts), column, None))
+        elif kind == "int64":
+            column = np.array(draw(st.lists(_INTS, min_size=rows, max_size=rows)), dtype=np.int64)
+            table.append((draw(int_fmts), column, None))
+        elif kind == "object":
+            fmt = draw(st.sampled_from(sorted(_OBJECTS)))
+            column = np.empty(rows, dtype=object)
+            column[:] = draw(st.lists(_OBJECTS[fmt], min_size=rows, max_size=rows))
+            table.append((fmt, column, None))
+        else:
+            fmt, values, dtype = draw(st.sampled_from([
+                (float_fmts, floats, np.float64), (int_fmts, _INTS, np.int64),
+                (st.just("%s"), _TEXT | st.none(), object),
+            ]))
+            typed = np.array(draw(st.lists(values, min_size=1, max_size=4)), dtype=dtype)
+            codes = np.array(draw(st.lists(st.integers(0, typed.size - 1), min_size=rows,
+                                           max_size=rows)), dtype=np.intp)
+            table.append((draw(fmt), typed[codes], (typed, codes)))
+    return table
+
+
+def _levelled(*values, codes=()) -> tuple:
+    """A `_printed_tables` column with levels, from its levels and codes."""
+    typed = np.array(values, dtype=object if isinstance(values[0], str) else None)
+    codes = np.array(codes, dtype=np.intp)
+    return typed[codes], (typed, codes)
+
+
+@given(_printed_tables(), st.integers(1, 5))
+@settings(max_examples=200)
+@example([("%s", np.array([-0.0, 0.0, 0.0, -0.0]), None),
+          ("%s", *_levelled(0.0, -0.0, 0.0, codes=[1, 0, 2, 1]))], 3)
+@example([("%.9g", np.array([0.0, -0.0]), None), ("%.9g", np.array([-0.0, 0.0]), None)], 1)
+@example([("%.9g", np.array([_nan(1, 1), math.nan, math.inf, -math.inf, _nan(0, 5)]), None),
+          ("%.9g", np.array([math.inf, _nan(0, 5), _nan(1, 2), 0.0, -math.inf]), None)], 2)
+@example([("%.9g", np.array([1.0, 2.0, 3.0]), None), ("%.2f", np.array([1.0, 2.0, 3.0]), None),
+          ("%d", np.array([3, 2, 1]), None), ("%.9g", np.array([3, 2, 1]), None)], 2)
+@example([("%s", np.array(["a", True, 1, "a", 1, True], dtype=object), None)], 4)
+@example([("%.9g", np.array(["a", 0.0, -0.0, "a", -0.0], dtype=object), None)], 5)
+@example([("%s", np.array(["a", None, "NA", math.nan, None, "a"], dtype=object), None)], 4)
+@example([("%s", *_levelled("b,", 'c"', "b,", codes=[0, 2, 1, 1, 0]))], 2)
+@example([("%s", *_levelled(math.nan, codes=[0, 0, 0])), ("%d", *_levelled(7, 7, codes=[1, 0, 1]))], 2)
+@example([("%d", np.array([math.nan, 2.0, _nan(1, 3)]), None)], 1)
+@example([("%d", np.array([], dtype=np.float64), None), ("%s", np.array([], dtype=object), None)], 1)
+def test_written_columns_equal_the_cell_rule(table, chunk):
+    """Every cell `write_csv` prints, from a `Series` (with its levels) and
+    from the same records as a list, is what `cells([v], fmt)` prints for
+    its value, across chunk boundaries."""
+    names = [f"c{i}" for i in range(len(table))]
+    columns = {name: fmt for name, (fmt, _, _) in zip(names, table)}
+    values = {name: column for name, (_, column, _) in zip(names, table)}
+    levels = {name: level for name, (_, _, level) in zip(names, table) if level is not None}
+    records = [dict(zip(names, row)) for row in zip(*(column.tolist() for column in values.values()))]
+    expected = "".join(
+        ",".join(row) + "\n"
+        for row in [names, *zip(*([cells([v], fmt)[0] for v in column] for fmt, column, _ in table))]
     )
-    ints = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -1, 2**63 - 1, -(2**63)])
-    text = st.text(st.sampled_from('a,"\n\rNA x'), max_size=6)
-    kind = draw(st.sampled_from(
-        ["float64", "int64", "ints past int64", "bool and int", "np.float64", "text",
-         "str only", "str and others"]
-    ))
-    if kind == "float64":
-        column = np.array(draw(st.lists(floats, max_size=40)), dtype=np.float64)
-        return column, draw(st.sampled_from(["%.9g", "%.2f", "%s"]))
-    if kind == "int64":
-        column = np.array(draw(st.lists(ints, max_size=40)), dtype=np.int64)
-        return column, draw(st.sampled_from(["%d", "%s", "%.9g"]))
-    if kind == "ints past int64":
-        big = st.integers(-(10**30), 10**30) | st.sampled_from([2**63, -(2**63) - 1, 2**64])
-        return draw(st.lists(big | st.none(), max_size=40)), draw(st.sampled_from(["%d", "%s"]))
-    if kind == "bool and int":
-        values = draw(st.lists(st.booleans() | st.integers(-2, 2), max_size=40))
-        return draw(st.sampled_from([values, np.array(values, dtype=object)])), "%s"
-    if kind == "np.float64":
-        values = [np.float64(v) for v in draw(st.lists(floats, max_size=40))]
-        return values, draw(st.sampled_from(["%.9g", "%.2f", "%s"]))
-    if kind == "str only":  # an object array printed once per distinct string
-        return np.array(draw(st.lists(text, max_size=40)), dtype=object), "%s"
-    if kind == "str and others":  # equal under == but printed apart: never merged
-        others = st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, math.nan, None, "1", "True"])
-        values = draw(st.lists(text | others, max_size=40))
-        return np.array(values, dtype=object), draw(st.sampled_from(["%s", "%.9g"]))
-    values = draw(st.lists(text | st.none(), max_size=40))
-    return draw(st.sampled_from([values, np.array(values, dtype=object)])), "%s"
-
-
-@given(_printed_columns())
-@example((np.array([-0.0, 0.0, 0.0, -0.0]), "%s"))
-@example((np.array([0.0, -0.0]), "%.9g"))
-@example((np.array([_nan(1, 1), math.nan, math.inf, -math.inf, _nan(0, 5)]), "%.9g"))
-@example(([True, 1, False, 0, np.True_], "%s"))
-@example((np.array(["a", True, 1, "a", 1, True], dtype=object), "%s"))
-@example((np.array(["a", 0.0, -0.0, "a", -0.0], dtype=object), "%.9g"))
-@example((np.array(["a", None, "NA", math.nan, None, "a"], dtype=object), "%s"))
-@example((np.array(["b,", "b,", 'c"', "NA", ""], dtype=object), "%s"))
-@example((np.array([], dtype=object), "%s"))
-@example((np.array([], dtype=np.float64), "%d"))
-@example((np.array([math.nan, 2.0, _nan(1, 3)]), "%d"))
-def test_column_printer_equals_the_cell_rule(case):
-    column, fmt = case
-    assert reports._column_cells(column, fmt) == [cells([v], fmt)[0] for v in column]
+    with mock.patch.object(reports, "_CHUNK", chunk):
+        for written in (reports.Series(values, {}, levels), records):
+            out = io.StringIO()
+            write_csv(written, columns, out)
+            assert out.getvalue() == expected
 
 
 def _size_pair():
