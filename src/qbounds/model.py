@@ -31,6 +31,9 @@ class SamplingMethod(enum.Enum):
             raise ValueError(f"unknown sampling method {text!r} (expected 'wr' or 'wor')") from None
 
 
+_WOR = SamplingMethod.WITHOUT_REPLACEMENT  # a module constant costs less than a member lookup
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """A table of `n` rows of which `cardinality` satisfy the predicate.
@@ -109,7 +112,7 @@ def _check_point(
         raise ValueError(f"sample size must be finite and >= 1, got {k}")
     if q is not None and not 1.0 <= q <= _FLOAT_MAX:
         raise ValueError(f"q must be finite and >= 1, got {q}")
-    if method is SamplingMethod.WITHOUT_REPLACEMENT:
+    if method is _WOR:
         if n is None:
             raise ValueError("sampling without replacement needs the table size n")
         if k < n:  # n first: past the largest double, an int n overflows n - k for a float k
@@ -126,8 +129,11 @@ def _check_k_below_n(k: int, n: int) -> None:
 
 
 def validate_design(pop: PopulationSpec, design: SampleDesign) -> None:
-    """Check the cross constraints between a population and a sample design."""
-    _check_point(design.method, None, design.k, None, pop.n)
+    """Check the cross constraints between a population and a sample design:
+    without replacement, k < n and n - k >= 1. `PopulationSpec` has checked
+    n, and `SampleDesign` the method and k, so neither is checked again."""
+    if design.method is _WOR:
+        _check_k_below_n(design.k, pop.n)
 
 
 def q_error(est: float, truth: float) -> float:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import _admissible_range, _check_integers, _is_integer
-from .model import RNG_SCHEME, PopulationSpec, SampleDesign, SamplingMethod, _check_point
+from .model import (RNG_SCHEME, PopulationSpec, SampleDesign, SamplingMethod, _check_k_below_n,
+                    _check_point)
 
 _BLOCK = 4096
 # numpy's hypergeometric draw refuses C or n - C at or above this; C = 0
@@ -48,7 +49,10 @@ class SimulationConfig:
         _check_integers("to simulate", ("population size", self.pop.n),
                         ("cardinality", self.pop.cardinality),
                         ("sample size", self.design.k), ("trials", self.trials))
-        _check_point(self.design.method, None, self.design.k, self.q, self.pop.n)
+        # n, k and the method were checked by the population and the design
+        _check_point(None, None, None, self.q)
+        if self.design.method is SamplingMethod.WITHOUT_REPLACEMENT:
+            _check_k_below_n(self.design.k, self.pop.n)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _check_seed(self.seed)

@@ -51,6 +51,10 @@ class Side(enum.Enum):
     OVER = "over"
     UNDER = "under"
 
+    # Identity hash, as `InequalityKind` has: `reports.evaluate_grid` keys
+    # its ten terms by (kind, side).
+    __hash__ = object.__hash__
+
 
 # The term kernels take their math from a backend: this one for a single
 # point of Python floats, the numpy module itself for arrays. `where`

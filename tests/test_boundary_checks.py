@@ -21,6 +21,7 @@ from qbounds import (
     PopulationSpec,
     SampleDesign,
     SamplingMethod,
+    SimulationConfig,
     TableData,
     estimate_with_bounds,
     exact_confidence,
@@ -37,7 +38,7 @@ WOR = SamplingMethod.WITHOUT_REPLACEMENT
 CANONICAL_GRID = Path(__file__).resolve().parents[1] / "perfbench" / "canonical_grid.txt"
 _MODULES = ("cli", "confidence", "exact", "ingest", "model", "reports", "simulate", "solver",
             "terms", "with_replacement", "without_replacement")
-_CHECKS = ("_check_point", "_check_n", "_check_integers", "_validate_target")
+_CHECKS = ("_check_point", "_check_n", "_check_k_below_n", "_check_integers", "_validate_target")
 
 
 @contextlib.contextmanager
@@ -75,7 +76,18 @@ def test_exact_confidence_checks_q_once_and_n_not_again(method):
     pop, design = PopulationSpec(10**6, 5000), SampleDesign(method, 1000)
     with _counted_checks() as counts:
         exact_confidence(pop, design, 2.0)
-    assert counts == {"_check_point": 1, "_check_integers": 1}
+    assert counts == collections.Counter(_check_point=1, _check_integers=1,
+                                         _check_k_below_n=method is WOR)
+
+
+@pytest.mark.parametrize("method", [WR, WOR])
+def test_simulation_config_checks_q_and_only_k_below_n_again(method):
+    pop, design = PopulationSpec(10**6, 5000), SampleDesign(method, 1000)
+    with _counted_checks() as counts:
+        SimulationConfig(pop=pop, design=design, q=2.0, trials=10, seed=1)
+    # q once; k and n were checked by the design and the population
+    assert counts == collections.Counter(_check_integers=1, _check_point=1,
+                                         _check_k_below_n=method is WOR)
 
 
 def test_figure_series_exact_column_checks_no_point():
@@ -103,9 +115,11 @@ def test_estimate_checks_its_inputs_before_the_draw_and_no_bound(method, assume_
     wor = method is WOR
     with _counted_checks() as counts:
         estimate_with_bounds(table, predicate, design, qs=(1.5, 2.0, 4.0), assume_p=assume_p)
-    # k once by the integer rule and once by the point rule with n; n by the
-    # table-size rule, and again by the point rule without replacement; each q once
-    assert at_draw == {"_check_integers": 1, "_check_point": 1 + 3, "_check_n": 1 + wor}
+    # k once by the integer rule, and without replacement against n; n by
+    # the table-size rule; each q once. The design checked k's range and
+    # the population checks n: neither is checked again.
+    assert at_draw == collections.Counter(_check_integers=1, _check_point=3, _check_n=1,
+                                          _check_k_below_n=wor)
     assert counts == at_draw
     with _counted_checks() as counts:
         report = estimate_with_bounds(table, predicate, design, qs=(1.5, 2.0, 4.0),
@@ -114,5 +128,5 @@ def test_estimate_checks_its_inputs_before_the_draw_and_no_bound(method, assume_
     # not 0, checks nothing again
     solved = report.p_used > 0.0
     assert report.per_q and (report.q_at_target is not None) == solved
-    assert counts == {"_check_integers": 1, "_check_point": 4, "_check_n": 1 + wor,
-                      "_validate_target": 1}
+    assert counts == collections.Counter(_check_integers=1, _check_point=3, _check_n=1,
+                                         _check_k_below_n=wor, _validate_target=1)
