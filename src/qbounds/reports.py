@@ -81,9 +81,13 @@ def _distinct_cells(stacked: np.ndarray, fmt: str) -> list[list[str]]:
     first = np.empty(ordered.size, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(ordered.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
     values = ordered[first].view(stacked.dtype)
+    del ordered  # each chunk-sized temporary goes once used, which lowers peak RSS
+    inverse = np.empty(bits.size, dtype=np.intp)
+    codes = np.cumsum(first)
+    codes -= 1
+    inverse[order] = codes
+    del order, codes
     missing = np.flatnonzero(values != values).tolist()  # NaN prints NA
     items = values.tolist()
     for i in missing:
@@ -584,10 +588,11 @@ def figure_series(
                 rate.append(summary.empirical_rate)
                 error.append(summary.standard_error)
     nothing = np.zeros(p.size, dtype=bool)
+    unasked = (np.array([np.nan]), np.zeros(p.size, dtype=np.intp))  # one level, NaN: NA
     for name, computed in (("exact", exact), ("empirical_rate", rate), ("standard_error", error)):
         put(name, valid if computed else nothing, computed)
-        if not computed:  # one level: NaN, which prints NA
-            levels[name] = (np.array([np.nan]), np.zeros(p.size, dtype=np.intp))
+        if not computed:
+            levels[name] = unasked
     return Series(values, present, levels)
 
 
