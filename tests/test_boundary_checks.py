@@ -3,8 +3,8 @@
 Every module's binding of the point, table-size and integer rules is
 wrapped to count its calls: the solvers' steps, the figure series' exact
 column, an estimate's bound at each q and its q at the target run none,
-and `exact_confidence` checks only q and what its population and design
-have not.
+and `exact_confidence`, `validate_design` and `SimulationConfig` check
+only q and what their population and design have not.
 """
 
 import collections
