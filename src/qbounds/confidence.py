@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from . import with_replacement, without_replacement
-from .model import SamplingMethod, _check_member, _check_point
+from .model import _WR, SamplingMethod, _check_member, _check_point
 from .terms import (
     _SCALAR,
     DEFAULT_WOR_KINDS,
@@ -30,13 +30,12 @@ from .terms import (
 )
 
 _DEGENERATE = (1.0, 1.0, 0.0, None, None, True, ((), (), frozenset()))  # a point of `_prepared`
-_WR = SamplingMethod.WITH_REPLACEMENT  # looking an enum member up costs a third of `_prepared`
 
 
 def default_inequalities(
     method: SamplingMethod, with_hoeffding: bool = False
 ) -> frozenset[InequalityKind]:
-    if method is SamplingMethod.WITH_REPLACEMENT:
+    if method is _WR:
         return WITH_REPLACEMENT_KINDS if with_hoeffding else DEFAULT_WR_KINDS
     _check_member(method, SamplingMethod, "sampling method")
     return DEFAULT_WOR_KINDS

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (PopulationSpec, SampleDesign, SamplingMethod, _check_k_below_n, _check_point,
-                    q_error)
+from .model import (_WOR, _WR, PopulationSpec, SampleDesign, SamplingMethod, _check_k_below_n,
+                    _check_point, q_error)
 
 _REL_CUTOFF = 1e-30
 # The first window spans the mean +- (_SPREAD standard deviations + _MARGIN).
@@ -175,7 +175,7 @@ def exact_confidence(pop: PopulationSpec, design: SampleDesign, q: float) -> flo
     then k < n and n - k >= 1 without replacement, the cap and the integers."""
     n, c, k = pop.n, pop.cardinality, design.k
     _check_point(None, None, None, q)
-    if design.method is SamplingMethod.WITHOUT_REPLACEMENT:
+    if design.method is _WOR:
         _check_k_below_n(k, n)
     if max(n, k) >= 2**63:
         raise ValueError(f"exact tail sums need n and k below 2**63, got n={n}, k={k}")
@@ -196,7 +196,7 @@ def _exact_confidence(method: SamplingMethod, n: int, c: int, k: int, q: float) 
         return 1.0 if k in rng else 0.0
 
     variance = k * (c / n) * ((n - c) / n)
-    if method is SamplingMethod.WITH_REPLACEMENT:
+    if method is _WR:
         logpmf, support_lo, support_hi = binom_logpmf, 0, k
     else:
         logpmf, support_lo, support_hi = hypergeom_logpmf, max(0, k - (n - c)), min(k, c)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .confidence import _prepared, default_inequalities
 from .exact import _check_integers, estimate_from_hits
-from .model import (PopulationSpec, SampleDesign, SamplingMethod, _check_point, q_error,
+from .model import (_WR, PopulationSpec, SampleDesign, SamplingMethod, _check_point, q_error,
                     validate_design)
 from .simulate import _block0_generator, _check_seed
 from .solver import Unreachable, _q_at_confidence, _validate_target
@@ -513,7 +513,7 @@ def sample_indices(n: int, design: SampleDesign, rng: np.random.Generator) -> np
     k-subset of range(n) in random order, from numpy's `Generator.choice`
     (Floyd's algorithm for k <= n/50, a partial shuffle otherwise)."""
     k = design.k
-    if design.method is SamplingMethod.WITH_REPLACEMENT:
+    if design.method is _WR:
         return rng.integers(0, n, size=k)
     return rng.choice(n, k, replace=False)
 

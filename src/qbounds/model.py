@@ -31,7 +31,8 @@ class SamplingMethod(enum.Enum):
             raise ValueError(f"unknown sampling method {text!r} (expected 'wr' or 'wor')") from None
 
 
-_WOR = SamplingMethod.WITHOUT_REPLACEMENT  # a module constant costs less than a member lookup
+# module constants cost less than a member lookup
+_WR, _WOR = SamplingMethod.WITH_REPLACEMENT, SamplingMethod.WITHOUT_REPLACEMENT
 
 
 @dataclass(frozen=True)

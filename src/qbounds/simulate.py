@@ -8,27 +8,30 @@ use and never more than there are blocks; numpy's array draws release
 the GIL, so the threads draw at once. A one-block run stays on the
 calling thread. Every block's draws depend on (seed, b) alone, so the
 results, and every output byte, are the same for any thread count or
-order. The sampled estimate (`ingest.estimate_with_bounds`) draws its
-rows from block 0 of the same scheme, under the same seed rule, but from
-one generator per thread that each estimate re-keys (`_block0_generator`)
-rather than a new one: building a Philox costs more than a small
-estimate's draw. A simulation keeps one new generator per block, as its
-helper threads are new on every run. The scheme's identifier,
-`RNG_SCHEME`, is set in `model`, so output metadata names it without
-numpy.
+order. A point whose admissible range holds none, or all, of the hit
+counts the draw can give draws no block and starts no thread: it counts
+0 or every trial, as a draw would. The sampled estimate
+(`ingest.estimate_with_bounds`) draws its rows from block 0 of the same
+scheme, under the same seed rule, but from one generator per thread that
+each estimate re-keys (`_block0_generator`) rather than a new one:
+building a Philox costs more than a small estimate's draw. A simulation
+keeps one new generator per block, as its helper threads are new on
+every run. The scheme's identifier, `RNG_SCHEME`, is set in `model`, so
+output metadata names it without numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _admissible_range, _check_integers, _is_integer
-from .model import (RNG_SCHEME, PopulationSpec, SampleDesign, SamplingMethod, _check_k_below_n,
+from .exact import AdmissibleRange, _admissible_range, _check_integers, _is_integer
+from .model import (_WOR, _WR, RNG_SCHEME, PopulationSpec, SampleDesign, _check_k_below_n,
                     _check_point)
 
 _BLOCK = 4096
@@ -49,16 +52,16 @@ class SimulationConfig:
         _check_integers("to simulate", ("population size", self.pop.n),
                         ("cardinality", self.pop.cardinality),
                         ("sample size", self.design.k), ("trials", self.trials))
-        # n, k and the method were checked by the population and the design
+        # n, k and the method were checked by the population and the design;
+        # as Python ints, no numpy integer type wraps in n - k or n - C
+        n, c, k = (operator.index(v) for v in (self.pop.n, self.pop.cardinality, self.design.k))
         _check_point(None, None, None, self.q)
-        if self.design.method is SamplingMethod.WITHOUT_REPLACEMENT:
-            _check_k_below_n(self.design.k, self.pop.n)
+        if self.design.method is _WOR:
+            _check_k_below_n(k, n)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _check_seed(self.seed)
-        n, c = self.pop.n, self.pop.cardinality
-        if (self.design.method is SamplingMethod.WITHOUT_REPLACEMENT
-                and 0 < c < n and max(c, n - c) >= _HYPERGEOMETRIC_LIMIT):
+        if self.design.method is _WOR and 0 < c < n and max(c, n - c) >= _HYPERGEOMETRIC_LIMIT:
             raise ValueError(f"simulation without replacement needs C and n - C below "
                              f"{_HYPERGEOMETRIC_LIMIT:,}, got C={c}, n - C={n - c}")
 
@@ -118,13 +121,44 @@ def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
 
     Success of a trial with hit count x means q_error(n*x/k, C) <= q,
     which is exactly membership of x in the admissible hit-count range.
-    Each thread takes the next block index from one shared iterator and
-    sums its own blocks' successes; the helpers are joined before this
-    returns, and an error in any block is raised here.
+    A point whose range holds none, or all, of the hit counts the draw can
+    give (its support: [0, k] with replacement, [max(0, k - (n - C)),
+    min(k, C)] without, and only 0 or k when C is 0 or n) is counted
+    without a draw, as 0 or `trials` successes, which is what any draw
+    would count; no block is drawn and no thread starts. Every other point
+    draws its blocks (`_drawn_successes`). n, C and k are taken as Python
+    integers, so no numpy integer type wraps in the range or the support.
     """
-    n, c, k = cfg.pop.n, cfg.pop.cardinality, cfg.design.k
-    p = cfg.pop.p
+    n, c, k = (operator.index(v) for v in (cfg.pop.n, cfg.pop.cardinality, cfg.design.k))
+    wr = cfg.design.method is _WR
     rng = _admissible_range(n, c, k, cfg.q)
+    if wr:
+        support_lo, support_hi = (0 if c < n else k), (k if c > 0 else 0)
+    else:
+        support_lo, support_hi = max(0, k - (n - c)), min(k, c)
+    if max(rng.lo, support_lo) > min(rng.hi, support_hi):
+        successes = 0
+    elif rng.lo <= support_lo and support_hi <= rng.hi:
+        successes = operator.index(cfg.trials)  # a Python int, as a drawn sum is
+    else:
+        successes = _drawn_successes(cfg, wr, n, c, k, rng)
+
+    rate = successes / cfg.trials
+    return SimulationSummary(
+        successes=successes,
+        trials=cfg.trials,
+        empirical_rate=rate,
+        standard_error=math.sqrt(rate * (1.0 - rate) / cfg.trials),
+    )
+
+
+def _drawn_successes(cfg: SimulationConfig, wr: bool, n: int, c: int, k: int,
+                     rng: AdmissibleRange) -> int:
+    """The trials of `cfg` whose hit count, drawn block by block, lies in
+    `rng`. Each thread takes the next block index from one shared iterator
+    and sums its own blocks' successes; the helpers are joined before this
+    returns, and an error in any block is raised here."""
+    p = c / n
     n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
     blocks = iter(range(n_blocks))
     lock = threading.Lock()
@@ -144,12 +178,10 @@ def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
                         break
                     gen = block_generator(cfg.seed, b)
                 size = min(_BLOCK, cfg.trials - b * _BLOCK)
-                if cfg.design.method is SamplingMethod.WITH_REPLACEMENT:
+                if wr:
                     hits = gen.binomial(k, p, size=size)
-                elif 0 < c < n:
-                    hits = gen.hypergeometric(c, n - c, k, size=size)
                 else:
-                    hits = np.full(size, k if c else 0)
+                    hits = gen.hypergeometric(c, n - c, k, size=size)
                 total += int(np.count_nonzero((hits >= rng.lo) & (hits <= rng.hi)))
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
@@ -167,12 +199,4 @@ def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
             helper.join()
     if errors:
         raise errors[0]
-
-    successes = sum(sums)
-    rate = successes / cfg.trials
-    return SimulationSummary(
-        successes=successes,
-        trials=cfg.trials,
-        empirical_rate=rate,
-        standard_error=math.sqrt(rate * (1.0 - rate) / cfg.trials),
-    )
+    return sum(sums)

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Union
 
 from . import with_replacement
 from .confidence import _method_kinds, _prepared
-from .model import _FLOAT_MAX, SamplingMethod, _check_point
+from .model import _FLOAT_MAX, _WR, SamplingMethod, _check_point
 from .terms import _SCALAR, InequalityKind
 
 DEFAULT_K_MAX = 10**9
@@ -101,7 +101,7 @@ def min_sample_size(
 
 def _min_sample_size(method, p, q, target, n, kinds, k_max):
     """`min_sample_size` of checked inputs; it steps only to admissible k."""
-    wr = method is SamplingMethod.WITH_REPLACEMENT
+    wr = method is _WR
     at = _prepared(method, p, n, kinds)
     cap = math.floor(k_max if wr else min(k_max, n - 1 if n - 1 < n else math.nextafter(n, 0.0)))
 

@@ -12,8 +12,8 @@ import math
 from typing import Iterable, Optional
 
 from . import confidence
-from .model import SamplingMethod, _check_member, _check_point
-from .terms import _SCALAR, BoundResult, InequalityKind, Side
+from .model import _WR, _check_member, _check_point
+from .terms import _SCALAR, _UNDER, BoundResult, InequalityKind, Side
 
 # The kinds of `_exponents`' output, each as its over then its under term.
 _ORDER = (InequalityKind.CHERNOFF, InequalityKind.BERNSTEIN, InequalityKind.HOEFFDING)
@@ -73,9 +73,9 @@ def _terms(xp, p, k, q) -> list:
 
 
 def _term(kind: InequalityKind, p: float, k: int, q: float, side: Side) -> float:
-    _check_point(SamplingMethod.WITH_REPLACEMENT, p, k, q)
+    _check_point(_WR, p, k, q)
     _check_member(side, Side, "side")
-    return _terms(_SCALAR, p, k, q)[2 * _ORDER.index(kind) + (side is Side.UNDER)]
+    return _terms(_SCALAR, p, k, q)[2 * _ORDER.index(kind) + (side is _UNDER)]
 
 
 def chernoff_term(p: float, k: int, q: float, side: Side) -> float:
@@ -118,5 +118,4 @@ def confidence_wr(
     The default inequality set is {Chernoff, Bernstein}; adding Hoeffding
     can only tighten the result.
     """
-    return confidence._checked_bound(SamplingMethod.WITH_REPLACEMENT, p, k, q, None,
-                                     inequalities, p)
+    return confidence._checked_bound(_WR, p, k, q, None, inequalities, p)

@@ -11,8 +11,8 @@ import math
 from typing import Iterable, Optional
 
 from . import confidence
-from .model import SamplingMethod, _check_member, _check_point
-from .terms import _SCALAR, BoundResult, InequalityKind, Side
+from .model import _WOR, _check_member, _check_point
+from .terms import _SCALAR, _UNDER, BoundResult, InequalityKind, Side
 
 # The kinds of `_terms`' output, each as its over then its under term.
 _ORDER = (InequalityKind.HOEFFDING_SERFLING, InequalityKind.BERNSTEIN_SERFLING)
@@ -21,7 +21,7 @@ _ORDER = (InequalityKind.HOEFFDING_SERFLING, InequalityKind.BERNSTEIN_SERFLING)
 def serfling_coefficients(k: int, n: int) -> tuple[float, float]:
     """Finite-population coefficients (rho, zeta), branch chosen by the
     exact integer comparison 2k <= n (ties take the first branch)."""
-    _check_point(SamplingMethod.WITHOUT_REPLACEMENT, None, k, None, n)
+    _check_point(_WOR, None, k, None, n)
     return _coefficients(k, n)
 
 
@@ -64,10 +64,10 @@ def _terms(xp, p, k, q, rho, zeta) -> list:
 
 
 def _term(kind: InequalityKind, p: float, k: int, n: int, q: float, side: Side) -> float:
-    _check_point(SamplingMethod.WITHOUT_REPLACEMENT, p, k, q, n)
+    _check_point(_WOR, p, k, q, n)
     _check_member(side, Side, "side")
     values = _terms(_SCALAR, p, k, q, *_coefficients(k, n))
-    return values[2 * _ORDER.index(kind) + (side is Side.UNDER)]
+    return values[2 * _ORDER.index(kind) + (side is _UNDER)]
 
 
 def hoeffding_serfling_term(p: float, k: int, n: int, q: float, side: Side) -> float:
@@ -97,5 +97,4 @@ def confidence_wor(
 ) -> BoundResult:
     """Combined lower bound on P(Q-error <= q) for sampling without
     replacement; the default set uses both Serfling-type inequalities."""
-    return confidence._checked_bound(SamplingMethod.WITHOUT_REPLACEMENT, p, k, q, n,
-                                     inequalities, p)
+    return confidence._checked_bound(_WOR, p, k, q, n, inequalities, p)

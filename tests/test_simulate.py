@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbounds import (
     PopulationSpec,
@@ -333,3 +335,131 @@ def test_numpy_integers_are_simulation_inputs():
     numpy = run_simulation(_cfg(np.int64(10**6), np.int32(5000), np.int64(1000), 2.0,
                                 trials=np.int64(10**4), seed=np.uint64(1)))
     assert numpy.successes == plain.successes == 8675
+
+
+def _sizes(draw, method):
+    """n, C and k for a property example: C at an edge of [0, n] or inside
+    it, and without replacement k at 1, n - 1 or inside."""
+    n = draw(st.integers(2, 10**6))
+    c = draw(st.sampled_from([0, 1, n - 1, n, None]))
+    if c is None:
+        c = draw(st.integers(0, n))
+    top = n - 1 if method is WOR else 2 * 10**6
+    k = draw(st.sampled_from([1, top, None]))
+    if k is None:
+        k = draw(st.integers(1, top))
+    return n, c, k
+
+
+@st.composite
+def _points(draw):
+    method = draw(st.sampled_from([WR, WOR]))
+    n, c, k = _sizes(draw, method)
+    q = draw(st.sampled_from([1.0, 1e200]) | st.floats(0.0, 200.0).map(lambda e: 10.0**e))
+    trials = draw(st.sampled_from([1, 4095, 4097]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return _cfg(n, c, k, q, trials=trials, seed=seed, method=method)
+
+
+@given(cfg=_points(), cpus=st.sampled_from([1, 4]))
+@example(cfg=_cfg(10**6, 100, 10, 2.0, trials=4097, seed=1), cpus=4)  # no hit count admissible
+@example(cfg=_cfg(1000, 10, 5, 1e6, trials=4097, seed=1, method=WOR), cpus=4)  # every one
+@example(cfg=_cfg(1000, 500, 100, 1.05, trials=4097, seed=1, method=WOR), cpus=1)  # some
+@settings(max_examples=200, deadline=None)
+def test_simulation_equals_the_block_by_block_draw(cfg, cpus):
+    """Decided or drawn, a point counts what drawing each block counts."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_cpu_count", lambda: cpus)
+        summary = run_simulation(cfg)
+    assert summary.successes == _reference_successes(cfg)
+    assert summary.trials == cfg.trials
+
+
+def _counted_draws(monkeypatch) -> tuple[list, list]:
+    """The block indices `block_generator` is called with, and the threads
+    started, during a run."""
+    blocks, started = [], []
+    make = simulate.block_generator
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def counted(seed, b):
+        blocks.append(b)
+        return make(seed, b)
+
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(simulate, "block_generator", counted)
+    monkeypatch.setattr(simulate.threading, "Thread", Counted)
+    return blocks, started
+
+
+@pytest.mark.parametrize("method", [WR, WOR])
+@pytest.mark.parametrize("n, c, k, q, successes", [
+    (10**6, 100, 10, 2.0, 0),  # k p = 0.001: no hit count estimates within a factor 2
+    (1000, 10, 5, 1e6, 16 * 4096 + 3),  # every hit count in [0, 5] is within 1e6
+    (1000, 0, 50, 1.0, 16 * 4096 + 3),  # the hit count is 0, and so is C
+    (1000, 1000, 50, 1.0, 16 * 4096 + 3),  # the hit count is k, and C is n
+])
+def test_a_decided_point_draws_nothing(monkeypatch, method, n, c, k, q, successes):
+    blocks, started = _counted_draws(monkeypatch)
+    summary = run_simulation(_cfg(n, c, k, q, trials=16 * 4096 + 3, seed=1, method=method))
+    assert summary.successes == successes
+    assert blocks == [] and started == []
+
+
+@pytest.mark.parametrize("method", [WR, WOR])
+def test_an_undecided_point_draws_every_block(monkeypatch, method):
+    blocks, started = _counted_draws(monkeypatch)
+    summary = run_simulation(_cfg(10**6, 5000, 1000, 2.0, trials=16 * 4096 + 3, seed=1,
+                                  method=method))
+    assert sorted(blocks) == list(range(17)) and len(started) == 3
+    assert 0 < summary.successes < summary.trials
+
+
+# (method, n, C, k, q): the first at C k / n = 1000 puts k C past 2**31, so
+# an int32 k wrapped in the admissible range and counted 0 of 4,096; in the
+# second an uint64 k wrapped in k - (n - C) and counted 0 in place of 4,096;
+# the rest hold n, C or k on both sides of 2**31 and 2**32
+_WIDE_POINTS = [
+    (WOR, 5 * 10**8, 5 * 10**6, 100_000, 1.05),
+    (WOR, 1000, 500, 100, 1e6),
+    (WOR, 1000, 500, 100, 1.05),
+    (WR, 2**31 - 1, 2**30, 30_000, 1.01),
+    (WR, 2**31 + 1, 2**31 - 1, 2**31 - 1, 1.0001),
+    (WR, 2**32 - 1, 2**31 + 1, 2**31 + 1, 1.0001),
+    (WR, 2**33 + 1, 2**32 + 7, 2**32 - 1, 1.00001),
+    (WR, 2**32 + 5, 10, 2**32 + 1, 1.1),
+    (WOR, 2**32 + 1, 0, 2**32, 1.0),
+    (WOR, 2**31 + 1, 2**31 + 1, 2**31 - 1, 1.0),
+    (WOR, 2 * 10**9 - 2, 10**9 - 1, 10**9, 1.0001),
+]
+
+
+def _fits(dtype, value) -> bool:
+    info = np.iinfo(dtype)
+    return info.min <= value <= info.max
+
+
+@pytest.mark.parametrize("method, n, c, k, q, dtype", [
+    (*point, dtype) for point in _WIDE_POINTS
+    for dtype in (np.int16, np.int32, np.uint32, np.int64, np.uint64)
+    if any(_fits(dtype, v) for v in point[1:4])])
+def test_numpy_integer_sizes_simulate_as_python_ints(method, n, c, k, q, dtype):
+    """n, C and k in any numpy integer type that holds them, each alone
+    and all three at once, give the summary of the Python-int call."""
+    plain = repr(run_simulation(_cfg(n, c, k, q, trials=4096, seed=1, method=method)))
+    fits = [_fits(dtype, v) for v in (n, c, k)]
+    for given_as in ([0], [1], [2], [0, 1, 2]):
+        if not all(fits[i] for i in given_as):
+            continue
+        sizes = [dtype(v) if i in given_as else v for i, v in enumerate((n, c, k))]
+        assert repr(run_simulation(_cfg(*sizes, q, trials=4096, seed=1, method=method))) == plain
+
+
+def test_an_int32_sample_size_counts_the_python_ints_successes():
+    summary = run_simulation(_cfg(5 * 10**8, 5 * 10**6, np.int32(100_000), 1.05, trials=4096,
+                                  seed=1, method=WOR))
+    assert summary.successes == 3643
