@@ -337,9 +337,11 @@ def test_numpy_integers_are_simulation_inputs():
     assert numpy.successes == plain.successes == 8675
 
 
-def _sizes(draw, method):
-    """n, C and k for a property example: C at an edge of [0, n] or inside
-    it, and without replacement k at 1, n - 1 or inside."""
+@st.composite
+def _points(draw):
+    """C at an edge of [0, n] or inside it, and without replacement k at
+    1, n - 1 or inside."""
+    method = draw(st.sampled_from([WR, WOR]))
     n = draw(st.integers(2, 10**6))
     c = draw(st.sampled_from([0, 1, n - 1, n, None]))
     if c is None:
@@ -348,13 +350,6 @@ def _sizes(draw, method):
     k = draw(st.sampled_from([1, top, None]))
     if k is None:
         k = draw(st.integers(1, top))
-    return n, c, k
-
-
-@st.composite
-def _points(draw):
-    method = draw(st.sampled_from([WR, WOR]))
-    n, c, k = _sizes(draw, method)
     q = draw(st.sampled_from([1.0, 1e200]) | st.floats(0.0, 200.0).map(lambda e: 10.0**e))
     trials = draw(st.sampled_from([1, 4095, 4097]))
     seed = draw(st.integers(0, 2**64 - 1))
