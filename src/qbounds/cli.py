@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import __version__
@@ -156,12 +156,7 @@ def _simulate(args):
         pop=args.pop, design=SampleDesign(method=args.sampling, k=args.k), q=args.q,
         trials=args.trials, seed=args.seed,
     ))
-    return {
-        "successes": summary.successes,
-        "trials": summary.trials,
-        "empirical_rate": summary.empirical_rate,
-        "standard_error": summary.standard_error,
-    }, ()
+    return asdict(summary), ()  # successes, trials, empirical_rate, standard_error
 
 
 def _table1(args) -> None:

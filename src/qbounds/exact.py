@@ -15,8 +15,10 @@ over the window, so no term of size n ln n ever cancels (Loader 2000,
 sum is read from that array; when it holds more than half the mass the
 two excluded tails are read from the same array instead, so results
 near 1 keep absolute accuracy comparable to the tail mass itself. The
-integer factors are int64, so n and k must stay below 2**63, and a window
-wider than MAX_WINDOW hit counts is refused rather than allocated.
+integer factors are int64, so n and k must stay below 2**63. A point
+whose admissible range holds none, or all, of the hit counts the draw can
+give is 0 or 1 without a window; a window wider than MAX_WINDOW hit
+counts is refused rather than allocated.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (_WOR, _WR, PopulationSpec, SampleDesign, SamplingMethod, _check_k_below_n,
-                    _check_point, q_error)
+                    _check_point, _python_int, q_error)
 
 _REL_CUTOFF = 1e-30
 # The first window spans the mean +- (_SPREAD standard deviations + _MARGIN).
@@ -48,13 +50,14 @@ def _is_integer(value) -> bool:
     return True
 
 
-def _check_integers(purpose: str, *named: tuple[str, object]) -> None:
+def _check_integers(purpose: str, *named: tuple[str, object]) -> list[int]:
     """The rule for the counts a hit-count distribution or a draw takes:
     each (name, value) must hold an integer; a fractional size means
-    nothing there."""
+    nothing there. The values come back as Python ints."""
     for name, value in named:
         if not _is_integer(value):
             raise ValueError(f"{name} must be an integer {purpose}, got {value}")
+    return [operator.index(value) for _, value in named]
 
 
 def estimate_from_hits(n: int, k: int, hits: float):
@@ -86,8 +89,8 @@ _EMPTY_RANGE = AdmissibleRange(0, -1)
 def admissible_range(n: int, c: int, k: int, q: float) -> AdmissibleRange:
     """Bracket the admissible hit counts in closed form, then verify the
     boundaries against the clamped metric (which handles x = 0 and c = 0)."""
-    _check_integers("for exact sums", ("population size", n), ("cardinality", c),
-                    ("sample size", k))
+    n, c, k = _check_integers("for exact sums", ("population size", n), ("cardinality", c),
+                              ("sample size", k))
     PopulationSpec(n, c)  # its rule: n >= 1 and 0 <= c <= n
     _check_point(None, None, k, q)
     return _admissible_range(n, c, k, q)
@@ -123,6 +126,23 @@ def _admissible_range(n: int, c: int, k: int, q: float) -> AdmissibleRange:
     while hi >= lo and not ok(hi):
         hi -= 1
     return AdmissibleRange(lo, hi)
+
+
+def _support(wr: bool, n: int, c: int, k: int) -> tuple[int, int]:
+    """The least and the greatest hit count a draw can give: [0, k] with
+    replacement, [max(0, k - (n - C)), min(k, C)] without, and only 0 or k
+    when C is 0 or n."""
+    if wr:
+        return (0 if c < n else k), (k if c > 0 else 0)
+    return max(0, k - (n - c)), min(k, c)
+
+
+def _decided(rng: AdmissibleRange, lo: int, hi: int) -> int | None:
+    """The share of draws that succeed, 0 or 1, when `rng` holds none or
+    all of the support [lo, hi]; None when it holds some of it."""
+    if max(rng.lo, lo) > min(rng.hi, hi):
+        return 0
+    return 1 if rng.lo <= lo and hi <= rng.hi else None
 
 
 def binom_logpmf(xs: np.ndarray, n: int, c: int, k: int) -> np.ndarray:
@@ -172,8 +192,9 @@ def exact_confidence(pop: PopulationSpec, design: SampleDesign, q: float) -> flo
     """P(Q-error <= q) summed exactly over the hit counts; n, C and k are integers below 2**63.
 
     Its population checked n and C, its design the method and k; here q,
-    then k < n and n - k >= 1 without replacement, the cap and the integers."""
-    n, c, k = pop.n, pop.cardinality, design.k
+    then k < n and n - k >= 1 without replacement, the cap and the integers,
+    with n, C and k as Python ints."""
+    n, c, k = _python_int(pop.n), _python_int(pop.cardinality), _python_int(design.k)
     _check_point(None, None, None, q)
     if design.method is _WOR:
         _check_k_below_n(k, n)
@@ -186,20 +207,16 @@ def exact_confidence(pop: PopulationSpec, design: SampleDesign, q: float) -> flo
 
 def _exact_confidence(method: SamplingMethod, n: int, c: int, k: int, q: float) -> float:
     """`exact_confidence` of inputs that its checks admit."""
+    wr = method is _WR
     rng = _admissible_range(n, c, k, q)
-    if rng.empty:
-        return 0.0
+    support_lo, support_hi = _support(wr, n, c, k)
+    decided = _decided(rng, support_lo, support_hi)
+    if decided is not None:
+        return float(decided)
 
-    if c == 0:
-        return 1.0 if 0 in rng else 0.0
-    if c == n:
-        return 1.0 if k in rng else 0.0
-
+    logpmf = binom_logpmf if wr else hypergeom_logpmf
     variance = k * (c / n) * ((n - c) / n)
-    if method is _WR:
-        logpmf, support_lo, support_hi = binom_logpmf, 0, k
-    else:
-        logpmf, support_lo, support_hi = hypergeom_logpmf, max(0, k - (n - c)), min(k, c)
+    if not wr:
         variance *= (n - k) / (n - 1)
 
     mean = k * c // n

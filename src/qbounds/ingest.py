@@ -28,7 +28,7 @@ from .confidence import _prepared, default_inequalities
 from .exact import _check_integers, estimate_from_hits
 from .model import (_WR, PopulationSpec, SampleDesign, SamplingMethod, _check_point, q_error,
                     validate_design)
-from .simulate import _block0_generator, _check_seed
+from .simulate import _check_seed, _generator
 from .solver import Unreachable, _q_at_confidence, _validate_target
 
 
@@ -572,11 +572,10 @@ def estimate_with_bounds(
 
     The rows are those of `simulate.block_generator(seed, 0)`, block 0 of
     the simulation's stream, so the seed follows the simulation's rule: an
-    integer in [0, 2**64). They are drawn from the calling thread's one
-    generator, re-keyed to the state that block 0 starts in
-    (`simulate._block0_generator`), as building a new one costs more than
-    a small estimate's draw. The sample size must be an integer too, as
-    every draw takes one.
+    integer in [0, 2**64). They are drawn from the calling thread's
+    generator, re-keyed to the state that block 0 starts in, as every
+    block is (`simulate._generator`). The sample size must be an integer
+    too, as every draw takes one.
 
     Every argument, each q and the target included, is checked here, once,
     before the draw. The bounds (the default inequality set's) and the q at
@@ -598,7 +597,7 @@ def estimate_with_bounds(
         _validate_target(target_confidence)
 
     compiled = bind_predicate(table, predicate)
-    rows = sample_indices(n, design, _block0_generator(seed))
+    rows = sample_indices(n, design, _generator(seed, 0))
     if assume_p is not None and design.k * _GATHER_COST < n:  # no true count is needed
         hits, truth = int(np.count_nonzero(_predicate_mask(table, compiled, rows))), None
     else:

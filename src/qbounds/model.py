@@ -5,6 +5,7 @@ random number scheme, which every JSON output names."""
 from __future__ import annotations
 
 import enum
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -129,12 +130,22 @@ def _check_k_below_n(k: int, n: int) -> None:
         raise ValueError(f"sampling without replacement needs k <= n - 1, got k={k}, n={n}")
 
 
+def _python_int(value):
+    """A numpy integer as a Python int, so that no numpy type wraps in the
+    arithmetic that follows; a bool or a non-integer as it is."""
+    try:
+        return value if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return value
+
+
 def validate_design(pop: PopulationSpec, design: SampleDesign) -> None:
     """Check the cross constraints between a population and a sample design:
-    without replacement, k < n and n - k >= 1. `PopulationSpec` has checked
-    n, and `SampleDesign` the method and k, so neither is checked again."""
+    without replacement, k < n and n - k >= 1, with integers as Python ints.
+    `PopulationSpec` has checked n, and `SampleDesign` the method and k, so
+    neither is checked again."""
     if design.method is _WOR:
-        _check_k_below_n(design.k, pop.n)
+        _check_k_below_n(_python_int(design.k), _python_int(pop.n))
 
 
 def q_error(est: float, truth: float) -> float:

@@ -5,19 +5,15 @@ counter stream keyed by (seed, b), and aggregation is a plain sum of
 integer hit counts. A run of more than one block draws its blocks on the
 calling thread plus helper threads, one thread per CPU the process may
 use and never more than there are blocks; numpy's array draws release
-the GIL, so the threads draw at once. A one-block run stays on the
-calling thread. Every block's draws depend on (seed, b) alone, so the
-results, and every output byte, are the same for any thread count or
-order. A point whose admissible range holds none, or all, of the hit
-counts the draw can give draws no block and starts no thread: it counts
-0 or every trial, as a draw would. The sampled estimate
-(`ingest.estimate_with_bounds`) draws its rows from block 0 of the same
-scheme, under the same seed rule, but from one generator per thread that
-each estimate re-keys (`_block0_generator`) rather than a new one:
-building a Philox costs more than a small estimate's draw. A simulation
-keeps one new generator per block, as its helper threads are new on
-every run. The scheme's identifier, `RNG_SCHEME`, is set in `model`, so
-output metadata names it without numpy.
+the GIL, so the threads draw at once. Each thread draws each block from
+its own generator, re-keyed to the block's stream (`_generator`), as the
+sampled estimate (`ingest.estimate_with_bounds`) draws its rows from
+block 0; so the results, and every output byte, are the same for any
+thread count or order. A point whose admissible range holds none, or
+all, of the hit counts the draw can give draws no block and starts no
+thread: it counts 0 or every trial, as a draw would. The scheme's
+identifier, `RNG_SCHEME`, is set in `model`, so output metadata names it
+without numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import AdmissibleRange, _admissible_range, _check_integers, _is_integer
+from .exact import (AdmissibleRange, _admissible_range, _check_integers, _decided, _is_integer,
+                    _support)
 from .model import (_WOR, _WR, RNG_SCHEME, PopulationSpec, SampleDesign, _check_k_below_n,
                     _check_point)
 
@@ -49,12 +46,11 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_integers("to simulate", ("population size", self.pop.n),
-                        ("cardinality", self.pop.cardinality),
-                        ("sample size", self.design.k), ("trials", self.trials))
-        # n, k and the method were checked by the population and the design;
-        # as Python ints, no numpy integer type wraps in n - k or n - C
-        n, c, k = (operator.index(v) for v in (self.pop.n, self.pop.cardinality, self.design.k))
+        # n, k and the method were checked by the population and the design; as
+        # Python ints, no numpy integer type wraps in n - k or n - C
+        n, c, k, _ = _check_integers("to simulate", ("population size", self.pop.n),
+                                     ("cardinality", self.pop.cardinality),
+                                     ("sample size", self.design.k), ("trials", self.trials))
         _check_point(None, None, None, self.q)
         if self.design.method is _WOR:
             _check_k_below_n(k, n)
@@ -82,27 +78,23 @@ class SimulationSummary:
 
 def block_generator(seed: int, block_index: int) -> np.random.Generator:
     """Generator for one trial block, derived purely from (seed, block)."""
-    bitgen = np.random.Philox(key=seed, counter=[0, 0, 0, block_index])
-    return np.random.Generator(bitgen)
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, block_index]))
 
 
 _THREAD = threading.local()
 
 
-def _block0_generator(seed: int) -> np.random.Generator:
-    """The calling thread's generator, re-keyed to the state that
-    `block_generator(seed, 0)` starts in, so that it draws the same rows:
-    the counter at 0, the key (seed, 0), an empty buffer and no spare 32
-    bits. A Philox built with a key first seeds itself from OS entropy and
-    then has that key replaced; setting the state costs about a tenth of
-    that. Each thread has its own generator, so threads that draw at once
-    never share one."""
+def _generator(seed: int, block: int) -> np.random.Generator:
+    """The calling thread's own generator, set to the state that
+    `block_generator(seed, block)` starts in (counter (0, 0, 0, block), key
+    (seed, 0), no buffered bits), so that it draws the same values at about
+    a tenth of the cost of building a Philox."""
     generator = getattr(_THREAD, "generator", None)
     if generator is None:
         generator = _THREAD.generator = np.random.Generator(np.random.Philox(0))
     generator.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
+        "state": {"counter": (0, 0, 0, block), "key": (seed, 0)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return generator
@@ -122,44 +114,33 @@ def run_simulation(cfg: SimulationConfig) -> SimulationSummary:
     Success of a trial with hit count x means q_error(n*x/k, C) <= q,
     which is exactly membership of x in the admissible hit-count range.
     A point whose range holds none, or all, of the hit counts the draw can
-    give (its support: [0, k] with replacement, [max(0, k - (n - C)),
-    min(k, C)] without, and only 0 or k when C is 0 or n) is counted
-    without a draw, as 0 or `trials` successes, which is what any draw
-    would count; no block is drawn and no thread starts. Every other point
-    draws its blocks (`_drawn_successes`). n, C and k are taken as Python
-    integers, so no numpy integer type wraps in the range or the support.
+    give (`exact._support`) counts 0 or `trials` successes, as any draw
+    would, without drawing a block or starting a thread; every other point
+    draws its blocks. n, C, k and the trials are taken as Python integers,
+    so no numpy integer type wraps in the range or reaches the summary.
     """
-    n, c, k = (operator.index(v) for v in (cfg.pop.n, cfg.pop.cardinality, cfg.design.k))
+    n, c, k, trials = (operator.index(v) for v in (cfg.pop.n, cfg.pop.cardinality,
+                                                   cfg.design.k, cfg.trials))
     wr = cfg.design.method is _WR
     rng = _admissible_range(n, c, k, cfg.q)
-    if wr:
-        support_lo, support_hi = (0 if c < n else k), (k if c > 0 else 0)
+    decided = _decided(rng, *_support(wr, n, c, k))
+    if decided is None:
+        successes = _drawn_successes(cfg.seed, wr, n, c, k, trials, rng)
     else:
-        support_lo, support_hi = max(0, k - (n - c)), min(k, c)
-    if max(rng.lo, support_lo) > min(rng.hi, support_hi):
-        successes = 0
-    elif rng.lo <= support_lo and support_hi <= rng.hi:
-        successes = operator.index(cfg.trials)  # a Python int, as a drawn sum is
-    else:
-        successes = _drawn_successes(cfg, wr, n, c, k, rng)
+        successes = decided * trials
 
-    rate = successes / cfg.trials
-    return SimulationSummary(
-        successes=successes,
-        trials=cfg.trials,
-        empirical_rate=rate,
-        standard_error=math.sqrt(rate * (1.0 - rate) / cfg.trials),
-    )
+    rate = successes / trials
+    return SimulationSummary(successes, trials, rate, math.sqrt(rate * (1.0 - rate) / trials))
 
 
-def _drawn_successes(cfg: SimulationConfig, wr: bool, n: int, c: int, k: int,
+def _drawn_successes(seed: int, wr: bool, n: int, c: int, k: int, trials: int,
                      rng: AdmissibleRange) -> int:
-    """The trials of `cfg` whose hit count, drawn block by block, lies in
-    `rng`. Each thread takes the next block index from one shared iterator
-    and sums its own blocks' successes; the helpers are joined before this
+    """The trials whose hit count, drawn block by block, lies in `rng`.
+    Each thread takes the next block index from one shared iterator and
+    sums its own blocks' successes; the helpers are joined before this
     returns, and an error in any block is raised here."""
     p = c / n
-    n_blocks = (cfg.trials + _BLOCK - 1) // _BLOCK
+    n_blocks = (trials + _BLOCK - 1) // _BLOCK
     blocks = iter(range(n_blocks))
     lock = threading.Lock()
     sums: list[int] = []
@@ -170,18 +151,13 @@ def _drawn_successes(cfg: SimulationConfig, wr: bool, n: int, c: int, k: int,
         total = 0
         try:
             while True:
-                # one block index each, and block_generator called by one
-                # thread at a time, so a wrapper of it needs no lock of its own
                 with lock:
                     b = None if errors else next(blocks, None)
-                    if b is None:
-                        break
-                    gen = block_generator(cfg.seed, b)
-                size = min(_BLOCK, cfg.trials - b * _BLOCK)
-                if wr:
-                    hits = gen.binomial(k, p, size=size)
-                else:
-                    hits = gen.hypergeometric(c, n - c, k, size=size)
+                if b is None:
+                    break
+                gen = _generator(seed, b)
+                size = min(_BLOCK, trials - b * _BLOCK)
+                hits = gen.binomial(k, p, size) if wr else gen.hypergeometric(c, n - c, k, size)
                 total += int(np.count_nonzero((hits >= rng.lo) & (hits <= rng.hi)))
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)

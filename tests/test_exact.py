@@ -17,6 +17,7 @@ from qbounds import (
     confidence_wr,
     estimate_from_hits,
     exact_confidence,
+    validate_design,
 )
 from qbounds import exact
 from qbounds.exact import MAX_WINDOW, hypergeom_logpmf
@@ -288,6 +289,92 @@ def test_exact_refuses_a_window_past_the_limit():
     for method in (WR, WOR):
         with pytest.raises(ValueError, match="hit counts"):
             exact_confidence(pop, SampleDesign(method=method, k=k), 2.0)
+
+
+@pytest.mark.parametrize("method", [WR, WOR])
+@pytest.mark.parametrize("n, c, k, q, want", [
+    (10**6, 100, 10, 2.0, 0.0),  # k p = 0.001: no hit count estimates within a factor 2
+    (1000, 10, 5, 1e6, 1.0),  # every hit count in [0, 5] is within 1e6
+    (1000, 0, 50, 1.0, 1.0),  # the hit count is 0, and so is C
+    (1000, 1000, 50, 1.0, 1.0),  # the hit count is k, and C is n
+    (10**6, 0, 50, 1e300, 1.0),
+])
+def test_a_decided_exact_point_builds_no_window(monkeypatch, method, n, c, k, q, want):
+    """A point whose admissible range holds none, or all, of the hit
+    counts the draw can give is answered without a pmf."""
+    for name in ("binom_logpmf", "hypergeom_logpmf"):
+        monkeypatch.setattr(exact, name, lambda *args: pytest.fail("a window was built"))
+    assert repr(exact_confidence(PopulationSpec(n, c), SampleDesign(method, k), q)) == repr(want)
+
+
+def test_a_decided_point_past_the_window_limit_is_answered(monkeypatch):
+    """At q = 1e18 every estimate of [0, k] is admissible, so the answer is
+    1 although the window around the mean would pass MAX_WINDOW; an
+    undecided point of that spread is still refused."""
+    n, c, k = 10**18, 5 * 10**17, 10**15
+    assert 24 * math.sqrt(k * (c / n) * (1 - c / n)) > MAX_WINDOW
+    pop, design = PopulationSpec(n, c), SampleDesign(WR, k)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "binom_logpmf", lambda *args: pytest.fail("a window was built"))
+        assert repr(exact_confidence(pop, design, 1e18)) == "1.0"
+    with pytest.raises(ValueError, match=r"^exact tail sum needs \d+ hit counts, more than "):
+        exact_confidence(pop, design, 2.0)
+
+
+# (method, n, C, k, q): the first at k C past 2**31 gave 0.0 with an int32
+# k, the second 0.0 with a uint64 k (the window's start wrapped), and the
+# third raised OverflowError with an int32 k beside n past 2**31; the rest
+# hold n, C or k on both sides of 2**31 and 2**32
+_WIDE_POINTS = [
+    (WOR, 2_000_000_000, 20_000_000, 100_000, 1.05),
+    (WR, 35_364_487, 4_852_025, 195_669, 8.816524033749683),
+    (WOR, 2**31 + 1, 5, 2**31 - 1, 2.0),
+    (WOR, 1000, 500, 100, 1.05),
+    (WOR, 1000, 500, 100, 1e6),
+    (WR, 2**31 - 1, 2**30, 30_000, 1.01),
+    (WR, 2**32 - 1, 2**31 + 1, 2**20, 1.001),
+    (WR, 2**33 + 1, 2**32 + 7, 2**32 - 1, 1.0001),
+    (WOR, 2**32 + 5, 10, 2**32 + 1, 1.1),
+    (WOR, 2**32 + 1, 0, 2**32, 1.0),
+    (WR, 2**31 + 1, 2**31 + 1, 2**31 - 1, 1.0),
+    (WOR, 2**31 + 1, 2**31 - 1, 2**31 + 1, 2.0),  # k = n: refused in the same words
+]
+
+
+def _fits(dtype, value) -> bool:
+    info = np.iinfo(dtype)
+    return info.min <= value <= info.max
+
+
+def _outcome(call) -> str:
+    """The repr of a call's answer, or its error's type and message."""
+    try:
+        return repr(call())
+    except Exception as exc:  # compared, not hidden
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("method, n, c, k, q, dtype", [
+    (*point, dtype) for point in _WIDE_POINTS
+    for dtype in (np.int16, np.int32, np.uint32, np.int64, np.uint64)
+    if any(_fits(dtype, v) for v in point[1:4])])
+def test_numpy_integer_sizes_are_exact_as_python_ints(method, n, c, k, q, dtype):
+    """n, C and k in any numpy integer type that holds them, each alone and
+    all three at once, give what the Python ints give: the exact answer,
+    the admissible range and the design check."""
+    def outcomes(n, c, k):
+        pop, design = PopulationSpec(n, c), SampleDesign(method, k)
+        return (_outcome(lambda: exact_confidence(pop, design, q)),
+                _outcome(lambda: admissible_range(n, c, k, q)),
+                _outcome(lambda: validate_design(pop, design)))
+
+    plain = outcomes(n, c, k)
+    assert "OverflowError" not in str(plain)
+    fits = [_fits(dtype, v) for v in (n, c, k)]
+    for given_as in ([0], [1], [2], [0, 1, 2]):
+        if all(fits[i] for i in given_as):
+            sizes = [dtype(v) if i in given_as else v for i, v in enumerate((n, c, k))]
+            assert outcomes(*sizes) == plain
 
 
 def test_exact_refuses_tables_past_int64():

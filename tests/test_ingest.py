@@ -40,7 +40,7 @@ from qbounds.ingest import (
     sample_indices,
 )
 from qbounds import ingest
-from qbounds.simulate import _block0_generator, block_generator
+from qbounds.simulate import _generator, block_generator
 
 WR = SamplingMethod.WITH_REPLACEMENT
 WOR = SamplingMethod.WITHOUT_REPLACEMENT
@@ -644,20 +644,41 @@ def test_sample_indices_full_population_without_replacement():
 
 
 _SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1, np.uint64(3)]))
+_BLOCKS = st.one_of(st.integers(0, 2**40), st.sampled_from([0, 1, 2**40]))
+_DRAWS = st.sampled_from(["wr", "wor", "binomial", "hypergeometric"])
 
 
-@given(st.lists(st.tuples(_SEEDS, st.sampled_from([WR, WOR]), st.integers(2, 2**40),
+def _draw(generator, kind, n, c, k):
+    """One draw of each kind the library makes: a sample's rows, with or
+    without replacement, or a block of binomial or hypergeometric hit
+    counts."""
+    if kind == "binomial":
+        return generator.binomial(k, c / n, size=4096)
+    if kind == "hypergeometric":  # numpy refuses a good or bad count of 1e9 or more
+        n = min(n, 10**9 - 1)
+        c = min(c, n)
+        return generator.hypergeometric(c, n - c, min(k, n), size=4096)
+    method = WR if kind == "wr" else WOR
+    design = SampleDesign(method=method, k=k if method is WR else min(k, n - 1))
+    return sample_indices(n, design, generator)
+
+
+@given(st.lists(st.tuples(_SEEDS, _BLOCKS, _DRAWS, st.integers(2, 2**40), st.integers(0, 2**40),
                           st.integers(1, 300)), min_size=1, max_size=4))
-@example([(0, WR, 10, 1), (2**64 - 1, WOR, 2**33, 7), (np.uint64(3), WR, 2**32 + 5, 300)])
-@example([(5, WR, 1000, 3), (5, WR, 1000, 3), (5, WOR, 1000, 3)])  # a spare 32 bits left
-@example([(7, WOR, 2**40, 300), (7, WOR, 600, 300)])  # Floyd's algorithm, then a shuffle
+@example([(0, 0, "wr", 10, 0, 1), (2**64 - 1, 2**40, "wor", 2**33, 0, 7),
+          (np.uint64(3), 1, "wr", 2**32 + 5, 0, 300)])
+# a spare 32 bits left; Floyd's algorithm, then a shuffle
+@example([(5, 0, "wr", 1000, 0, 3), (5, 0, "wr", 1000, 0, 3), (5, 0, "wor", 1000, 0, 3)])
+@example([(7, 0, "wor", 2**40, 0, 300), (7, 0, "wor", 600, 0, 300)])
+@example([(2**64 - 1, 2**40, "binomial", 10**6, 5000, 1000),
+          (2**64 - 1, 2**40, "hypergeometric", 10**6, 5000, 1000), (1, 3, "binomial", 10, 3, 8)])
 @settings(max_examples=60, deadline=None)
-def test_the_rekeyed_draw_is_block_zeros_of_a_new_generator(draws):
+def test_the_rekeyed_generator_draws_what_a_new_one_draws(draws):
     # one thread's generator, drawn from again and again, re-keyed each time
-    for seed, method, n, k in draws:
-        design = SampleDesign(method=method, k=k if method is WR else min(k, n - 1))
-        got = sample_indices(n, design, _block0_generator(seed))
-        want = sample_indices(n, design, block_generator(seed, 0))
+    for seed, block, kind, n, c, k in draws:
+        c = min(c, n)
+        got = _draw(_generator(seed, block), kind, n, c, k)
+        want = _draw(block_generator(seed, block), kind, n, c, k)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 

@@ -78,7 +78,7 @@ def test_agrees_with_exact_probability():
 def _recorded_hits(monkeypatch) -> list:
     """The hit counts run_simulation draws, one array per block, as it draws them."""
     drawn = []
-    make = simulate.block_generator
+    make = simulate._generator
 
     class Recorder:
         def __init__(self, gen):
@@ -94,7 +94,7 @@ def _recorded_hits(monkeypatch) -> list:
             drawn.append(hits)
             return hits
 
-    monkeypatch.setattr(simulate, "block_generator", lambda seed, b: Recorder(make(seed, b)))
+    monkeypatch.setattr(simulate, "_generator", lambda seed, b: Recorder(make(seed, b)))
     return drawn
 
 
@@ -167,7 +167,7 @@ class _NoDraws:
 def test_wor_fixed_hit_counts_simulate_at_any_n(monkeypatch, n, c):
     """C = 0 and C = n fix the hit count at 0 and k: accepted at any n,
     and counted without numpy's hypergeometric draw."""
-    monkeypatch.setattr(simulate, "block_generator", lambda seed, block: _NoDraws())
+    monkeypatch.setattr(simulate, "_generator", lambda seed, block: _NoDraws())
     summary = run_simulation(_cfg(n, c, 100, 1.0, trials=5000, seed=1, method=WOR))
     assert summary.successes == summary.trials == 5000  # every Q-error is 1
 
@@ -247,7 +247,7 @@ def test_cpu_count_is_the_affinity_set(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_an_error_in_any_block_is_raised_and_no_thread_outlives_the_call(monkeypatch, cpus):
     """A lost block would silently count 0 successes."""
-    make = simulate.block_generator
+    make = simulate._generator
 
     def failing(seed, b):
         if b == 5:
@@ -255,7 +255,7 @@ def test_an_error_in_any_block_is_raised_and_no_thread_outlives_the_call(monkeyp
         return make(seed, b)
 
     monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(simulate, "block_generator", failing)
+    monkeypatch.setattr(simulate, "_generator", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="^block 5 failed$"):
         run_simulation(_cfg(10**6, 5000, 1000, 2.0, trials=16 * 4096, seed=3))
@@ -283,7 +283,7 @@ def test_a_failed_block_stops_the_other_threads(monkeypatch):
     """After an error no thread takes a new block, so an interrupt (or a
     failure) ends a long run without drawing the rest of it."""
     taken = []
-    make = simulate.block_generator
+    make = simulate._generator
 
     def failing(seed, b):
         taken.append(b)
@@ -292,7 +292,7 @@ def test_a_failed_block_stops_the_other_threads(monkeypatch):
         return make(seed, b)
 
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 4)
-    monkeypatch.setattr(simulate, "block_generator", failing)
+    monkeypatch.setattr(simulate, "_generator", failing)
     with pytest.raises(KeyboardInterrupt):
         run_simulation(_cfg(10**6, 5000, 1000, 2.0, trials=256 * 4096, seed=3))
     assert len(taken) <= 16  # of 256 blocks
@@ -328,6 +328,31 @@ def test_simulation_inputs_must_be_integers(field, value, message):
     args[field] = value
     with pytest.raises(ValueError, match=f"^{message}$"):
         _cfg(args["n"], args["c"], args["k"], 2.0, trials=args["trials"], seed=args["seed"])
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint32, np.int64, np.uint64])
+@pytest.mark.parametrize("n, c, k, q", [
+    (10**6, 5000, 1000, 2.0),  # drawn
+    (10**6, 100, 10, 2.0),  # no trial succeeds
+    (1000, 10, 5, 1e6),  # every trial succeeds
+])
+def test_numpy_trials_give_the_python_ints_summary(dtype, n, c, k, q):
+    plain = run_simulation(_cfg(n, c, k, q, trials=10**4, seed=1))
+    summary = run_simulation(_cfg(n, c, k, q, trials=dtype(10**4), seed=1))
+    assert repr(summary) == repr(plain)
+    assert type(summary.trials) is int and type(summary.empirical_rate) is float
+
+
+@pytest.mark.parametrize("method", [WR, WOR])
+def test_no_block_builds_a_new_generator(monkeypatch, method):
+    """Every block is drawn from a thread's re-keyed generator; the one that
+    `block_generator` builds is only the reference."""
+    cfg = _cfg(10**6, 5000, 1000, 2.0, trials=16 * 4096 + 3, seed=2**64 - 1, method=method)
+    expected = _reference_successes(cfg)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(simulate, "block_generator",
+                        lambda seed, b: pytest.fail("a Philox was built for a block"))
+    assert run_simulation(cfg).successes == expected
 
 
 def test_numpy_integers_are_simulation_inputs():
@@ -371,10 +396,10 @@ def test_simulation_equals_the_block_by_block_draw(cfg, cpus):
 
 
 def _counted_draws(monkeypatch) -> tuple[list, list]:
-    """The block indices `block_generator` is called with, and the threads
+    """The block indices `_generator` is called with, and the threads
     started, during a run."""
     blocks, started = [], []
-    make = simulate.block_generator
+    make = simulate._generator
 
     class Counted(threading.Thread):
         def start(self):
@@ -386,7 +411,7 @@ def _counted_draws(monkeypatch) -> tuple[list, list]:
         return make(seed, b)
 
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 4)
-    monkeypatch.setattr(simulate, "block_generator", counted)
+    monkeypatch.setattr(simulate, "_generator", counted)
     monkeypatch.setattr(simulate.threading, "Thread", Counted)
     return blocks, started
 
